@@ -17,7 +17,6 @@ from .config import (
     PredictorConfig,
     RunConfig,
     ScheduleConfig,
-    build_mixture_spec,
     build_predictor,
     build_schedule,
     parse_config,
@@ -85,7 +84,6 @@ from .predictors import (
     mixture_velocity,
     structured_mixture,
     toy_block_forward,
-    trace_replay_evaluate,
 )
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 from .sampler import (

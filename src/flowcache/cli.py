@@ -37,9 +37,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .config import RunConfig, build_predictor, build_schedule, parse_config, require_seeds, serialize_config
+from .config import (RunConfig, build_predictor, build_schedule, format_downsample, parse_config, parse_downsample,
+                     require_seeds, serialize_config)
 from .engine import recorded_increments, relative_threshold, replay_decisions, sample_cached
-from .errors import ConfigError, FlowCacheError
+from .errors import ConfigError, FlowCacheError, StateError
 from .harness import (
     DEFAULT_RESOLUTION_FACTORS,
     VARIANT_FULL,
@@ -55,7 +56,7 @@ from .harness import (
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
 from .report import RunReport
 from .sampler import TimestepSchedule, sample_baseline
-from .tensor import DownsampleFactors, Tensor4, mse, seeded_normal
+from .tensor import Tensor4, mse, seeded_normal
 from .traceio import read_trace, write_trace
 
 SCHEMA_VERSION = 1
@@ -205,7 +206,8 @@ def _cmd_generate(args) -> int:
         quality = {"mse": mse(terminal, reference), "psnr_db": psnr(terminal, reference)}
 
     if trace_path is not None:
-        assert preds is not None
+        if preds is None:
+            raise StateError("the run collected no predictions to record")
         write_trace(trace_path, TraceArchive.from_run(schedule, preds))
 
     out = args.out or cfg.output.report or "report.json"
@@ -265,19 +267,7 @@ def _parse_floats(what: str, tokens: Sequence[str]) -> tuple[float, ...]:
 
 def _parse_sweep_values(axis: str, tokens: Optional[Sequence[str]]):
     if axis == "downsample":
-        if tokens:
-            values = []
-            for tok in tokens:
-                parts = tok.lower().split("x")
-                try:
-                    factors = [int(p) for p in parts]
-                except ValueError:
-                    factors = []
-                if len(factors) != 3:
-                    raise ConfigError(f"downsample value {tok!r} must look like 2x4x4")
-                values.append(DownsampleFactors(*factors))
-            return tuple(values)
-        return DEFAULT_RESOLUTION_FACTORS
+        return tuple(parse_downsample("--values", tok) for tok in tokens) if tokens else DEFAULT_RESOLUTION_FACTORS
     if axis == "alpha":
         return _parse_floats("alpha", tokens) if tokens else DEFAULT_SWEEP_ALPHAS
     return _parse_floats("cache_rate", tokens) if tokens else DEFAULT_SWEEP_CACHE_RATES
@@ -285,7 +275,7 @@ def _parse_sweep_values(axis: str, tokens: Optional[Sequence[str]]):
 
 def _sweep_label(axis: str, value) -> str:
     if axis == "downsample":
-        return f"{value.frames}x{value.height}x{value.width}"
+        return format_downsample(value)
     return repr(value)
 
 
@@ -332,8 +322,8 @@ def _cmd_analyze_trace(args) -> int:
     increments = recorded_increments(predictions, cache)
     n = archive.schedule.n_steps
     warmup = cache.warmup_steps
-    warmup_increments = increments[:max(warmup - 1, 0)]
-    post_increments = increments[max(warmup - 1, 0):]
+    warmup_increments = increments[:warmup - 1]
+    post_increments = increments[warmup - 1:]
     shape = archive.records[0].prediction.shape
     full_cells = float(shape[0] * shape[1] * shape[2])
     trial_cells = full_cells / cache.downsample.volume
@@ -439,7 +429,7 @@ def _cmd_figures(args) -> int:
                 for i, (k, t) in enumerate(zip(adj.step_indices, adj.t_values))])
 
     res = resolution_sensitivity(pred, z0, schedule, mask_scale=cfg.cache.mask_scale)
-    labels = [f"{f.frames}x{f.height}x{f.width}" for f in res.factors]
+    labels = [format_downsample(f) for f in res.factors]
     _write_csv(out_dir / "resolution.csv",
                ("factor", "pearson", "spearman"),
                [(labels[i], res.pearson_by_factor[i], res.spearman_by_factor[i]) for i in range(len(labels))])

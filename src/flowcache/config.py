@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 from .engine import REUSE_STRATEGIES, BlockCacheConfig, StepCacheConfig
 from .errors import ConfigError
-from .predictors import GaussianMixtureSpec, MixturePredictor, ToyBlockNet, structured_mixture
+from .predictors import MixturePredictor, ToyBlockNet, structured_mixture
 from .sampler import SCHEDULE_KINDS, Predictor, TimestepSchedule, make_schedule
 from .spectral import DEFAULT_RADIUS_SCALE
 from .tensor import DownsampleFactors
@@ -115,7 +115,7 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
-def _parse_downsample(key: str, raw: str) -> DownsampleFactors:
+def parse_downsample(key: str, raw: str) -> DownsampleFactors:
     parts = raw.lower().split("x")
     if len(parts) != 3:
         raise ConfigError(f"key {key!r}: expected FRAMESxHEIGHTxWIDTH like 2x4x4, got {raw!r}")
@@ -123,7 +123,7 @@ def _parse_downsample(key: str, raw: str) -> DownsampleFactors:
     return DownsampleFactors(frames=frames, height=height, width=width)
 
 
-def _format_downsample(factors: DownsampleFactors) -> str:
+def format_downsample(factors: DownsampleFactors) -> str:
     return f"{factors.frames}x{factors.height}x{factors.width}"
 
 
@@ -155,7 +155,7 @@ _SETTERS: dict[str, Callable[[dict, str], None]] = {
     "schedule.terminal": lambda acc, v: acc["schedule"].__setitem__("terminal", _parse_float("schedule.terminal", v)),
     "cache.alpha": lambda acc, v: acc["cache"].__setitem__("alpha", _parse_float("cache.alpha", v)),
     "cache.warmup": lambda acc, v: acc["cache"].__setitem__("warmup_steps", _parse_int("cache.warmup", v)),
-    "cache.downsample": lambda acc, v: acc["cache"].__setitem__("downsample", _parse_downsample("cache.downsample", v)),
+    "cache.downsample": lambda acc, v: acc["cache"].__setitem__("downsample", parse_downsample("cache.downsample", v)),
     "cache.reuse": lambda acc, v: acc["cache"].__setitem__("reuse", v),
     "cache.mask_scale": lambda acc, v: acc["cache"].__setitem__("mask_scale", _parse_float("cache.mask_scale", v)),
     "block.cache_rate": lambda acc, v: acc["block"].__setitem__("cache_rate", _parse_float("block.cache_rate", v)),
@@ -244,7 +244,7 @@ def serialize_config(cfg: RunConfig) -> str:
     c = cfg.cache
     lines.append(f"cache.alpha = {c.alpha!r}")
     lines.append(f"cache.warmup = {c.warmup_steps}")
-    lines.append(f"cache.downsample = {_format_downsample(c.downsample)}")
+    lines.append(f"cache.downsample = {format_downsample(c.downsample)}")
     lines.append(f"cache.reuse = {c.reuse}")
     lines.append(f"cache.mask_scale = {c.mask_scale!r}")
     b = cfg.block
@@ -274,17 +274,6 @@ def build_predictor(cfg: RunConfig) -> Predictor:
                                   smooth_amp=p.smooth_amp, rough_amp=p.rough_amp, var=p.var)
         return MixturePredictor(spec)
     return ToyBlockNet(p.blocks, cfg.latent[3], p.seed)
-
-
-def build_mixture_spec(cfg: RunConfig) -> GaussianMixtureSpec:
-    """The analytic mixture behind a mixture-kind config (harness metrics need it)."""
-    p = cfg.predictor
-    if p.kind != "mixture":
-        raise ConfigError(f"config uses predictor kind {p.kind!r}, not 'mixture'")
-    if p.seed is None:
-        raise ConfigError("predictor.seed is not set; model randomness needs an explicit seed")
-    return structured_mixture(cfg.latent, p.seed, components=p.components,
-                              smooth_amp=p.smooth_amp, rough_amp=p.rough_amp, var=p.var)
 
 
 def build_schedule(cfg: RunConfig) -> TimestepSchedule:

@@ -1,14 +1,16 @@
-"""Adaptive caching for the Euler sampler.
+"""Adaptive caching for the Euler sampler, as a step policy and its drift statistic.
 
-Two cooperating mechanisms live here. Step-level caching runs a cheap trial
-evaluation on a block-mean-downsampled latent each step, measures how far the
-low-frequency band of the trial prediction has drifted from the prediction the
-previous step actually used, accumulates that drift, and reuses the cached
-prediction while the running total stays under a threshold calibrated during
-warmup. Block-level caching applies inside full evaluations of a
-block-decomposed predictor: blocks whose output deltas were small at the last
-fully computed step are replayed from their cached deltas for a bounded number
-of subsequent full steps.
+The sampler's one step loop (sampler.run_steps) asks a policy for each
+step's prediction. StepCachePolicy is the step cache: a cheap trial
+evaluation on a block-mean-downsampled latent measures how far the
+low-frequency band of the prediction has drifted from the one the previous
+step used (trial_lowfreq_diff, the package's only drift statistic; its
+open-loop form over recorded predictions is recorded_increments). Drift
+accumulates, and the cached prediction is reused while the running total
+stays under a threshold calibrated during warmup. The block cache is the
+policy's full-evaluation path for block-decomposed predictors: blocks whose
+output deltas were small at the last fully computed step are replayed from
+their cached deltas for a bounded number of subsequent full steps.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -16,13 +18,13 @@ prediction feeding that update is ever reused.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
-from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step
+# euler_step is unused here; it stays bound so the benchmark tracer's engine.euler_step hook resolves.
+from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
 from .spectral import DEFAULT_RADIUS_SCALE, circular_mask, lowfreq_diff
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm
 
@@ -37,9 +39,10 @@ class StepCacheConfig:
 
     alpha scales the warmup maximum into the decision threshold; warmup_steps
     counts initial steps that always run full inference while the calibration
-    statistic is collected; downsample gives the trial-evaluation pooling
-    factors; reuse picks what a skipped step feeds the Euler update; mask_scale
-    sets the low-band radius as a fraction of the downsampled min(H, W).
+    statistic is collected (at least 2, since step 0 has no drift to measure);
+    downsample gives the trial-evaluation pooling factors; reuse picks what a
+    skipped step feeds the Euler update; mask_scale sets the low-band radius
+    as a fraction of the downsampled min(H, W).
     """
 
     alpha: float = 0.5
@@ -51,8 +54,8 @@ class StepCacheConfig:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if not isinstance(self.warmup_steps, int) or self.warmup_steps < 1:
-            raise ConfigError(f"warmup_steps must be an integer >= 1, got {self.warmup_steps!r}")
+        if not isinstance(self.warmup_steps, int) or self.warmup_steps < 2:
+            raise ConfigError(f"warmup_steps must be an integer >= 2, got {self.warmup_steps!r}")
         if self.reuse not in REUSE_STRATEGIES:
             raise ConfigError(f"unknown reuse strategy {self.reuse!r}, expected one of {REUSE_STRATEGIES}")
         if not self.mask_scale > 0:
@@ -61,13 +64,16 @@ class StepCacheConfig:
 
 @dataclass
 class CacheState:
-    """Mutable step-cache state threaded through a sampling run."""
+    """Mutable step-cache state threaded through a sampling run.
+
+    cached_prediction is the prediction the previous step used; the residual
+    is the one of the last full evaluation.
+    """
 
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
     error: float = 0.0
     threshold: Optional[float] = None
-    warmup_max_delta: Optional[float] = None
 
 
 def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
@@ -224,7 +230,6 @@ def block_cached_forward(
         state.age = 0
         state.last_partial = False
         return features
-    assert state.pivotal is not None
     pivotal = set(state.pivotal)
     for j in range(m):
         if j in pivotal:
@@ -234,6 +239,69 @@ def block_cached_forward(
     state.age += 1
     state.last_partial = True
     return features
+
+
+class StepCachePolicy:
+    """Step policy of the cached sampler: trial, decide, then reuse or evaluate.
+
+    Every step after the first runs a trial evaluation and measures its drift
+    from the prediction the previous step used. Steps inside the warmup window
+    always evaluate and collect that drift; the first step after warmup
+    calibrates the threshold from it. Later steps accumulate the drift and
+    reuse the cached prediction (or latent + cached residual) while the total
+    stays under the threshold; otherwise a full evaluation refreshes the cache
+    and resets the accumulator. Full evaluations go through the block cache
+    when block_cfg is given.
+    """
+
+    def __init__(self, pred: Predictor, cfg: StepCacheConfig, block_cfg: Optional[BlockCacheConfig], cells: int):
+        self.pred = pred
+        self.cfg = cfg
+        self.block_cfg = block_cfg
+        self.full_cells = float(cells)
+        self.trial_cells = float(cells // cfg.downsample.volume)
+        self.state = CacheState()
+        self.block_state = BlockCacheState()
+        self.warmup_deltas: list[float] = []
+
+    def __call__(self, k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
+        state = self.state
+        delta: Optional[float] = None
+        cost = 0.0
+        decision = DECISION_WARMUP
+        if k > 0:
+            delta = trial_lowfreq_diff(self.pred, z, t, state.cached_prediction, self.cfg)
+            cost += self.trial_cells
+            if k < self.cfg.warmup_steps:
+                self.warmup_deltas.append(delta)
+                state.error += delta
+            else:
+                if state.threshold is None:
+                    state.threshold = relative_threshold(self.warmup_deltas, self.cfg.alpha)
+                decision = accumulate_decide(state, delta)
+        err_before = state.error
+        pivotal_size: Optional[int] = None
+        partial: Optional[bool] = None
+        if decision == DECISION_SKIP:
+            f = state.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else axpy(z, 1.0, state.cached_residual)
+        else:
+            f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
+            cost += eval_cost
+            state.error = 0.0
+            state.cached_residual = axpy(f, -1.0, z)
+        state.cached_prediction = f
+        return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
+                             err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
+
+    def _evaluate(self, z: Tensor4, t: float) -> tuple[Tensor4, float, Optional[int], Optional[bool]]:
+        """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
+        if self.block_cfg is None:
+            return self.pred.evaluate(z, t), self.full_cells, None, None
+        f = block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state)
+        pivotal = self.block_state.pivotal
+        if self.block_state.last_partial:
+            return f, self.full_cells * (len(pivotal) / self.pred.num_blocks), len(pivotal), True
+        return f, self.full_cells, None if pivotal is None else len(pivotal), False
 
 
 def sample_cached(
@@ -246,129 +314,16 @@ def sample_cached(
 ) -> tuple[Tensor4, RunReport]:
     """Run the Euler sampler with step-level (and optionally block-level) caching.
 
-    The first step always runs full inference. Every later step runs a trial
-    evaluation; during warmup the step then runs full inference anyway while
-    the maximum observed drift is recorded. After warmup the accumulated drift
-    decides: below threshold the cached prediction (or latent + cached
-    residual) is reused, otherwise a full evaluation refreshes the cache and
-    the accumulator resets. Configurations that never skip and never replay
-    block deltas reproduce the baseline sampler bitwise.
+    The step loop is the baseline sampler's; only the policy differs, so
+    configurations that never skip and never replay block deltas reproduce
+    the baseline sampler bitwise.
     """
     if block_cfg is not None and not isinstance(pred, BlockPredictor):
         raise ConfigError("block-level caching requires a block-decomposed predictor")
-    t_ext, h_ext, w_ext, _ = z_init.shape
-    for extent, factor, axis in (
-        (t_ext, cfg.downsample.frames, "frames"),
-        (h_ext, cfg.downsample.height, "height"),
-        (w_ext, cfg.downsample.width, "width"),
-    ):
-        if extent % factor != 0:
-            raise DimensionError(f"axis {axis} of extent {extent} is not divisible by downsample factor {factor}")
-
-    start = time.perf_counter()
-    full_cells = float(z_init.cells)
-    trial_cells = float(z_init.cells // cfg.downsample.volume)
-    n = schedule.n_steps
-
-    state = CacheState()
-    block_state = BlockCacheState() if block_cfg is not None else None
-    warmup_deltas: list[float] = []
-    rows: list[StepRecord] = []
-    trial_count = 0
-    z = z_init
-    prev_used: Optional[Tensor4] = None
-
-    def full_inference(latent: Tensor4, t_val: float) -> tuple[Tensor4, float, Optional[int], Optional[bool]]:
-        if block_cfg is None or block_state is None:
-            out = pred.evaluate(latent, t_val)
-            if out.shape != latent.shape:
-                raise DimensionError(f"predictor returned shape {out.shape} for input shape {latent.shape}")
-            return out, full_cells, None, None
-        out = block_cached_forward(pred, latent, t_val, block_cfg, block_state)
-        m = pred.num_blocks
-        if block_state.last_partial and m > 0:
-            assert block_state.pivotal is not None
-            fraction = len(block_state.pivotal) / m
-            return out, full_cells * fraction, len(block_state.pivotal), True
-        size = len(block_state.pivotal) if block_state.pivotal is not None else None
-        return out, full_cells, size, False
-
-    for k, t, t_next in schedule.pairs():
-        in_warmup = k < cfg.warmup_steps
-        trial_delta: Optional[float] = None
-        step_cost = 0.0
-        pivotal_size: Optional[int] = None
-        partial_flag: Optional[bool] = None
-
-        if k == 0:
-            f, eval_cost, pivotal_size, partial_flag = full_inference(z, t)
-            step_cost += eval_cost
-            err_before = 0.0
-            err_after = 0.0
-            decision = DECISION_WARMUP
-        else:
-            assert prev_used is not None
-            trial_delta = trial_lowfreq_diff(pred, z, t, prev_used, cfg)
-            trial_count += 1
-            step_cost += trial_cells
-            if in_warmup:
-                warmup_deltas.append(trial_delta)
-                state.error += trial_delta
-                err_before = state.error
-                f, eval_cost, pivotal_size, partial_flag = full_inference(z, t)
-                step_cost += eval_cost
-                state.error = 0.0
-                err_after = 0.0
-                decision = DECISION_WARMUP
-            else:
-                if state.threshold is None:
-                    state.warmup_max_delta = max(warmup_deltas) if warmup_deltas else None
-                    state.threshold = relative_threshold(warmup_deltas, cfg.alpha)
-                decision = accumulate_decide(state, trial_delta)
-                err_before = state.error
-                if decision == DECISION_SKIP:
-                    if cfg.reuse == REUSE_PREDICTION:
-                        assert state.cached_prediction is not None
-                        f = state.cached_prediction
-                    else:
-                        assert state.cached_residual is not None
-                        f = axpy(z, 1.0, state.cached_residual)
-                    err_after = state.error
-                else:
-                    f, eval_cost, pivotal_size, partial_flag = full_inference(z, t)
-                    step_cost += eval_cost
-                    state.error = 0.0
-                    err_after = 0.0
-
-        if decision != DECISION_SKIP:
-            state.cached_prediction = f
-            state.cached_residual = axpy(f, -1.0, z)
-        prev_used = f
-        if observer is not None:
-            observer(k, t, z, f)
-        z = euler_step(z, f, t, t_next)
-        rows.append(StepRecord(step=k, t=t, decision=decision, trial_delta=trial_delta,
-                               err_before=err_before, err_after=err_after, cost_units=step_cost,
-                               pivotal_size=pivotal_size, block_partial=partial_flag))
-
-    decisions = [r.decision for r in rows]
-    report = RunReport(
-        steps=rows,
-        full_eval_count=decisions.count(DECISION_FULL),
-        skip_count=decisions.count(DECISION_SKIP),
-        warmup_full_count=decisions.count(DECISION_WARMUP),
-        trial_eval_count=trial_count,
-        cost_units=float(sum(r.cost_units for r in rows)),
-        baseline_cost_units=full_cells * n,
-        trial_cost_units=trial_cells * trial_count,
-        wall_time=time.perf_counter() - start,
-        open_loop=bool(getattr(pred, "open_loop", False)),
-        latent_shape=z_init.shape,
-        n_steps=n,
-        threshold=state.threshold,
-        warmup_max_delta=max(warmup_deltas) if warmup_deltas else None,
-    )
-    report.validate()
+    policy = StepCachePolicy(pred, cfg, block_cfg, z_init.cells)
+    z, report = run_steps(policy, pred, z_init, schedule, observer, policy.trial_cells)
+    report.threshold = policy.state.threshold
+    report.warmup_max_delta = max(policy.warmup_deltas) if policy.warmup_deltas else None
     return z, report
 
 

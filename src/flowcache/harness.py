@@ -11,11 +11,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .engine import StepCacheConfig, block_importance, recorded_increments, trial_lowfreq_diff
+from .errors import ConfigError, DimensionError, DomainError, StateError
+from .predictors import toy_block_forward
 from .report import RunReport
 from .sampler import Predictor, TimestepSchedule, euler_step, sample_baseline
 from .spectral import FrequencyMask, default_mask, highfreq_diff, lowfreq_diff, splice_bands
-from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, mse
+from .tensor import DownsampleFactors, Tensor4, axpy, l2_norm, mse
 
 VARIANT_FULL = "full-prediction"
 VARIANT_LOW = "lf-only"
@@ -182,26 +184,16 @@ def resolution_sensitivity(
     reproduce the reference exactly.
     """
     traj = run_trajectory(pred, z_init, schedule)
-    n = schedule.n_steps
-    full_mask = default_mask(z_init.height, z_init.width, mask_scale)
-    indices = tuple(range(1, n))
-    reference = tuple(
-        lowfreq_diff(traj.predictions[k], traj.predictions[k - 1], full_mask) for k in indices
-    )
+    indices = tuple(range(1, schedule.n_steps))
+    full = StepCacheConfig(downsample=DownsampleFactors(1, 1, 1), mask_scale=mask_scale)
+    reference = tuple(recorded_increments(traj.predictions, full))
     series = []
     pearsons = []
     spearmans = []
     for f in factors:
-        small_shape = None
-        seq = []
-        for k in indices:
-            z_small = avg_downsample(traj.latents[k], f)
-            if small_shape is None:
-                small_shape = z_small.shape
-            trial = pred.evaluate(z_small, schedule.values[k])
-            cached_small = avg_downsample(traj.predictions[k - 1], f)
-            mask = default_mask(z_small.height, z_small.width, mask_scale)
-            seq.append(lowfreq_diff(trial, cached_small, mask))
+        cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
+        seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k], traj.predictions[k - 1], cfg)
+               for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
         spearmans.append(spearman(seq, reference))
@@ -226,9 +218,6 @@ class BlockProfile:
 
 def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps: Sequence[int]) -> BlockProfile:
     """Block importances at each probe step along the plain trajectory."""
-    from .engine import block_importance
-    from .predictors import toy_block_forward
-
     probes = sorted(set(int(p) for p in probe_steps))
     n = schedule.n_steps
     for p in probes:
@@ -239,7 +228,8 @@ def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps:
     importances = []
     for p in probes:
         _, intermediates = toy_block_forward(net, traj.latents[p], schedule.values[p], capture=True)
-        assert intermediates is not None
+        if intermediates is None:
+            raise StateError("block forward returned no intermediates despite capture=True")
         t_values.append(schedule.values[p])
         importances.append(tuple(block_importance(intermediates, traj.latents[p])))
     return BlockProfile(tuple(probes), tuple(t_values), tuple(importances))

@@ -297,10 +297,8 @@ class ConstantDeltaNet:
         return Tensor4(features.data + self._deltas[index].data)
 
     def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        f = z
-        for j in range(len(self._deltas)):
-            f = self.apply_block(j, f, t)
-        return f
+        out, _ = toy_block_forward(self, z, t)
+        return out
 
 
 def toy_block_forward(
@@ -365,14 +363,6 @@ class TraceArchive:
             for k, p in enumerate(predictions)
         )
         return TraceArchive(schedule, records)
-
-
-def trace_replay_evaluate(archive: TraceArchive, step_index: int) -> Tensor4:
-    """Return the recorded prediction for a step index, verbatim."""
-    n = archive.schedule.n_steps
-    if not 0 <= step_index < n:
-        raise TraceError(f"step index {step_index} outside [0, {n}) for a {n}-step archive")
-    return archive.records[n - 1 - step_index].prediction
 
 
 class TraceReplayPredictor:

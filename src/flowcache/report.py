@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .errors import StateError
+
 DECISION_WARMUP = "warmup-full"
 DECISION_FULL = "full"
 DECISION_SKIP = "skip"
@@ -54,13 +56,16 @@ class RunReport:
     n_steps: int = 0
     threshold: Optional[float] = None
     warmup_max_delta: Optional[float] = None
-    quality: Optional[dict] = None
 
     def validate(self) -> None:
-        """Internal consistency checks; raises AssertionError on violation."""
-        assert len(self.steps) == self.n_steps
-        assert self.full_eval_count + self.skip_count + self.warmup_full_count == self.n_steps
+        """Internal consistency checks; raises StateError on violation."""
+        if len(self.steps) != self.n_steps:
+            raise StateError(f"report has {len(self.steps)} step rows for {self.n_steps} steps")
+        if self.full_eval_count + self.skip_count + self.warmup_full_count != self.n_steps:
+            raise StateError(f"full, skip and warmup counts do not add up to {self.n_steps} steps")
         decisions = [r.decision for r in self.steps]
-        assert decisions.count(DECISION_FULL) == self.full_eval_count
-        assert decisions.count(DECISION_SKIP) == self.skip_count
-        assert decisions.count(DECISION_WARMUP) == self.warmup_full_count
+        for name, decision, count in (("full", DECISION_FULL, self.full_eval_count),
+                                      ("skip", DECISION_SKIP, self.skip_count),
+                                      ("warmup", DECISION_WARMUP, self.warmup_full_count)):
+            if decisions.count(decision) != count:
+                raise StateError(f"report counts {count} {name} steps but its rows hold {decisions.count(decision)}")

@@ -12,13 +12,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .errors import ConfigError, DimensionError, ScheduleError
-from .report import DECISION_FULL, RunReport, StepRecord
+from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 from .tensor import Tensor4, axpy
 
 SCHEDULE_KINDS = ("uniform", "shifted")
 
 #: Observer callback: (step index, t, latent entering the step, prediction used).
 StepObserver = Callable[[int, float, Tensor4, Tensor4], None]
+
+#: Step policy: (step index, t, latent entering the step) -> (prediction to use, decision row).
+StepPolicy = Callable[[int, float, Tensor4], tuple[Tensor4, StepRecord]]
 
 
 @runtime_checkable
@@ -105,36 +108,43 @@ def euler_step(z: Tensor4, f: Tensor4, t_cur: float, t_next: float) -> Tensor4:
     return axpy(z, t_next - t_cur, f)
 
 
-def sample_baseline(
+def run_steps(
+    policy: StepPolicy,
     pred: Predictor,
     z_init: Tensor4,
     schedule: TimestepSchedule,
     observer: Optional[StepObserver] = None,
+    trial_cells: float = 0.0,
 ) -> tuple[Tensor4, RunReport]:
-    """Run the sampler with a full evaluation at every step (no caching)."""
+    """The Euler step loop: the policy picks each step's prediction, the loop advances z.
+
+    Report counts and cost units come from the policy's rows; trial_cells is
+    the price of one trial evaluation, charged once per row that carries a
+    trial drift.
+    """
     start = time.perf_counter()
-    full_cells = float(z_init.cells)
     rows: list[StepRecord] = []
     z = z_init
     for k, t, t_next in schedule.pairs():
-        f = pred.evaluate(z, t)
+        f, row = policy(k, t, z)
         if f.shape != z.shape:
             raise DimensionError(f"predictor returned shape {f.shape} for input shape {z.shape}")
         if observer is not None:
             observer(k, t, z, f)
         z = euler_step(z, f, t, t_next)
-        rows.append(StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
-                               err_before=None, err_after=None, cost_units=full_cells))
+        rows.append(row)
+    decisions = [r.decision for r in rows]
+    trial_count = sum(r.trial_delta is not None for r in rows)
     n = schedule.n_steps
     report = RunReport(
         steps=rows,
-        full_eval_count=n,
-        skip_count=0,
-        warmup_full_count=0,
-        trial_eval_count=0,
-        cost_units=full_cells * n,
-        baseline_cost_units=full_cells * n,
-        trial_cost_units=0.0,
+        full_eval_count=decisions.count(DECISION_FULL),
+        skip_count=decisions.count(DECISION_SKIP),
+        warmup_full_count=decisions.count(DECISION_WARMUP),
+        trial_eval_count=trial_count,
+        cost_units=float(sum(r.cost_units for r in rows)),
+        baseline_cost_units=float(z_init.cells) * n,
+        trial_cost_units=trial_cells * trial_count,
         wall_time=time.perf_counter() - start,
         open_loop=bool(getattr(pred, "open_loop", False)),
         latent_shape=z_init.shape,
@@ -142,3 +152,19 @@ def sample_baseline(
     )
     report.validate()
     return z, report
+
+
+def sample_baseline(
+    pred: Predictor,
+    z_init: Tensor4,
+    schedule: TimestepSchedule,
+    observer: Optional[StepObserver] = None,
+) -> tuple[Tensor4, RunReport]:
+    """Run the sampler with a full evaluation at every step (no caching)."""
+    full_cells = float(z_init.cells)
+
+    def always_full(k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
+        return pred.evaluate(z, t), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
+                                               err_before=None, err_after=None, cost_units=full_cells)
+
+    return run_steps(always_full, pred, z_init, schedule, observer)

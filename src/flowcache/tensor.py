@@ -163,8 +163,3 @@ def axpy(a: Tensor4, scale: float, b: Tensor4) -> Tensor4:
     if scale == 0.0:
         return a
     return Tensor4(a.data + scale * b.data)
-
-
-def bitwise_equal(a: Tensor4, b: Tensor4) -> bool:
-    """True iff both tensors have identical shape and identical bit patterns."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -141,6 +141,13 @@ def test_sweep_alpha_axis(tmp_path, config_path):
     assert int(rows[1]["skip_count"]) >= int(rows[0]["skip_count"])
 
 
+def test_sweep_malformed_downsample_value_fails(tmp_path, config_path, capsys):
+    code = run_command(["sweep", "--config", str(config_path), "--values", "2x4",
+                        "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert "2x4" in capsys.readouterr().err
+
+
 def test_sweep_cache_rate_needs_block_predictor(tmp_path, config_path, capsys):
     code = run_command(["sweep", "--config", str(config_path), "--axis", "cache_rate",
                         "--out", str(tmp_path / "s.csv")])

@@ -7,7 +7,6 @@ from flowcache.config import (
     PREDICTOR_KINDS,
     PredictorConfig,
     RunConfig,
-    build_mixture_spec,
     build_predictor,
     build_schedule,
     parse_config,
@@ -177,12 +176,6 @@ def test_build_predictor_kinds():
     toy = build_predictor(parse_config("predictor.kind = toy-block\npredictor.seed = 1\npredictor.blocks = 3\n"))
     assert isinstance(toy, ToyBlockNet)
     assert toy.num_blocks == 3
-
-
-def test_build_mixture_spec_rejects_toy_block():
-    cfg = parse_config("predictor.kind = toy-block\npredictor.seed = 1\n")
-    with pytest.raises(ConfigError, match="not 'mixture'"):
-        build_mixture_spec(cfg)
 
 
 def test_build_schedule_matches_config():

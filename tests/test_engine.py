@@ -106,6 +106,8 @@ def test_step_cache_config_validation():
     with pytest.raises(ConfigError):
         StepCacheConfig(warmup_steps=0)
     with pytest.raises(ConfigError):
+        StepCacheConfig(warmup_steps=1)
+    with pytest.raises(ConfigError):
         StepCacheConfig(reuse="splice")
     with pytest.raises(ConfigError):
         StepCacheConfig(mask_scale=0.0)
@@ -249,9 +251,8 @@ def test_warmup_one_cannot_calibrate():
     """A single warmup step observes no drift, so the threshold is undefined."""
     pred = make_pred(3)
     z0 = seeded_normal(SHAPE, seed=4)
-    cfg = StepCacheConfig(alpha=0.5, warmup_steps=1)
     with pytest.raises(ConfigError):
-        sample_cached(pred, z0, make_schedule(10), cfg)
+        sample_cached(pred, z0, make_schedule(10), StepCacheConfig(alpha=0.5, warmup_steps=1))
 
 
 def test_reset_discipline_in_decision_log():

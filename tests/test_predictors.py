@@ -21,7 +21,6 @@ from flowcache.predictors import (
     mixture_velocity,
     structured_mixture,
     toy_block_forward,
-    trace_replay_evaluate,
 )
 from flowcache.sampler import make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
@@ -224,12 +223,15 @@ def test_trace_archive_round_trip_and_bounds():
     sched = make_schedule(50)
     preds = [Tensor4.full(shape, float(k)) for k in range(50)]
     arch = TraceArchive.from_run(sched, preds)
+    replay = TraceReplayPredictor(arch)
+    z = Tensor4.zeros(shape)
     for k in range(50):
-        assert np.array_equal(trace_replay_evaluate(arch, 49 - k).data, preds[k].data)
+        assert arch.records[k].step_index == 49 - k
+        assert np.array_equal(replay.evaluate(z, sched.values[k]).data, preds[k].data)
     with pytest.raises(TraceError):
-        trace_replay_evaluate(arch, 51)
+        replay.evaluate(z, sched.terminal)
     with pytest.raises(TraceError):
-        trace_replay_evaluate(arch, -1)
+        replay.evaluate(z, 1.5)
 
 
 def test_trace_archive_validates_record_count():

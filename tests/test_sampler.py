@@ -1,9 +1,11 @@
 """Timestep schedules and the baseline Euler sampler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowcache.errors import ConfigError, DimensionError, ScheduleError
+from flowcache.errors import ConfigError, DimensionError, ScheduleError, StateError
 from flowcache.predictors import GaussianMixtureSpec, MixtureComponent, MixturePredictor
 from flowcache.sampler import TimestepSchedule, euler_step, make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
@@ -107,6 +109,13 @@ def test_baseline_report_counts_and_cost():
     assert report.baseline_cost_units == report.cost_units
     assert not report.open_loop
     assert [r.decision for r in report.steps] == ["full"] * 7
+
+
+def test_report_validate_rejects_counts_that_do_not_add_up():
+    shape = (1, 4, 4, 1)
+    _, report = sample_baseline(MixturePredictor(_single_gaussian(shape)), seeded_normal(shape, seed=0), make_schedule(4))
+    with pytest.raises(StateError):
+        replace(report, skip_count=1).validate()
 
 
 def test_observer_sees_steps_in_order():
