@@ -30,10 +30,12 @@ from .engine import (
     BlockCacheConfig,
     BlockCacheState,
     CacheState,
+    LowBandReference,
     StepCacheConfig,
     accumulate_decide,
     block_cached_forward,
     block_importance,
+    low_band_reference,
     recorded_increments,
     relative_threshold,
     replay_decisions,

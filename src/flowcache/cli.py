@@ -4,7 +4,7 @@ Subcommands:
 
     generate       one run, JSON report, optional binary trace dump
     bench          baseline vs cached variants (base, turbo), CSV table
-    sweep          one-axis grid (downsample, alpha, or cache_rate), CSV table
+    sweep          one-axis grid (downsample, alpha, cache_rate or mask_scale), CSV table
     analyze-trace  counterfactual threshold analysis of a recorded trace
     figures        CSV series (and optional SVG plots) for the four analyses
 
@@ -61,9 +61,11 @@ from .traceio import read_trace, write_trace
 
 SCHEMA_VERSION = 1
 BENCH_VARIANTS = (("base", 0.5), ("turbo", 0.7))
-SWEEP_AXES = ("downsample", "alpha", "cache_rate")
+SWEEP_AXES = ("downsample", "alpha", "cache_rate", "mask_scale")
 DEFAULT_SWEEP_ALPHAS = (0.3, 0.5, 0.7, 0.9)
 DEFAULT_SWEEP_CACHE_RATES = (0.0, 0.2, 0.4, 0.6, 0.8)
+#: On the default 4x4 trial plane these keep 1, 5, 11 and all 16 frequency bins.
+DEFAULT_SWEEP_MASK_SCALES = (0.2, 0.3, 0.5, 1.0)
 SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -268,9 +270,19 @@ def _parse_floats(what: str, tokens: Sequence[str]) -> tuple[float, ...]:
 def _parse_sweep_values(axis: str, tokens: Optional[Sequence[str]]):
     if axis == "downsample":
         return tuple(parse_downsample("--values", tok) for tok in tokens) if tokens else DEFAULT_RESOLUTION_FACTORS
-    if axis == "alpha":
-        return _parse_floats("alpha", tokens) if tokens else DEFAULT_SWEEP_ALPHAS
-    return _parse_floats("cache_rate", tokens) if tokens else DEFAULT_SWEEP_CACHE_RATES
+    defaults = {"alpha": DEFAULT_SWEEP_ALPHAS, "cache_rate": DEFAULT_SWEEP_CACHE_RATES,
+                "mask_scale": DEFAULT_SWEEP_MASK_SCALES}[axis]
+    return _parse_floats(axis, tokens) if tokens else defaults
+
+
+def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
+    """The cached run of one sweep value; building it validates the value against the rest of the config.
+
+    downsample, alpha and mask_scale name StepCacheConfig fields.
+    """
+    if axis == "cache_rate":
+        return replace(cfg, mode="lfcache+block", block=replace(cfg.block, cache_rate=value))
+    return replace(cfg, mode="lfcache", cache=replace(cfg.cache, **{axis: value}))
 
 
 def _sweep_label(axis: str, value) -> str:
@@ -286,23 +298,14 @@ def _cmd_sweep(args) -> int:
     values = _parse_sweep_values(axis, args.values)
     if axis == "cache_rate" and cfg.predictor.kind != "toy-block":
         raise ConfigError("cache_rate sweep needs predictor.kind = toy-block (block cache requires a block-decomposed predictor)")
+    variants = [(_sweep_label(axis, value), _sweep_variant(cfg, axis, value)) for value in values]
     header = ("run_id", "axis", "value", "seed", "skip_count", "skip_fraction",
               "speedup_units", "cost_units", "mse_vs_baseline", "psnr_db")
     rows = []
     for seed in seeds:
         reference, _, _, _ = _run_once(cfg, "baseline", seed, collect=False)
-        for value in values:
-            label = _sweep_label(axis, value)
-            if axis == "downsample":
-                variant = replace(cfg, cache=replace(cfg.cache, downsample=value))
-                mode = "lfcache"
-            elif axis == "alpha":
-                variant = replace(cfg, cache=replace(cfg.cache, alpha=value))
-                mode = "lfcache"
-            else:
-                variant = replace(cfg, block=replace(cfg.block, cache_rate=value))
-                mode = "lfcache+block"
-            terminal, report, _, _ = _run_once(variant, mode, seed, collect=False)
+        for label, variant in variants:
+            terminal, report, _, _ = _run_once(variant, variant.mode, seed, collect=False)
             cost = cost_accounting(report)
             rows.append((f"{axis}={label}:seed={seed}", axis, label, seed,
                          report.skip_count, cost.skip_fraction, cost.speedup_units,

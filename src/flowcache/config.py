@@ -93,6 +93,11 @@ class RunConfig:
         for extent, axis in zip(self.latent, ("frames", "height", "width", "channels")):
             if not isinstance(extent, int) or extent < 1:
                 raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}")
+        if self.mode in ("lfcache", "lfcache+block"):
+            for extent, factor, axis in zip(self.latent, self.cache.downsample.as_tuple(), ("frames", "height", "width")):
+                if extent % factor != 0:
+                    raise ConfigError(f"latent.{axis} = {extent} is not divisible by its cache.downsample factor "
+                                      f"{factor} (cache.downsample = {format_downsample(self.cache.downsample)})")
         for s in self.seeds:
             if not isinstance(s, int):
                 raise ConfigError(f"seeds must be integers, got {s!r}")

@@ -12,20 +12,27 @@ policy's full-evaluation path for block-decomposed predictors: blocks whose
 output deltas were small at the last fully computed step are replayed from
 their cached deltas for a bounded number of subsequent full steps.
 
+A trial costs what the cost model charges for it: the latent is pooled and
+evaluated on the trial grid, and only the trial's low band is transformed.
+The cached prediction's low band (LowBandReference) is built once each time
+the cached prediction is replaced, and the mask once per run.
+
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
-# euler_step is unused here; it stays bound so the benchmark tracer's engine.euler_step hook resolves.
+# euler_step and lowfreq_diff are unused here; they stay bound so the benchmark tracer's engine hooks resolve.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
-from .spectral import DEFAULT_RADIUS_SCALE, circular_mask, lowfreq_diff
+from .spectral import DEFAULT_RADIUS_SCALE, FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm
 
 REUSE_PREDICTION = "prediction"
@@ -62,16 +69,52 @@ class StepCacheConfig:
             raise ConfigError(f"mask_scale must be > 0, got {self.mask_scale}")
 
 
+@dataclass(frozen=True)
+class LowBandReference:
+    """The low band of a prediction pooled to the trial grid, and the mask that cut it.
+
+    band is the pooled prediction's unitary spectrum restricted to the mask,
+    shape (frames, low bins, channels). Nothing in it is full resolution, so
+    it may outlive the prediction it was built from.
+    """
+
+    mask: FrequencyMask
+    band: np.ndarray = field(repr=False)
+
+    def drift(self, band: np.ndarray) -> float:
+        """L2 norm of band minus this reference's band: the low-band drift."""
+        if band.shape != self.band.shape:
+            raise DimensionError(f"low band of shape {band.shape} does not match the reference's {self.band.shape}")
+        return spectrum_norm(band - self.band)
+
+
+def low_band_reference(
+    prediction: Tensor4, cfg: StepCacheConfig, mask: Optional[FrequencyMask] = None
+) -> LowBandReference:
+    """Pool a prediction to the trial grid and keep its low band.
+
+    Without a mask, the mask is built for the pooled plane with radius
+    cfg.mask_scale * min(H, W); pass the returned reference's mask on to
+    reuse it for later predictions of the same shape.
+    """
+    pooled = avg_downsample(prediction, cfg.downsample)
+    if mask is None:
+        mask = circular_mask(pooled.height, pooled.width, cfg.mask_scale * min(pooled.height, pooled.width))
+    return LowBandReference(mask, band_spectrum(pooled, mask))
+
+
 @dataclass
 class CacheState:
     """Mutable step-cache state threaded through a sampling run.
 
-    cached_prediction is the prediction the previous step used; the residual
-    is the one of the last full evaluation.
+    cached_prediction is the prediction the previous step used, reference
+    its low band once a trial has needed it; the residual is the one of the
+    last full evaluation.
     """
 
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
+    reference: Optional[LowBandReference] = None
     error: float = 0.0
     threshold: Optional[float] = None
 
@@ -93,22 +136,22 @@ def trial_lowfreq_diff(
     pred: Predictor,
     z: Tensor4,
     t: float,
-    cached_prediction: Tensor4,
+    reference: LowBandReference,
     cfg: StepCacheConfig,
 ) -> float:
     """Low-band drift between a downsampled trial evaluation and the cached prediction.
 
     Both operands live on the downsampled grid: the latent is pooled before
-    the trial evaluation and the cached full-resolution prediction is pooled
-    for comparison. The mask is sized to the downsampled plane.
+    the trial evaluation, and reference holds the cached prediction pooled
+    and cut to the low band (low_band_reference). Cutting the band before
+    subtracting selects the same bins as subtracting whole spectra first, so
+    the value is bitwise that of lowfreq_diff on the two pooled tensors.
     """
     z_small = avg_downsample(z, cfg.downsample)
     trial = pred.evaluate(z_small, t)
     if trial.shape != z_small.shape:
         raise DimensionError(f"trial evaluation returned shape {trial.shape} for input shape {z_small.shape}")
-    cached_small = avg_downsample(cached_prediction, cfg.downsample)
-    mask = circular_mask(z_small.height, z_small.width, cfg.mask_scale * min(z_small.height, z_small.width))
-    return lowfreq_diff(trial, cached_small, mask)
+    return reference.drift(band_spectrum(trial, reference.mask))
 
 
 def accumulate_decide(state: CacheState, delta: float) -> str:
@@ -263,6 +306,7 @@ class StepCachePolicy:
         self.state = CacheState()
         self.block_state = BlockCacheState()
         self.warmup_deltas: list[float] = []
+        self.mask: Optional[FrequencyMask] = None
 
     def __call__(self, k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
         state = self.state
@@ -270,7 +314,7 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k > 0:
-            delta = trial_lowfreq_diff(self.pred, z, t, state.cached_prediction, self.cfg)
+            delta = trial_lowfreq_diff(self.pred, z, t, self._reference(), self.cfg)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
@@ -289,9 +333,19 @@ class StepCachePolicy:
             cost += eval_cost
             state.error = 0.0
             state.cached_residual = axpy(f, -1.0, z)
-        state.cached_prediction = f
+        if f is not state.cached_prediction:
+            state.cached_prediction = f
+            state.reference = None
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
+
+    def _reference(self) -> LowBandReference:
+        """Low band of the cached prediction, built once per cached prediction on one mask per run."""
+        state = self.state
+        if state.reference is None:
+            state.reference = low_band_reference(state.cached_prediction, self.cfg, self.mask)
+            self.mask = state.reference.mask
+        return state.reference
 
     def _evaluate(self, z: Tensor4, t: float) -> tuple[Tensor4, float, Optional[int], Optional[bool]]:
         """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
@@ -330,16 +384,16 @@ def sample_cached(
 def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) -> list[float]:
     """Per-step low-band drift between adjacent recorded predictions.
 
-    Open-loop stand-in for the live trial sequence: each pair of consecutive
-    predictions is pooled to the downsampled grid and compared under the
-    low-frequency mask. No predictor is evaluated, so the resulting increment
-    sequence is fixed and replay_decisions over it is exactly monotone in the
-    threshold.
+    Open-loop stand-in for the live trial sequence: each recorded prediction
+    is pooled to the downsampled grid and cut to its low band once, and each
+    increment is the drift of one band from the previous one, the statistic
+    trial_lowfreq_diff measures. No predictor is evaluated, so the resulting
+    increment sequence is fixed and replay_decisions over it is exactly
+    monotone in the threshold.
     """
     preds = list(predictions)
     if len(preds) < 2:
         return []
-    small = [avg_downsample(p, cfg.downsample) for p in preds]
-    first = small[0]
-    mask = circular_mask(first.height, first.width, cfg.mask_scale * min(first.height, first.width))
-    return [lowfreq_diff(small[i], small[i - 1], mask) for i in range(1, len(small))]
+    refs = [low_band_reference(preds[0], cfg)]
+    refs += [low_band_reference(p, cfg, refs[0].mask) for p in preds[1:]]
+    return [refs[i - 1].drift(refs[i].band) for i in range(1, len(refs))]

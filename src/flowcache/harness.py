@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import StepCacheConfig, block_importance, recorded_increments, trial_lowfreq_diff
+from .engine import StepCacheConfig, block_importance, low_band_reference, recorded_increments, trial_lowfreq_diff
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .predictors import toy_block_forward
 from .report import RunReport
@@ -192,8 +192,9 @@ def resolution_sensitivity(
     spearmans = []
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
-        seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k], traj.predictions[k - 1], cfg)
-               for k in indices]
+        refs = [low_band_reference(traj.predictions[0], cfg)]
+        refs += [low_band_reference(p, cfg, refs[0].mask) for p in traj.predictions[1:-1]]
+        seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k], refs[k - 1], cfg) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
         spearmans.append(spearman(seq, reference))

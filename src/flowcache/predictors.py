@@ -10,7 +10,7 @@ for a transformer when block-level caching is exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -46,10 +46,16 @@ class MixtureComponent:
 
 @dataclass(frozen=True)
 class GaussianMixtureSpec:
-    """Cellwise-independent scalar Gaussian mixture over a fixed latent shape."""
+    """Cellwise-independent scalar Gaussian mixture over a fixed latent shape.
+
+    Component means are materialized once per evaluation shape (mean_fields)
+    and kept for the life of the spec; the memo takes no part in equality or
+    repr.
+    """
 
     shape: tuple[int, int, int, int]
     components: tuple[MixtureComponent, ...]
+    _mean_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.shape) != 4 or any(int(s) < 1 for s in self.shape):
@@ -69,10 +75,21 @@ class GaussianMixtureSpec:
                     f"component {i} mean shape {comp.mean.shape} must be ({c},) or the latent shape {self.shape}"
                 )
 
+    def mean_fields(self, shape: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
+        """Every component mean at an evaluation shape, read-only, built on first request."""
+        shape = tuple(shape)
+        fields = self._mean_memo.get(shape)
+        if fields is None:
+            fields = tuple(_mean_field(comp, self.shape, shape) for comp in self.components)
+            for f in fields:
+                f.flags.writeable = False
+            self._mean_memo[shape] = fields
+        return fields
+
     def prior_mean_field(self, shape: tuple[int, int, int, int]) -> np.ndarray:
         out = np.zeros(shape, dtype=np.float64)
-        for comp in self.components:
-            out += comp.weight * _mean_field(comp, self.shape, shape)
+        for comp, mu in zip(self.components, self.mean_fields(shape)):
+            out += comp.weight * mu
         return out
 
 
@@ -115,8 +132,7 @@ def mixture_responsibilities(spec: GaussianMixtureSpec, x: Tensor4, t: float) ->
     xd = x.data
     one_minus_t = 1.0 - t
     logs = np.empty((len(spec.components),) + xd.shape, dtype=np.float64)
-    for k, comp in enumerate(spec.components):
-        mu = _mean_field(comp, spec.shape, x.shape)
+    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
         s2 = one_minus_t * one_minus_t * comp.var + t * t
         resid = xd - one_minus_t * mu
         logs[k] = np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2) - resid * resid / (2.0 * s2)
@@ -133,8 +149,7 @@ def mixture_posterior_mean(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> T
     xd = x.data
     one_minus_t = 1.0 - t
     out = np.zeros_like(xd)
-    for k, comp in enumerate(spec.components):
-        mu = _mean_field(comp, spec.shape, x.shape)
+    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
         s2 = one_minus_t * one_minus_t * comp.var + t * t
         gain = one_minus_t * comp.var / s2
         out += resp[k] * (mu + gain * (xd - one_minus_t * mu))

@@ -117,14 +117,21 @@ def fft2_split(x: Tensor4, mask: FrequencyMask) -> SpectrumPair:
     return SpectrumPair(low=spec * m, high=spec * ~m, mask=mask)
 
 
+def band_spectrum(x: Tensor4, mask: FrequencyMask, low: bool = True) -> np.ndarray:
+    """Unitary spectrum of x restricted to one band: shape (frames, bins in the band, channels)."""
+    _require_mask_fit(x, mask)
+    return _unitary_spectrum(x)[:, mask.membership if low else ~mask.membership, :]
+
+
+def spectrum_norm(spectrum: np.ndarray) -> float:
+    """L2 norm of a complex spectrum."""
+    return float(np.sqrt(np.sum(spectrum.real ** 2 + spectrum.imag ** 2)))
+
+
 def _band_diff_norm(a: Tensor4, b: Tensor4, mask: FrequencyMask, low: bool) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    _require_mask_fit(a, mask)
-    d = _unitary_spectrum(a) - _unitary_spectrum(b)
-    m = mask.membership if low else ~mask.membership
-    sel = d[:, m, :]
-    return float(np.sqrt(np.sum(sel.real ** 2 + sel.imag ** 2)))
+    return spectrum_norm(band_spectrum(a, mask, low) - band_spectrum(b, mask, low))
 
 
 def lowfreq_diff(a: Tensor4, b: Tensor4, mask: FrequencyMask) -> float:

@@ -126,6 +126,17 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
 
     Channels are untouched. Factors of (1, 1, 1) return the input values
     bitwise unchanged; the global mean is preserved exactly up to rounding.
+
+    Summation order is fixed: each output value is the sequential sum of its
+    block's members in lexicographic (frame, row, column) offset order,
+    ((x_000 + x_001) + x_002) + ..., divided once by the block volume. The
+    blocks are laid out as (volume, outputs) rows and summed along the rows,
+    which numpy does one row at a time whenever there are at least two
+    outputs; a single output is accumulated explicitly, because numpy would
+    sum one contiguous column pairwise. For C >= 2 this is bitwise the 6-D
+    mean(axis=(1, 3, 5)) it replaces. For C = 1, and so also in the corner
+    C = 1, H' = 1, that mean let numpy coalesce the reduced axes and sum
+    part of each block pairwise, so the two may differ in the last bits.
     """
     t, h, w, c = x.shape
     _check_divisible(t, factors.frames, "frames")
@@ -133,13 +144,16 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     _check_divisible(w, factors.width, "width")
     if factors.as_tuple() == (1, 1, 1):
         return x
+    pooled = (t // factors.frames, h // factors.height, w // factors.width, c)
     blocked = x.data.reshape(
-        t // factors.frames, factors.frames,
-        h // factors.height, factors.height,
-        w // factors.width, factors.width,
+        pooled[0], factors.frames,
+        pooled[1], factors.height,
+        pooled[2], factors.width,
         c,
     )
-    return Tensor4(blocked.mean(axis=(1, 3, 5)))
+    rows = np.ascontiguousarray(blocked.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(factors.volume, -1)
+    total = rows.sum(axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
+    return Tensor4((total / factors.volume).reshape(pooled))
 
 
 def l2_norm(x: Tensor4) -> float:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flowcache import cli
 from flowcache.cli import BENCH_VARIANTS, SCHEMA_VERSION, run_command
 
 CONFIG_TEXT = "\n".join(
@@ -146,6 +147,34 @@ def test_sweep_malformed_downsample_value_fails(tmp_path, config_path, capsys):
                         "--out", str(tmp_path / "s.csv")])
     assert code == 1
     assert "2x4" in capsys.readouterr().err
+
+
+def test_sweep_downsample_value_not_dividing_the_latent_fails_before_any_run(tmp_path, config_path, capsys,
+                                                                           monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "sample_baseline", lambda *args, **kwargs: runs.append(args))
+    out = tmp_path / "s.csv"
+    code = run_command(["sweep", "--config", str(config_path), "--values", "1x2x2", "3x2x2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "latent.frames" in err and "cache.downsample" in err
+    assert runs == []
+    assert not out.exists()
+
+
+def test_sweep_mask_scale_axis(tmp_path, config_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_command(["sweep", "--config", str(config_path), "--axis", "mask_scale",
+                        "--values", "0.2", "1.0", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r["value"] for r in rows] == ["0.2", "1.0"]
+    assert all(r["axis"] == "mask_scale" for r in rows)
+    assert rows[0]["run_id"] == "mask_scale=0.2:seed=3"
+    for bad in ("wide", "0"):
+        assert run_command(["sweep", "--config", str(config_path), "--axis", "mask_scale",
+                            "--values", bad, "--out", str(tmp_path / "bad.csv")]) == 1
+        assert "mask_scale" in capsys.readouterr().err
 
 
 def test_sweep_cache_rate_needs_block_predictor(tmp_path, config_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
+from dataclasses import replace
+
 import pytest
 
 from flowcache.config import (
@@ -186,3 +188,17 @@ def test_build_schedule_matches_config():
 def test_default_config_serializes_and_reparses():
     cfg = RunConfig()
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_cached_modes_reject_a_latent_the_downsample_does_not_divide():
+    """latent.height = 6 under the default 2x4x4 pooling used to parse and then fail at step 1."""
+    for mode in ("lfcache", "lfcache+block"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"mode = {mode}\nlatent.height = 6\n")
+        assert "latent.height" in str(err.value) and "cache.downsample" in str(err.value)
+    assert parse_config("mode = baseline\nlatent.height = 6\n").latent == (4, 6, 16, 2)
+    assert parse_config("latent.height = 6\ncache.downsample = 2x2x4\n").latent == (4, 6, 16, 2)
+    with pytest.raises(ConfigError, match="latent.frames"):
+        parse_config("latent.frames = 3\n")
+    with pytest.raises(ConfigError, match="latent.height"):
+        replace(parse_config("mode = baseline\nlatent.height = 6\n"), mode="lfcache")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flowcache import engine, predictors
 from flowcache.engine import (
     REUSE_PREDICTION,
     REUSE_RESIDUAL,
@@ -13,6 +14,7 @@ from flowcache.engine import (
     accumulate_decide,
     block_cached_forward,
     block_importance,
+    low_band_reference,
     recorded_increments,
     relative_threshold,
     replay_decisions,
@@ -23,14 +25,17 @@ from flowcache.engine import (
 from flowcache.errors import ConfigError, DimensionError, DomainError, StateError
 from flowcache.predictors import (
     ConstantDeltaNet,
+    GaussianMixtureSpec,
     MixturePredictor,
     ToyBlockNet,
+    mixture_velocity,
     structured_mixture,
     toy_block_forward,
 )
-from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP
-from flowcache.sampler import make_schedule, sample_baseline
-from flowcache.tensor import DownsampleFactors, Tensor4, seeded_normal
+from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, StepRecord
+from flowcache.sampler import make_schedule, run_steps, sample_baseline
+from flowcache.spectral import circular_mask
+from flowcache.tensor import DownsampleFactors, Tensor4, axpy, seeded_normal
 
 SHAPE = (4, 16, 16, 2)
 
@@ -319,7 +324,7 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     cfg = StepCacheConfig()
     z = seeded_normal(SHAPE, seed=3)
     cached = Tensor4.full(SHAPE, 1.25)
-    assert trial_lowfreq_diff(Constant(), z, 0.5, cached, cfg) == pytest.approx(0.0, abs=1e-12)
+    assert trial_lowfreq_diff(Constant(), z, 0.5, low_band_reference(cached, cfg), cfg) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_block_cache_requires_block_predictor():
@@ -353,3 +358,135 @@ def test_recorded_increments_match_live_adjacent_drift():
     assert len(incs) == 11
     assert all(v >= 0 for v in incs)
     assert recorded_increments(preds[:1], cfg) == []
+
+
+def six_axis_pool(x, f):
+    """The earlier pooling formula: numpy's mean over the three block axes at once."""
+    if f.as_tuple() == (1, 1, 1):
+        return x
+    t, h, w, c = x.shape
+    blocked = x.data.reshape(t // f.frames, f.frames, h // f.height, f.height, w // f.width, f.width, c)
+    return Tensor4(blocked.mean(axis=(1, 3, 5)))
+
+
+class FreshMeansMixture:
+    """The mixture velocity with every component mean materialized afresh on each call (no memo)."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def evaluate(self, z, t):
+        return mixture_velocity(GaussianMixtureSpec(self.spec.shape, self.spec.components), z, t)
+
+
+class PerTrialPolicy:
+    """Oracle step policy that rebuilds everything at every trial.
+
+    Each trial pools the cached prediction again with the six-axis mean,
+    rebuilds the mask, transforms both whole operands and subtracts the
+    spectra before cutting the low band.
+    """
+
+    def __init__(self, pred, cfg, block_cfg, cells):
+        self.pred, self.cfg, self.block_cfg = pred, cfg, block_cfg
+        self.full_cells = float(cells)
+        self.trial_cells = float(cells // cfg.downsample.volume)
+        self.state = CacheState()
+        self.block_state = BlockCacheState()
+        self.warmup_deltas = []
+
+    def __call__(self, k, t, z):
+        cfg, state = self.cfg, self.state
+        delta, cost, decision = None, 0.0, DECISION_WARMUP
+        if k > 0:
+            z_small = six_axis_pool(z, cfg.downsample)
+            trial = self.pred.evaluate(z_small, t)
+            mask = circular_mask(z_small.height, z_small.width, cfg.mask_scale * min(z_small.height, z_small.width))
+            cached_small = six_axis_pool(state.cached_prediction, cfg.downsample)
+            d = np.fft.fft2(trial.data, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small.data, axes=(1, 2), norm="ortho")
+            low = d[:, mask.membership, :]
+            delta = float(np.sqrt(np.sum(low.real ** 2 + low.imag ** 2)))
+            cost += self.trial_cells
+            if k < cfg.warmup_steps:
+                self.warmup_deltas.append(delta)
+                state.error += delta
+            else:
+                if state.threshold is None:
+                    state.threshold = relative_threshold(self.warmup_deltas, cfg.alpha)
+                decision = accumulate_decide(state, delta)
+        err_before = state.error
+        pivotal_size = partial = None
+        if decision == DECISION_SKIP:
+            f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else axpy(z, 1.0, state.cached_residual)
+        else:
+            if self.block_cfg is None:
+                f, eval_cost = self.pred.evaluate(z, t), self.full_cells
+            else:
+                f = block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state)
+                pivotal_size, partial = len(self.block_state.pivotal), self.block_state.last_partial
+                eval_cost = self.full_cells * (pivotal_size / self.pred.num_blocks if partial else 1.0)
+            cost += eval_cost
+            state.error = 0.0
+            state.cached_residual = axpy(f, -1.0, z)
+        state.cached_prediction = f
+        return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
+                             err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
+
+
+def per_trial_run(monkeypatch, pred, z0, sched, cfg, block_cfg=None):
+    with monkeypatch.context() as m:
+        m.setattr(predictors, "avg_downsample", six_axis_pool)
+        policy = PerTrialPolicy(pred, cfg, block_cfg, z0.cells)
+        z, report = run_steps(policy, pred, z0, sched, None, policy.trial_cells)
+    return z, report, policy.state.threshold, max(policy.warmup_deltas)
+
+
+@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("shape", [(4, 16, 16, 2), (4, 32, 32, 3)])
+def test_cached_mixture_run_matches_the_per_trial_oracle_bitwise(monkeypatch, shape, reuse):
+    spec = structured_mixture(shape, seed=6)
+    z0 = seeded_normal(shape, seed=7)
+    sched = make_schedule(30)
+    cfg = StepCacheConfig(alpha=0.5, warmup_steps=3, reuse=reuse)
+    z, report = sample_cached(MixturePredictor(spec), z0, sched, cfg)
+    z_ref, ref, threshold, warmup_max = per_trial_run(monkeypatch, FreshMeansMixture(spec), z0, sched, cfg)
+    assert report.skip_count > 0
+    assert z.tobytes() == z_ref.tobytes()
+    assert report.steps == ref.steps
+    assert (report.threshold, report.warmup_max_delta) == (threshold, warmup_max)
+
+
+def test_cached_block_run_matches_the_per_trial_oracle_bitwise(monkeypatch):
+    net = ToyBlockNet(6, channels=4, seed=8)
+    z0 = seeded_normal((4, 16, 16, 4), seed=9)
+    sched = make_schedule(30)
+    cfg = StepCacheConfig(alpha=0.9, warmup_steps=3)
+    block_cfg = BlockCacheConfig(cache_rate=0.4, interval=2)
+    z, report = sample_cached(net, z0, sched, cfg, block_cfg)
+    z_ref, ref, threshold, warmup_max = per_trial_run(monkeypatch, net, z0, sched, cfg, block_cfg)
+    assert report.skip_count > 0 and any(r.block_partial for r in report.steps)
+    assert z.tobytes() == z_ref.tobytes()
+    assert report.steps == ref.steps
+    assert (report.threshold, report.warmup_max_delta) == (threshold, warmup_max)
+
+
+def test_trial_pools_the_latent_once_and_the_cached_prediction_once_per_refresh(monkeypatch):
+    calls = {"avg_downsample": 0, "circular_mask": 0}
+
+    def counted(name):
+        original = getattr(engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    _, report = sample_cached(make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(40),
+                              StepCacheConfig(alpha=0.9, warmup_steps=3))
+    decisions = [r.decision for r in report.steps]
+    refreshes = sum(decisions[k - 1] != DECISION_SKIP for k in range(1, len(decisions)))
+    assert report.trial_eval_count == len(decisions) - 1
+    assert refreshes < report.trial_eval_count
+    assert calls == {"avg_downsample": report.trial_eval_count + refreshes, "circular_mask": 1}

@@ -16,6 +16,7 @@ from flowcache.predictors import (
     TraceArchive,
     TraceRecord,
     TraceReplayPredictor,
+    _mean_field,
     mixture_posterior_mean,
     mixture_responsibilities,
     mixture_velocity,
@@ -51,6 +52,34 @@ def sample_cell_posterior_mc(weights, means, var, x, t, n_samples, seed, batches
         estimates.append(float(np.sum(w[sl] * x0[sl]) / np.sum(w[sl])))
     estimates = np.asarray(estimates)
     return float(estimates.mean()), float(estimates.std(ddof=1) / np.sqrt(batches))
+
+
+def test_mean_fields_are_memoised_and_match_a_fresh_materialization():
+    shape = (4, 8, 8, 2)
+    field = seeded_normal(shape, seed=4).data
+    spec = GaussianMixtureSpec(shape, (
+        MixtureComponent(0.25, 0.5, 1.0),
+        MixtureComponent(0.25, np.array([1.0, -1.0]), 2.0),
+        MixtureComponent(0.5, field, 3.0),
+    ))
+    for eval_shape in ((2, 2, 2, 2), (4, 4, 8, 2), shape):
+        fields = spec.mean_fields(eval_shape)
+        assert spec.mean_fields(eval_shape) is fields
+        for comp, mu in zip(spec.components, fields):
+            assert mu.shape == eval_shape
+            assert mu.tobytes() == _mean_field(comp, spec.shape, eval_shape).tobytes()
+            assert not mu.flags.writeable
+    assert spec.mean_fields(shape)[2] is spec.components[2].mean
+
+
+def test_mean_memo_stays_out_of_equality_and_repr():
+    spec = structured_mixture((4, 8, 8, 2), seed=5)
+    twin = GaussianMixtureSpec(spec.shape, spec.components)
+    before = repr(spec)
+    spec.mean_fields((2, 2, 2, 2))
+    assert spec == twin
+    assert repr(spec) == before == repr(twin)
+    assert "mean_memo" not in before
 
 
 def test_responsibilities_sum_to_one():

@@ -1,7 +1,11 @@
 """Tensor container and the small numeric ops everything else leans on."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcache.errors import DimensionError, DomainError
 from flowcache.tensor import (
@@ -150,3 +154,52 @@ def test_avg_downsample_constant_is_exact():
     x = Tensor4.full((2, 4, 4, 3), 2.5)
     out = avg_downsample(x, DownsampleFactors(2, 2, 2))
     assert np.all(out.data == 2.5)
+
+
+def sequential_block_mean(x: np.ndarray, f: DownsampleFactors) -> np.ndarray:
+    """Oracle: each block summed member by member in lexicographic offset order, then divided once."""
+    t, h, w, c = x.shape
+    blocked = x.reshape(t // f.frames, f.frames, h // f.height, f.height, w // f.width, f.width, c)
+    total = None
+    for i, j, k in itertools.product(range(f.frames), range(f.height), range(f.width)):
+        member = blocked[:, i, :, j, :, k, :]
+        total = member.copy() if total is None else total + member
+    return total / f.volume
+
+
+def six_axis_mean(x: np.ndarray, f: DownsampleFactors) -> np.ndarray:
+    """The earlier pooling formula: numpy's mean over the three block axes at once."""
+    t, h, w, c = x.shape
+    return x.reshape(t // f.frames, f.frames, h // f.height, f.height, w // f.width, f.width, c).mean(axis=(1, 3, 5))
+
+
+@st.composite
+def pooling_cases(draw):
+    factors = DownsampleFactors(*(draw(st.integers(1, 5)) for _ in range(3)))
+    pooled = [draw(st.integers(1, 4)) for _ in range(3)]
+    shape = (factors.frames * pooled[0], factors.height * pooled[1], factors.width * pooled[2], draw(st.integers(1, 3)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return Tensor4(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape) * scale), factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooling_cases())
+def test_avg_downsample_sums_each_block_sequentially(case):
+    """Bitwise the lexicographic sequential sum; bitwise the old 6-D mean wherever C >= 2."""
+    x, f = case
+    out = avg_downsample(x, f)
+    if f.as_tuple() == (1, 1, 1):
+        assert out is x
+        return
+    assert out.data.tobytes() == sequential_block_mean(x.data, f).tobytes()
+    if x.channels >= 2:
+        assert out.data.tobytes() == six_axis_mean(x.data, f).tobytes()
+
+
+def test_avg_downsample_single_output_is_sequential():
+    """One pooled value (a 1x1x1x1 grid) is still summed in order; numpy's pairwise sum differs here."""
+    values = np.random.default_rng(1).standard_normal(9)
+    assert values.sum() != sum(values[1:], values[0])
+    x = Tensor4(values.reshape(1, 3, 3, 1))
+    out = avg_downsample(x, DownsampleFactors(1, 3, 3))
+    assert out.data.tobytes() == sequential_block_mean(x.data, DownsampleFactors(1, 3, 3)).tobytes()
