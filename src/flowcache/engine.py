@@ -108,8 +108,9 @@ class CacheState:
     """Mutable step-cache state threaded through a sampling run.
 
     cached_prediction is the prediction the previous step used, reference
-    its low band once a trial has needed it; the residual is the one of the
-    last full evaluation.
+    its low band once a trial has needed it; cached_residual is the one of
+    the last full evaluation, kept only under residual reuse, the one
+    strategy that reads it (None otherwise).
     """
 
     cached_prediction: Optional[Tensor4] = None
@@ -198,11 +199,13 @@ class BlockCacheConfig:
 class BlockCacheState:
     """Cached per-block deltas, the pivotal index set, and the partial-step age.
 
-    age counts partial steps since the last fully computed step; it is 0 right
+    deltas has one slot per block, but only the replayed blocks' slots hold
+    a delta; a pivotal block is always recomputed, so its slot is None. age
+    counts partial steps since the last fully computed step; it is 0 right
     after a full-block step and never exceeds the configured interval.
     """
 
-    deltas: Optional[list[Tensor4]] = None
+    deltas: Optional[list[Optional[Tensor4]]] = None
     pivotal: Optional[tuple[int, ...]] = None
     age: int = 0
     last_partial: bool = False
@@ -249,10 +252,13 @@ def block_cached_forward(
 ) -> Tensor4:
     """Evaluate a block-decomposed predictor, replaying cached deltas when allowed.
 
-    A full-block step runs every block, refreshes the cached deltas, and
-    reselects the pivotal set. While age < interval, subsequent calls compute
-    only pivotal blocks exactly and add the cached delta for the rest. With
-    interval 0 or cache_rate 0 every call reproduces the plain forward pass.
+    A full-block step drops the cached deltas, runs every block, reselects
+    the pivotal set from the new delta norms and keeps only the deltas of the
+    replayed blocks, so the cache holds round(cache_rate * M) deltas and a
+    refresh never holds the old set next to the new one. While age <
+    interval, subsequent calls compute only pivotal blocks exactly and add
+    the cached delta for the rest. With interval 0 or cache_rate 0 every call
+    reproduces the plain forward pass.
     """
     m = net.num_blocks
     if m == 0:
@@ -260,16 +266,20 @@ def block_cached_forward(
         return z
     if state.deltas is not None and len(state.deltas) != m:
         raise StateError(f"cached {len(state.deltas)} block deltas but the predictor has {m} blocks")
-    refresh = state.deltas is None or state.age >= cfg.interval
     features = z
-    if refresh:
-        deltas: list[Tensor4] = []
+    if state.deltas is None or state.age >= cfg.interval:
+        state.deltas = None
+        deltas: list[Optional[Tensor4]] = []
+        norms: list[float] = []
         for j in range(m):
             nxt = net.apply_block(j, features, t)
             deltas.append(axpy(nxt, -1.0, features))
+            norms.append(l2_norm(deltas[-1]))
             features = nxt
+        state.pivotal = select_pivotal(norms, cfg.cache_rate)
+        for j in state.pivotal:
+            deltas[j] = None
         state.deltas = deltas
-        state.pivotal = select_pivotal([l2_norm(d) for d in deltas], cfg.cache_rate)
         state.age = 0
         state.last_partial = False
         return features
@@ -332,7 +342,8 @@ class StepCachePolicy:
             f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
             cost += eval_cost
             state.error = 0.0
-            state.cached_residual = axpy(f, -1.0, z)
+            if self.cfg.reuse == REUSE_RESIDUAL:
+                state.cached_residual = axpy(f, -1.0, z)
         if f is not state.cached_prediction:
             state.cached_prediction = f
             state.reference = None

@@ -21,12 +21,19 @@ DEFAULT_RADIUS_SCALE = 0.2
 
 @dataclass(frozen=True)
 class FrequencyMask:
-    """Boolean low-band membership grid over an (H, W) frequency plane."""
+    """Boolean low-band membership grid over an (H, W) frequency plane.
+
+    columns indexes the frequency columns holding at least one low bin, in
+    ascending order, and column_membership is membership restricted to them;
+    both are derived once on construction, read-only, for band_spectrum.
+    """
 
     height: int
     width: int
     radius: float
     membership: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+    column_membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -37,8 +44,11 @@ class FrequencyMask:
         if m.shape != (self.height, self.width):
             raise DimensionError(f"membership grid {m.shape} does not match ({self.height}, {self.width})")
         m = np.ascontiguousarray(m)
-        m.flags.writeable = False
-        object.__setattr__(self, "membership", m)
+        columns = np.flatnonzero(m.any(axis=0))
+        column_membership = np.ascontiguousarray(m[:, columns])
+        for name, arr in (("membership", m), ("columns", columns), ("column_membership", column_membership)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def low_bin_count(self) -> int:
@@ -118,9 +128,18 @@ def fft2_split(x: Tensor4, mask: FrequencyMask) -> SpectrumPair:
 
 
 def band_spectrum(x: Tensor4, mask: FrequencyMask, low: bool = True) -> np.ndarray:
-    """Unitary spectrum of x restricted to one band: shape (frames, bins in the band, channels)."""
+    """Unitary spectrum of x restricted to one band: shape (frames, bins in the band, channels).
+
+    The low band transforms only the columns it touches: the width
+    transform runs on every row, as fft2 runs it first, and the height
+    transform only on the mask's columns. Each 1-D transform is the one
+    fft2 would apply to that row or column, so the bins are bitwise fft2's.
+    """
     _require_mask_fit(x, mask)
-    return _unitary_spectrum(x)[:, mask.membership if low else ~mask.membership, :]
+    if not low:
+        return _unitary_spectrum(x)[:, ~mask.membership, :]
+    rows = np.fft.fft(x.data, axis=2, norm="ortho")[:, :, mask.columns, :]
+    return np.fft.fft(rows, axis=1, norm="ortho")[:, mask.column_membership, :]
 
 
 def spectrum_norm(spectrum: np.ndarray) -> float:

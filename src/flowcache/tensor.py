@@ -116,11 +116,6 @@ class DownsampleFactors:
         return (self.frames, self.height, self.width)
 
 
-def _check_divisible(extent: int, factor: int, axis: str) -> None:
-    if extent % factor != 0:
-        raise DimensionError(f"axis {axis} of extent {extent} is not divisible by factor {factor}")
-
-
 def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     """Block-mean pooling by integer factors along frames/height/width.
 
@@ -139,9 +134,9 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     part of each block pairwise, so the two may differ in the last bits.
     """
     t, h, w, c = x.shape
-    _check_divisible(t, factors.frames, "frames")
-    _check_divisible(h, factors.height, "height")
-    _check_divisible(w, factors.width, "width")
+    for axis, extent, factor in zip(_AXIS_NAMES, x.shape, factors.as_tuple()):
+        if extent % factor:
+            raise DimensionError(f"axis {axis} of extent {extent} is not divisible by factor {factor}")
     if factors.as_tuple() == (1, 1, 1):
         return x
     pooled = (t // factors.frames, h // factors.height, w // factors.width, c)
@@ -153,7 +148,8 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     )
     rows = np.ascontiguousarray(blocked.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(factors.volume, -1)
     total = rows.sum(axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
-    return Tensor4((total / factors.volume).reshape(pooled))
+    total /= factors.volume
+    return Tensor4(total.reshape(pooled))
 
 
 def l2_norm(x: Tensor4) -> float:
@@ -171,9 +167,18 @@ def mse(a: Tensor4, b: Tensor4) -> float:
 
 
 def axpy(a: Tensor4, scale: float, b: Tensor4) -> Tensor4:
-    """a + scale * b. scale == 0 returns a unchanged (bitwise)."""
+    """a + scale * b. scale == 0 returns a unchanged (bitwise).
+
+    scale == 1 and scale == -1 add or subtract b directly, with no scaled
+    temporary; in IEEE 754 1 * b is b and a + (-b) is a - b, so the result
+    is bitwise that of the general form.
+    """
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     if scale == 0.0:
         return a
+    if scale == 1.0:
+        return Tensor4(a.data + b.data)
+    if scale == -1.0:
+        return Tensor4(a.data - b.data)
     return Tensor4(a.data + scale * b.data)

@@ -1,5 +1,7 @@
 """Step cache and block cache: decision policy, degeneracies, and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from flowcache.engine import (
     BlockCacheState,
     CacheState,
     StepCacheConfig,
+    StepCachePolicy,
     accumulate_decide,
     block_cached_forward,
     block_importance,
@@ -219,6 +222,76 @@ def test_block_state_shape_guard():
         block_cached_forward(net, Tensor4.zeros((1, 2, 2, 2)), 1.0, BlockCacheConfig(), state)
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.2, 0.4, 0.5, 0.8, 1.0])
+def test_refresh_keeps_only_the_replayed_deltas(rate):
+    net = ToyBlockNet(7, channels=2, seed=14)
+    state = BlockCacheState()
+    cfg = BlockCacheConfig(cache_rate=rate, interval=1)
+    z = seeded_normal((1, 4, 4, 2), seed=15)
+    for t in (1.0, 0.9, 0.8):
+        block_cached_forward(net, z, t, cfg, state)
+        kept = [j for j, d in enumerate(state.deltas) if d is not None]
+        assert len(state.deltas) == 7
+        assert len(kept) == round(rate * 7)
+        assert set(kept).isdisjoint(state.pivotal)
+        assert set(kept) | set(state.pivotal) == set(range(7))
+
+
+class DeltaSpy:
+    """Block predictor that records, per apply_block call, whether the cache held deltas."""
+
+    def __init__(self, net, state):
+        self.net, self.state = net, state
+        self.seen = []
+
+    @property
+    def num_blocks(self):
+        return self.net.num_blocks
+
+    def apply_block(self, index, features, t):
+        self.seen.append((t, self.state.deltas is None))
+        return self.net.apply_block(index, features, t)
+
+    def evaluate(self, z, t):
+        return self.net.evaluate(z, t)
+
+
+def test_refresh_drops_the_old_deltas_before_running_the_blocks():
+    state = BlockCacheState()
+    spy = DeltaSpy(ToyBlockNet(5, channels=2, seed=16), state)
+    cfg = BlockCacheConfig(cache_rate=0.4, interval=1)
+    z = seeded_normal((1, 4, 4, 2), seed=17)
+    for t in (1.0, 0.9, 0.8):
+        block_cached_forward(spy, z, t, cfg, state)
+    refresh_calls = [dropped for t, dropped in spy.seen if t != 0.9]
+    partial_calls = [dropped for t, dropped in spy.seen if t == 0.9]
+    assert len(refresh_calls) == 10 and all(refresh_calls)
+    assert partial_calls and not any(partial_calls)
+
+
+def test_refresh_from_a_populated_cache_peaks_no_higher_than_the_first():
+    """A refresh never holds the old delta set next to the new one (traced numpy allocations)."""
+    net = ToyBlockNet(6, channels=8, seed=3)
+    z = seeded_normal((2, 16, 16, 8), seed=4)
+    cfg = BlockCacheConfig(cache_rate=0.4, interval=1)
+    state = BlockCacheState()
+
+    def refresh_peak(t):
+        tracemalloc.reset_peak()
+        block_cached_forward(net, z, t, cfg, state)
+        assert not state.last_partial
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        first = refresh_peak(1.0)
+        block_cached_forward(net, z, 0.9, cfg, state)
+        again = refresh_peak(0.8)
+    finally:
+        tracemalloc.stop()
+    assert again <= first + 0.5 * z.data.nbytes
+
+
 def run_pair(alpha, seed=0, n=30, reuse=REUSE_PREDICTION, warmup=5):
     pred = make_pred(seed)
     sched = make_schedule(n)
@@ -294,6 +367,15 @@ def test_residual_reuse_differs_from_prediction_reuse_on_skips():
     _, res_out, res_report = run_pair(alpha=0.9, reuse=REUSE_RESIDUAL, seed=6)
     assert pred_report.skip_count > 0
     assert not np.array_equal(pred_out.data, res_out.data)
+
+
+@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+def test_only_residual_reuse_keeps_a_residual(reuse):
+    z0 = seeded_normal(SHAPE, seed=106)
+    policy = StepCachePolicy(make_pred(6), StepCacheConfig(alpha=0.9, reuse=reuse), None, z0.cells)
+    _, report = run_steps(policy, policy.pred, z0, make_schedule(30), None, policy.trial_cells)
+    assert report.skip_count > 0
+    assert (policy.state.cached_residual is None) == (reuse == REUSE_PREDICTION)
 
 
 def test_trial_cost_accounting():

@@ -6,11 +6,14 @@ output bin, so it is slow but independent of any FFT library choices.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowcache.errors import DimensionError, DomainError
 from flowcache.spectral import (
     DEFAULT_RADIUS_SCALE,
     FrequencyMask,
+    band_spectrum,
     circular_mask,
     default_mask,
     fft2_split,
@@ -165,3 +168,33 @@ def test_mask_membership_is_read_only():
     mask = default_mask(8, 8)
     with pytest.raises(ValueError):
         mask.membership[0, 0] = False
+
+
+@st.composite
+def band_cases(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    shape = (draw(st.integers(1, 3)), h, w, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = Tensor4(rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        radius = draw(st.one_of(st.just(0.0), st.just(float(h + w)), st.floats(0.0, float(h + w))))
+        return x, circular_mask(h, w, radius)
+    return x, FrequencyMask(h, w, 0.0, rng.random((h, w)) < draw(st.floats(0.0, 1.0)))
+
+
+#: One slice stack for the two edge masks every run checks: radius 0 (DC only) and every column.
+EDGE_SLICES = Tensor4(np.random.default_rng(3).standard_normal((2, 6, 10, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_cases())
+@example((EDGE_SLICES, circular_mask(6, 10, 0.0)))
+@example((EDGE_SLICES, circular_mask(6, 10, 16.0)))
+def test_band_spectrum_is_bitwise_the_cut_fft2(case):
+    """The low band transforms only the mask's columns, yet every bin is fft2's bit for bit."""
+    x, mask = case
+    spec = np.fft.fft2(x.data, axes=(1, 2), norm="ortho")
+    assert band_spectrum(x, mask).tobytes() == spec[:, mask.membership, :].tobytes()
+    assert band_spectrum(x, mask, low=False).tobytes() == spec[:, ~mask.membership, :].tobytes()
+    assert mask.columns.tolist() == [v for v in range(mask.width) if mask.membership[:, v].any()]
+    assert not mask.columns.flags.writeable and not mask.column_membership.flags.writeable

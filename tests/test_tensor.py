@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flowcache.errors import DimensionError, DomainError
 from flowcache.tensor import (
@@ -83,6 +84,33 @@ def test_axpy_matches_numpy():
     b = Tensor4(rng.standard_normal((2, 3, 4, 2)))
     out = axpy(a, -0.25, b)
     assert np.allclose(out.data, a.data - 0.25 * b.data)
+
+
+#: Signed zeros, the smallest subnormal, the smallest normal and magnitudes near
+#: the float64 maximum, where a + b overflows and Tensor4 must reject it.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308)
+
+
+@st.composite
+def axpy_cases(draw):
+    shape = draw(hnp.array_shapes(min_dims=4, max_dims=4, max_side=3))
+    element = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    a, b = (draw(hnp.arrays(np.float64, shape, elements=element)) for _ in range(2))
+    return a, draw(st.sampled_from((1.0, -1.0, 0.5, -2.0))), b
+
+
+@settings(max_examples=200, deadline=None)
+@given(axpy_cases())
+def test_axpy_matches_the_scaled_form_bitwise(case):
+    """scale +-1 skips the scaled temporary; results and overflow errors are the general form's."""
+    a, scale, b = case
+    with np.errstate(over="ignore"):
+        expected = a + scale * b
+        if np.all(np.isfinite(expected)):
+            assert axpy(Tensor4(a), scale, Tensor4(b)).data.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(DomainError):
+                axpy(Tensor4(a), scale, Tensor4(b))
 
 
 def test_axpy_zero_scale_returns_input_object():
