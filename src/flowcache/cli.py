@@ -32,13 +32,13 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import (RunConfig, build_predictor, build_schedule, format_downsample, parse_config, parse_downsample,
-                     require_seeds, serialize_config)
+                     require_divisible, require_seeds, serialize_config)
 from .engine import recorded_increments, relative_threshold, replay_decisions, sample_cached
 from .errors import ConfigError, FlowCacheError, StateError
 from .harness import (
@@ -54,8 +54,8 @@ from .harness import (
     single_step_skip_influence,
 )
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
-from .report import RunReport
-from .sampler import TimestepSchedule, sample_baseline
+from .report import DECISION_FULL, DECISION_SKIP
+from .sampler import sample_baseline
 from .tensor import Tensor4, mse, seeded_normal
 from .traceio import read_trace, write_trace
 
@@ -104,53 +104,6 @@ def _timing(started: float) -> dict:
 
 def _checksum(tensor: Tensor4) -> str:
     return hashlib.sha256(tensor.data.tobytes()).hexdigest()
-
-
-def _step_rows(report: RunReport) -> list[dict]:
-    rows = []
-    for rec in report.steps:
-        rows.append({
-            "step": rec.step,
-            "t": rec.t,
-            "decision": rec.decision,
-            "trial_delta": rec.trial_delta,
-            "err_before": rec.err_before,
-            "err_after": rec.err_after,
-            "cost_units": rec.cost_units,
-            "pivotal_size": rec.pivotal_size,
-            "block_partial": rec.block_partial,
-        })
-    return rows
-
-
-def _report_dict(report: RunReport) -> dict:
-    """Report fields for JSON output; wall time lives in the timing field instead."""
-    return {
-        "steps": _step_rows(report),
-        "full_eval_count": report.full_eval_count,
-        "skip_count": report.skip_count,
-        "warmup_full_count": report.warmup_full_count,
-        "trial_eval_count": report.trial_eval_count,
-        "cost_units": report.cost_units,
-        "baseline_cost_units": report.baseline_cost_units,
-        "trial_cost_units": report.trial_cost_units,
-        "open_loop": report.open_loop,
-        "latent_shape": list(report.latent_shape),
-        "n_steps": report.n_steps,
-        "threshold": report.threshold,
-        "warmup_max_delta": report.warmup_max_delta,
-    }
-
-
-def _cost_dict(report: RunReport) -> dict:
-    cost = cost_accounting(report)
-    return {
-        "cost_units": cost.cost_units,
-        "baseline_cost_units": cost.baseline_cost_units,
-        "speedup_units": cost.speedup_units,
-        "skip_fraction": cost.skip_fraction,
-        "trial_overhead_fraction": cost.trial_overhead_fraction,
-    }
 
 
 def _load_config(args) -> RunConfig:
@@ -219,8 +172,8 @@ def _cmd_generate(args) -> int:
         "mode": cfg.mode,
         "seed": seed,
         "config": serialize_config(cfg),
-        "report": _report_dict(report),
-        "cost": _cost_dict(report),
+        "report": {name: value for name, value in asdict(report).items() if name != "wall_time"},
+        "cost": asdict(cost_accounting(report)),
         "quality": quality,
         "terminal_checksum": _checksum(terminal),
         "timing": _timing(started),
@@ -237,15 +190,16 @@ def _cmd_bench(args) -> int:
     header = ("variant", "seed", "alpha", "n_steps", "skip_count", "skip_fraction",
               "full_evals", "warmup_fulls", "trial_evals", "cost_units",
               "speedup_units", "mse_vs_baseline", "psnr_db")
+    variants = [(name, alpha, replace(cfg, mode=cached_mode, cache=replace(cfg.cache, alpha=alpha)))
+                for name, alpha in BENCH_VARIANTS]
     rows = []
     for seed in seeds:
         reference, base_report, _, _ = _run_once(cfg, "baseline", seed, collect=False)
         rows.append(("baseline", seed, None, base_report.n_steps, 0, 0.0,
                      base_report.full_eval_count, 0, 0, base_report.cost_units,
                      1.0, 0.0, psnr(reference, reference)))
-        for name, alpha in BENCH_VARIANTS:
-            variant_cfg = replace(cfg, cache=replace(cfg.cache, alpha=alpha))
-            terminal, report, _, _ = _run_once(variant_cfg, cached_mode, seed, collect=False)
+        for name, alpha, variant in variants:
+            terminal, report, _, _ = _run_once(variant, variant.mode, seed, collect=False)
             cost = cost_accounting(report)
             rows.append((name, seed, alpha, report.n_steps, report.skip_count,
                          cost.skip_fraction, report.full_eval_count, report.warmup_full_count,
@@ -336,8 +290,8 @@ def _cmd_analyze_trace(args) -> int:
     for alpha in alphas:
         threshold = relative_threshold(warmup_increments, alpha)
         decisions = replay_decisions(post_increments, threshold)
-        fulls = decisions.count("full")
-        skips = decisions.count("skip")
+        fulls = decisions.count(DECISION_FULL)
+        skips = decisions.count(DECISION_SKIP)
         projected = min(warmup, n) * full_cells + len(increments) * trial_cells + fulls * full_cells
         analyses.append({
             "alpha": alpha,
@@ -411,6 +365,8 @@ def _svg_lines(path, title: str, xs: Sequence[float], series: Sequence[tuple[str
 def _cmd_figures(args) -> int:
     cfg = _load_config(args)
     seed = require_seeds(cfg)[0]
+    for factors in DEFAULT_RESOLUTION_FACTORS:
+        require_divisible(cfg.latent, factors, "resolution")
     schedule = build_schedule(cfg)
     pred = build_predictor(cfg)
     z0 = seeded_normal(cfg.latent, seed)

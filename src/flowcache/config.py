@@ -4,7 +4,9 @@ The format is intentionally plain. One assignment per line, full-line
 comments starting with #, at most one dot of nesting (section.key), no
 quoting, no escapes. Unknown keys are rejected by name so typos cannot
 silently fall back to defaults. parse_config and serialize_config are exact
-inverses on every valid configuration.
+inverses on every valid configuration, because one key table drives both:
+each row names a key, the RunConfig field it sets, and how its value is
+parsed and formatted.
 
 Seeds are deliberately optional at parse time: a document without them is a
 valid template, but actually running it is an error. Randomness must always
@@ -13,18 +15,18 @@ be traceable to an explicit seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional
 
-from .engine import REUSE_STRATEGIES, BlockCacheConfig, StepCacheConfig
+from .engine import BlockCacheConfig, StepCacheConfig
 from .errors import ConfigError
 from .predictors import MixturePredictor, ToyBlockNet, structured_mixture
-from .sampler import SCHEDULE_KINDS, Predictor, TimestepSchedule, make_schedule
-from .spectral import DEFAULT_RADIUS_SCALE
+from .sampler import Predictor, TimestepSchedule, make_schedule
 from .tensor import DownsampleFactors
 
 MODES = ("baseline", "lfcache", "lfcache+block", "open-loop")
 PREDICTOR_KINDS = ("mixture", "toy-block")
+LATENT_AXES = ("frames", "height", "width", "channels")
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,18 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        for extent, axis in zip(self.latent, ("frames", "height", "width", "channels")):
+        for extent, axis in zip(self.latent, LATENT_AXES):
             if not isinstance(extent, int) or extent < 1:
                 raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}")
         if self.mode in ("lfcache", "lfcache+block"):
-            for extent, factor, axis in zip(self.latent, self.cache.downsample.as_tuple(), ("frames", "height", "width")):
-                if extent % factor != 0:
-                    raise ConfigError(f"latent.{axis} = {extent} is not divisible by its cache.downsample factor "
-                                      f"{factor} (cache.downsample = {format_downsample(self.cache.downsample)})")
+            require_divisible(self.latent, self.cache.downsample, "cache.downsample")
         for s in self.seeds:
             if not isinstance(s, int):
                 raise ConfigError(f"seeds must be integers, got {s!r}")
+
+
+def _parse_text(key: str, raw: str) -> str:
+    return raw
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -139,37 +142,43 @@ def _parse_seeds(key: str, raw: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, tok) for tok in tokens)
 
 
-_SETTERS: dict[str, Callable[[dict, str], None]] = {
-    "mode": lambda acc, v: acc.__setitem__("mode", v),
-    "seeds": lambda acc, v: acc.__setitem__("seeds", _parse_seeds("seeds", v)),
-    "input.trace": lambda acc, v: acc.__setitem__("input_trace", v),
-    "latent.frames": lambda acc, v: acc["latent"].__setitem__("frames", _parse_int("latent.frames", v)),
-    "latent.height": lambda acc, v: acc["latent"].__setitem__("height", _parse_int("latent.height", v)),
-    "latent.width": lambda acc, v: acc["latent"].__setitem__("width", _parse_int("latent.width", v)),
-    "latent.channels": lambda acc, v: acc["latent"].__setitem__("channels", _parse_int("latent.channels", v)),
-    "predictor.kind": lambda acc, v: acc["predictor"].__setitem__("kind", v),
-    "predictor.seed": lambda acc, v: acc["predictor"].__setitem__("seed", _parse_int("predictor.seed", v)),
-    "predictor.components": lambda acc, v: acc["predictor"].__setitem__("components", _parse_int("predictor.components", v)),
-    "predictor.smooth_amp": lambda acc, v: acc["predictor"].__setitem__("smooth_amp", _parse_float("predictor.smooth_amp", v)),
-    "predictor.rough_amp": lambda acc, v: acc["predictor"].__setitem__("rough_amp", _parse_float("predictor.rough_amp", v)),
-    "predictor.var": lambda acc, v: acc["predictor"].__setitem__("var", _parse_float("predictor.var", v)),
-    "predictor.blocks": lambda acc, v: acc["predictor"].__setitem__("blocks", _parse_int("predictor.blocks", v)),
-    "schedule.n": lambda acc, v: acc["schedule"].__setitem__("n", _parse_int("schedule.n", v)),
-    "schedule.kind": lambda acc, v: acc["schedule"].__setitem__("kind", v),
-    "schedule.shift": lambda acc, v: acc["schedule"].__setitem__("shift", _parse_float("schedule.shift", v)),
-    "schedule.terminal": lambda acc, v: acc["schedule"].__setitem__("terminal", _parse_float("schedule.terminal", v)),
-    "cache.alpha": lambda acc, v: acc["cache"].__setitem__("alpha", _parse_float("cache.alpha", v)),
-    "cache.warmup": lambda acc, v: acc["cache"].__setitem__("warmup_steps", _parse_int("cache.warmup", v)),
-    "cache.downsample": lambda acc, v: acc["cache"].__setitem__("downsample", parse_downsample("cache.downsample", v)),
-    "cache.reuse": lambda acc, v: acc["cache"].__setitem__("reuse", v),
-    "cache.mask_scale": lambda acc, v: acc["cache"].__setitem__("mask_scale", _parse_float("cache.mask_scale", v)),
-    "block.cache_rate": lambda acc, v: acc["block"].__setitem__("cache_rate", _parse_float("block.cache_rate", v)),
-    "block.interval": lambda acc, v: acc["block"].__setitem__("interval", _parse_int("block.interval", v)),
-    "output.report": lambda acc, v: acc["output"].__setitem__("report", v),
-    "output.trace": lambda acc, v: acc["output"].__setitem__("trace", v),
-    "output.table": lambda acc, v: acc["output"].__setitem__("table", v),
-    "output.figures": lambda acc, v: acc["output"].__setitem__("figures", v),
-}
+def _format_seeds(seeds: tuple[int, ...]) -> str:
+    return " ".join(str(s) for s in seeds)
+
+
+#: (key, section, field, parser, formatter) in canonical document order. section
+#: None is a RunConfig field itself; section "latent" names an axis of the
+#: latent tuple; any other section is a RunConfig field holding a config
+#: dataclass. A value that is None or () is left out of the document.
+_KEYS = (
+    ("mode", None, "mode", _parse_text, str),
+    ("seeds", None, "seeds", _parse_seeds, _format_seeds),
+    ("input.trace", None, "input_trace", _parse_text, str),
+    *((f"latent.{axis}", "latent", axis, _parse_int, str) for axis in LATENT_AXES),
+    ("predictor.kind", "predictor", "kind", _parse_text, str),
+    ("predictor.seed", "predictor", "seed", _parse_int, str),
+    ("predictor.components", "predictor", "components", _parse_int, str),
+    ("predictor.smooth_amp", "predictor", "smooth_amp", _parse_float, repr),
+    ("predictor.rough_amp", "predictor", "rough_amp", _parse_float, repr),
+    ("predictor.var", "predictor", "var", _parse_float, repr),
+    ("predictor.blocks", "predictor", "blocks", _parse_int, str),
+    ("schedule.n", "schedule", "n", _parse_int, str),
+    ("schedule.kind", "schedule", "kind", _parse_text, str),
+    ("schedule.shift", "schedule", "shift", _parse_float, repr),
+    ("schedule.terminal", "schedule", "terminal", _parse_float, repr),
+    ("cache.alpha", "cache", "alpha", _parse_float, repr),
+    ("cache.warmup", "cache", "warmup_steps", _parse_int, str),
+    ("cache.downsample", "cache", "downsample", parse_downsample, format_downsample),
+    ("cache.reuse", "cache", "reuse", _parse_text, str),
+    ("cache.mask_scale", "cache", "mask_scale", _parse_float, repr),
+    ("block.cache_rate", "block", "cache_rate", _parse_float, repr),
+    ("block.interval", "block", "interval", _parse_int, str),
+    *((f"output.{name}", "output", name, _parse_text, str) for name in ("report", "trace", "table", "figures")),
+)
+_ROWS = {row[0]: row for row in _KEYS}
+#: The RunConfig fields that hold a config dataclass, in declaration order,
+#: which is the order parse_config builds and so validates them in.
+_SECTIONS = tuple(f.name for f in fields(RunConfig) if f.default_factory is not MISSING)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -179,8 +188,7 @@ def parse_config(text: str) -> RunConfig:
     than one section all raise ConfigError naming the offender. An empty
     document yields the default configuration.
     """
-    acc: dict = {"latent": {}, "predictor": {}, "schedule": {}, "cache": {}, "block": {}, "output": {}}
-    seen: set[str] = set()
+    acc: dict = {section: {} for _, section, _, _, _ in _KEYS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -194,72 +202,47 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: key {key!r} nests deeper than section.key")
         if not value:
             raise ConfigError(f"line {lineno}: key {key!r} has an empty value")
-        setter = _SETTERS.get(key)
-        if setter is None:
+        row = _ROWS.get(key)
+        if row is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        _, section, name, parse, _ = row
+        if name in acc[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        setter(acc, value)
+        acc[section][name] = parse(key, value)
 
-    latent_kw = acc["latent"]
-    default_latent = RunConfig.__dataclass_fields__["latent"].default
-    latent = (
-        latent_kw.get("frames", default_latent[0]),
-        latent_kw.get("height", default_latent[1]),
-        latent_kw.get("width", default_latent[2]),
-        latent_kw.get("channels", default_latent[3]),
-    )
+    defaults = RunConfig.__dataclass_fields__
+    latent = acc["latent"]
     return RunConfig(
-        mode=acc.get("mode", "lfcache"),
-        seeds=acc.get("seeds", ()),
-        latent=latent,
-        predictor=PredictorConfig(**acc["predictor"]),
-        schedule=ScheduleConfig(**acc["schedule"]),
-        cache=StepCacheConfig(**acc["cache"]),
-        block=BlockCacheConfig(**acc["block"]),
-        output=OutputConfig(**acc["output"]),
-        input_trace=acc.get("input_trace"),
+        **acc[None],
+        latent=tuple(latent.get(axis, default) for axis, default in zip(LATENT_AXES, defaults["latent"].default)),
+        **{section: defaults[section].default_factory(**acc[section]) for section in _SECTIONS},
     )
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Render a RunConfig as the canonical document parse_config inverts."""
-    lines = [f"mode = {cfg.mode}"]
-    if cfg.seeds:
-        lines.append("seeds = " + " ".join(str(s) for s in cfg.seeds))
-    if cfg.input_trace is not None:
-        lines.append(f"input.trace = {cfg.input_trace}")
-    for axis, extent in zip(("frames", "height", "width", "channels"), cfg.latent):
-        lines.append(f"latent.{axis} = {extent}")
-    p = cfg.predictor
-    lines.append(f"predictor.kind = {p.kind}")
-    if p.seed is not None:
-        lines.append(f"predictor.seed = {p.seed}")
-    lines.append(f"predictor.components = {p.components}")
-    lines.append(f"predictor.smooth_amp = {p.smooth_amp!r}")
-    lines.append(f"predictor.rough_amp = {p.rough_amp!r}")
-    lines.append(f"predictor.var = {p.var!r}")
-    lines.append(f"predictor.blocks = {p.blocks}")
-    s = cfg.schedule
-    lines.append(f"schedule.n = {s.n}")
-    lines.append(f"schedule.kind = {s.kind}")
-    lines.append(f"schedule.shift = {s.shift!r}")
-    lines.append(f"schedule.terminal = {s.terminal!r}")
-    c = cfg.cache
-    lines.append(f"cache.alpha = {c.alpha!r}")
-    lines.append(f"cache.warmup = {c.warmup_steps}")
-    lines.append(f"cache.downsample = {format_downsample(c.downsample)}")
-    lines.append(f"cache.reuse = {c.reuse}")
-    lines.append(f"cache.mask_scale = {c.mask_scale!r}")
-    b = cfg.block
-    lines.append(f"block.cache_rate = {b.cache_rate!r}")
-    lines.append(f"block.interval = {b.interval}")
-    o = cfg.output
-    for name, value in (("report", o.report), ("trace", o.trace), ("table", o.table), ("figures", o.figures)):
-        if value is not None:
-            lines.append(f"output.{name} = {value}")
+    lines = []
+    for key, section, name, _, fmt in _KEYS:
+        if section is None:
+            value = getattr(cfg, name)
+        elif section == "latent":
+            value = cfg.latent[LATENT_AXES.index(name)]
+        else:
+            value = getattr(getattr(cfg, section), name)
+        if value is not None and value != ():
+            lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
+
+
+def require_divisible(latent: tuple[int, ...], factors: DownsampleFactors, source: str) -> None:
+    """Raise ConfigError naming latent.<axis> when a pooling factor does not divide that extent.
+
+    source names the setting the factors come from, in the message.
+    """
+    for extent, factor, axis in zip(latent, factors.as_tuple(), LATENT_AXES):
+        if extent % factor != 0:
+            raise ConfigError(f"latent.{axis} = {extent} is not divisible by its {source} factor {factor} "
+                              f"({source} = {format_downsample(factors)})")
 
 
 def require_seeds(cfg: RunConfig) -> tuple[int, ...]:

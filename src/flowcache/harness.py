@@ -16,7 +16,7 @@ from .errors import ConfigError, DimensionError, DomainError, StateError
 from .predictors import toy_block_forward
 from .report import RunReport
 from .sampler import Predictor, TimestepSchedule, euler_step, sample_baseline
-from .spectral import FrequencyMask, default_mask, highfreq_diff, lowfreq_diff, splice_bands
+from .spectral import DEFAULT_RADIUS_SCALE, FrequencyMask, default_mask, highfreq_diff, lowfreq_diff, splice_bands
 from .tensor import DownsampleFactors, Tensor4, axpy, l2_norm, mse
 
 VARIANT_FULL = "full-prediction"
@@ -174,7 +174,7 @@ def resolution_sensitivity(
     z_init: Tensor4,
     schedule: TimestepSchedule,
     factors: Sequence[DownsampleFactors] = DEFAULT_RESOLUTION_FACTORS,
-    mask_scale: float = 0.2,
+    mask_scale: float = DEFAULT_RADIUS_SCALE,
 ) -> ResolutionSensitivity:
     """How well downsampled trial drift tracks the full-resolution drift.
 

@@ -64,6 +64,22 @@ def test_generate_is_deterministic_modulo_timing(tmp_path, config_path):
     assert a == b
 
 
+def test_generate_report_and_cost_keys(tmp_path, config_path):
+    out = tmp_path / "report.json"
+    assert run_command(["generate", "--config", str(config_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert set(payload["report"]) == {
+        "steps", "full_eval_count", "skip_count", "warmup_full_count", "trial_eval_count", "cost_units",
+        "baseline_cost_units", "trial_cost_units", "open_loop", "latent_shape", "n_steps", "threshold",
+        "warmup_max_delta",
+    }
+    for row in payload["report"]["steps"]:
+        assert set(row) == {"step", "t", "decision", "trial_delta", "err_before", "err_after", "cost_units",
+                            "pivotal_size", "block_partial"}
+    assert set(payload["cost"]) == {"cost_units", "baseline_cost_units", "speedup_units", "skip_fraction",
+                                    "trial_overhead_fraction"}
+
+
 def test_recorded_trace_replays_to_identical_terminal(tmp_path, config_path):
     trace = tmp_path / "run.trace"
     out_a = tmp_path / "baseline.json"
@@ -149,17 +165,20 @@ def test_sweep_malformed_downsample_value_fails(tmp_path, config_path, capsys):
     assert "2x4" in capsys.readouterr().err
 
 
-def test_sweep_downsample_value_not_dividing_the_latent_fails_before_any_run(tmp_path, config_path, capsys,
-                                                                           monkeypatch):
+def test_sweep_downsample_value_not_dividing_the_latent_fails_before_any_run(tmp_path, capsys, monkeypatch):
     runs = []
     monkeypatch.setattr(cli, "sample_baseline", lambda *args, **kwargs: runs.append(args))
+    config = tmp_path / "run.cfg"
     out = tmp_path / "s.csv"
-    code = run_command(["sweep", "--config", str(config_path), "--values", "1x2x2", "3x2x2", "--out", str(out)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "latent.frames" in err and "cache.downsample" in err
-    assert runs == []
-    assert not out.exists()
+    for extra_config, argv in (("", ["sweep", "--values", "1x2x2", "3x2x2"]),
+                               ("mode = baseline\ncache.downsample = 3x2x2\n", ["bench"])):
+        config.write_text(CONFIG_TEXT.replace("cache.downsample = 1x2x2\n", "") + extra_config, encoding="utf-8")
+        code = run_command([*argv, "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "latent.frames" in err and "cache.downsample" in err
+        assert runs == []
+        assert not out.exists()
 
 
 def test_sweep_mask_scale_axis(tmp_path, config_path, capsys):
@@ -227,6 +246,17 @@ def test_figures_writes_csv_series(tmp_path, config_path):
         text = (out_dir / name).read_text(encoding="utf-8")
         assert text.startswith("<svg")
         assert "polyline" in text
+
+
+def test_figures_resolution_factor_not_dividing_the_latent_fails_before_any_output(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("latent.height = 8", "latent.height = 12")
+                      .replace("latent.width = 8", "latent.width = 12"), encoding="utf-8")
+    out_dir = tmp_path / "figs"
+    assert run_command(["figures", "--config", str(config), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "latent.height = 12" in err and "factor 8" in err
+    assert not out_dir.exists()
 
 
 def test_unknown_config_key_fails_loudly(tmp_path, capsys):

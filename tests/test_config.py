@@ -3,20 +3,26 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcache.config import (
     MODES,
     PREDICTOR_KINDS,
+    OutputConfig,
     PredictorConfig,
     RunConfig,
+    ScheduleConfig,
     build_predictor,
     build_schedule,
     parse_config,
     require_seeds,
     serialize_config,
 )
+from flowcache.engine import REUSE_STRATEGIES, BlockCacheConfig, StepCacheConfig
 from flowcache.errors import ConfigError
 from flowcache.predictors import MixturePredictor, ToyBlockNet
+from flowcache.sampler import SCHEDULE_KINDS
 from flowcache.tensor import DownsampleFactors
 
 
@@ -202,3 +208,102 @@ def test_cached_modes_reject_a_latent_the_downsample_does_not_divide():
         parse_config("latent.frames = 3\n")
     with pytest.raises(ConfigError, match="latent.height"):
         replace(parse_config("mode = baseline\nlatent.height = 6\n"), mode="lfcache")
+
+
+#: Every key of the document set away from its default, in canonical order.
+EVERY_KEY_DOCUMENT = """\
+mode = lfcache+block
+seeds = 7 11 13
+input.trace = runs/in.trace
+latent.frames = 2
+latent.height = 8
+latent.width = 12
+latent.channels = 3
+predictor.kind = toy-block
+predictor.seed = 19
+predictor.components = 3
+predictor.smooth_amp = 0.75
+predictor.rough_amp = 2.5
+predictor.var = 12.5
+predictor.blocks = 4
+schedule.n = 24
+schedule.kind = shifted
+schedule.shift = 3.0
+schedule.terminal = 0.05
+cache.alpha = 0.35
+cache.warmup = 4
+cache.downsample = 1x2x4
+cache.reuse = residual
+cache.mask_scale = 0.45
+block.cache_rate = 0.6
+block.interval = 2
+output.report = out/report.json
+output.trace = out/run.trace
+output.table = out/table.csv
+output.figures = out/figs
+"""
+
+
+def test_serialize_pins_every_key_in_canonical_order():
+    cfg = RunConfig(
+        mode="lfcache+block",
+        seeds=(7, 11, 13),
+        latent=(2, 8, 12, 3),
+        predictor=PredictorConfig(kind="toy-block", seed=19, components=3, smooth_amp=0.75, rough_amp=2.5,
+                                  var=12.5, blocks=4),
+        schedule=ScheduleConfig(n=24, kind="shifted", shift=3.0, terminal=0.05),
+        cache=StepCacheConfig(alpha=0.35, warmup_steps=4, downsample=DownsampleFactors(1, 2, 4),
+                              reuse="residual", mask_scale=0.45),
+        block=BlockCacheConfig(cache_rate=0.6, interval=2),
+        output=OutputConfig(report="out/report.json", trace="out/run.trace", table="out/table.csv",
+                            figures="out/figs"),
+        input_trace="runs/in.trace",
+    )
+    default_lines = set(serialize_config(RunConfig(seeds=(1,), input_trace="x")).splitlines())
+    assert not default_lines & set(EVERY_KEY_DOCUMENT.splitlines())
+    assert serialize_config(cfg) == EVERY_KEY_DOCUMENT
+    assert parse_config(EVERY_KEY_DOCUMENT) == cfg
+
+
+_paths = st.text(alphabet="abXY09/._-=# ", min_size=1, max_size=12).map(str.strip).filter(bool)
+_small = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def run_configs(draw):
+    mode = draw(st.sampled_from(MODES))
+    downsample = DownsampleFactors(draw(_small), draw(_small), draw(_small))
+    if mode in ("lfcache", "lfcache+block"):
+        latent = tuple(f * draw(_small) for f in downsample.as_tuple()) + (draw(_small),)
+    else:
+        latent = tuple(draw(st.integers(min_value=1, max_value=16)) for _ in range(4))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return RunConfig(
+        mode=mode,
+        seeds=tuple(draw(st.lists(st.integers(-10**6, 10**6), max_size=3))),
+        latent=latent,
+        predictor=PredictorConfig(kind=draw(st.sampled_from(PREDICTOR_KINDS)),
+                                  seed=draw(st.none() | st.integers(-10**6, 10**6)),
+                                  components=draw(_small), smooth_amp=draw(finite), rough_amp=draw(finite),
+                                  var=draw(positive), blocks=draw(_small)),
+        schedule=ScheduleConfig(n=draw(st.integers(min_value=2, max_value=64)),
+                                kind=draw(st.sampled_from(SCHEDULE_KINDS)),
+                                shift=draw(st.floats(min_value=1 / 16, max_value=16.0)),
+                                terminal=draw(st.integers(min_value=0, max_value=63)) / 64),
+        cache=StepCacheConfig(alpha=draw(positive), warmup_steps=draw(st.integers(min_value=2, max_value=9)),
+                              downsample=downsample, reuse=draw(st.sampled_from(REUSE_STRATEGIES)),
+                              mask_scale=draw(positive)),
+        block=BlockCacheConfig(cache_rate=draw(st.floats(min_value=0.0, max_value=1.0)),
+                               interval=draw(st.integers(min_value=0, max_value=5))),
+        output=OutputConfig(*(draw(st.none() | _paths) for _ in range(4))),
+        input_trace=draw(st.none() | _paths),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_configs())
+def test_serialize_and_parse_are_inverses(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
