@@ -275,13 +275,14 @@ def _cmd_analyze_trace(args) -> int:
     cfg = _load_config(args)
     archive = read_trace(args.trace)
     cache = cfg.cache
+    shape = archive.records[0].prediction.shape
+    require_divisible(shape, cache.downsample, "cache.downsample")
     predictions = [rec.prediction for rec in archive.records]
     increments = recorded_increments(predictions, cache)
     n = archive.schedule.n_steps
     warmup = cache.warmup_steps
     warmup_increments = increments[:warmup - 1]
     post_increments = increments[warmup - 1:]
-    shape = archive.records[0].prediction.shape
     full_cells = float(shape[0] * shape[1] * shape[2])
     trial_cells = full_cells / cache.downsample.volume
 

@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .engine import BlockCacheConfig, StepCacheConfig
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError, FlowCacheError
 from .predictors import MixturePredictor, ToyBlockNet, structured_mixture
 from .sampler import Predictor, TimestepSchedule, make_schedule
 from .tensor import DownsampleFactors
@@ -102,54 +102,58 @@ class RunConfig:
                 raise ConfigError(f"seeds must be integers, got {s!r}")
 
 
-def _parse_text(key: str, raw: str) -> str:
+def _parse_text(where: str, raw: str) -> str:
     return raw
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(where: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(where: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
     if value != value or value in (float("inf"), float("-inf")):
-        raise ConfigError(f"key {key!r}: expected a finite number, got {raw!r}")
+        raise ConfigError(f"{where}: expected a finite number, got {raw!r}")
     return value
 
 
-def parse_downsample(key: str, raw: str) -> DownsampleFactors:
+def parse_downsample(where: str, raw: str) -> DownsampleFactors:
     parts = raw.lower().split("x")
     if len(parts) != 3:
-        raise ConfigError(f"key {key!r}: expected FRAMESxHEIGHTxWIDTH like 2x4x4, got {raw!r}")
-    frames, height, width = (_parse_int(key, p) for p in parts)
-    return DownsampleFactors(frames=frames, height=height, width=width)
+        raise ConfigError(f"{where}: expected FRAMESxHEIGHTxWIDTH like 2x4x4, got {raw!r}")
+    frames, height, width = (_parse_int(where, p) for p in parts)
+    try:
+        return DownsampleFactors(frames=frames, height=height, width=width)
+    except DimensionError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def format_downsample(factors: DownsampleFactors) -> str:
     return f"{factors.frames}x{factors.height}x{factors.width}"
 
 
-def _parse_seeds(key: str, raw: str) -> tuple[int, ...]:
+def _parse_seeds(where: str, raw: str) -> tuple[int, ...]:
     tokens = raw.replace(",", " ").split()
     if not tokens:
-        raise ConfigError(f"key {key!r}: expected at least one integer")
-    return tuple(_parse_int(key, tok) for tok in tokens)
+        raise ConfigError(f"{where}: expected at least one integer")
+    return tuple(_parse_int(where, tok) for tok in tokens)
 
 
 def _format_seeds(seeds: tuple[int, ...]) -> str:
     return " ".join(str(s) for s in seeds)
 
 
-#: (key, section, field, parser, formatter) in canonical document order. section
-#: None is a RunConfig field itself; section "latent" names an axis of the
-#: latent tuple; any other section is a RunConfig field holding a config
-#: dataclass. A value that is None or () is left out of the document.
+#: (key, section, field, parser, formatter) in canonical document order; a parser
+#: takes (where, raw), where naming the value's origin in errors. section None is a
+#: RunConfig field itself; section "latent" names an axis of the latent tuple; any
+#: other section is a RunConfig field holding a config dataclass. A value that is
+#: None or () is left out of the document.
 _KEYS = (
     ("mode", None, "mode", _parse_text, str),
     ("seeds", None, "seeds", _parse_seeds, _format_seeds),
@@ -185,10 +189,12 @@ def parse_config(text: str) -> RunConfig:
     """Parse a key = value document into a validated RunConfig.
 
     Unknown keys, duplicate keys, malformed values, and keys nested deeper
-    than one section all raise ConfigError naming the offender. An empty
+    than one section all raise ConfigError naming the offender and its line,
+    and so does a value its section's config class rejects. An empty
     document yields the default configuration.
     """
     acc: dict = {section: {} for _, section, _, _, _ in _KEYS}
+    where: dict = {section: {} for section in acc}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -208,15 +214,30 @@ def parse_config(text: str) -> RunConfig:
         _, section, name, parse, _ = row
         if name in acc[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        acc[section][name] = parse(key, value)
+        where[section][name] = f"line {lineno}: key {key!r}"
+        acc[section][name] = parse(where[section][name], value)
 
     defaults = RunConfig.__dataclass_fields__
     latent = acc["latent"]
     return RunConfig(
         **acc[None],
         latent=tuple(latent.get(axis, default) for axis, default in zip(LATENT_AXES, defaults["latent"].default)),
-        **{section: defaults[section].default_factory(**acc[section]) for section in _SECTIONS},
+        **{section: _build_section(defaults[section].default_factory, acc[section], where[section])
+           for section in _SECTIONS},
     )
+
+
+def _build_section(factory, values: dict, where: dict):
+    """Build a section from its values in document order, blaming a rejection on the first key that causes it."""
+    try:
+        return factory(**values)
+    except FlowCacheError:
+        names = list(values)
+    for i, name in enumerate(names):
+        try:
+            factory(**{n: values[n] for n in names[: i + 1]})
+        except FlowCacheError as exc:
+            raise ConfigError(f"{where[name]}: {exc}") from None
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -103,6 +103,12 @@ def low_band_reference(
     return LowBandReference(mask, band_spectrum(pooled, mask))
 
 
+def low_band_references(predictions: Sequence[Tensor4], cfg: StepCacheConfig) -> list[LowBandReference]:
+    """Low bands of a prediction sequence, all cut by the mask built for the first one."""
+    refs = [low_band_reference(p, cfg) for p in predictions[:1]]
+    return refs + [low_band_reference(p, cfg, refs[0].mask) for p in predictions[1:]]
+
+
 @dataclass
 class CacheState:
     """Mutable step-cache state threaded through a sampling run.
@@ -197,33 +203,18 @@ class BlockCacheConfig:
 
 @dataclass
 class BlockCacheState:
-    """Cached per-block deltas, the pivotal index set, and the partial-step age.
+    """Cached per-block deltas, their norms, the pivotal index set, and the partial-step age.
 
-    deltas has one slot per block, but only the replayed blocks' slots hold
-    a delta; a pivotal block is always recomputed, so its slot is None. age
-    counts partial steps since the last fully computed step; it is 0 right
-    after a full-block step and never exceeds the configured interval.
+    deltas has one slot per block; only the replayed blocks' slots hold a
+    delta. norms are the block importances: the last refresh's ||F_j - F_{j-1}||,
+    F_0 the input. age counts partial steps since that refresh, at most interval.
     """
 
     deltas: Optional[list[Optional[Tensor4]]] = None
+    norms: Optional[tuple[float, ...]] = None
     pivotal: Optional[tuple[int, ...]] = None
     age: int = 0
     last_partial: bool = False
-
-
-def block_importance(intermediates: Sequence[Tensor4], block_input: Tensor4) -> list[float]:
-    """Per-block delta norms ||F_j - F_{j-1}|| with F_0 the block input."""
-    outs = list(intermediates)
-    if not outs:
-        raise DomainError("need at least one intermediate")
-    previous = block_input
-    norms = []
-    for f in outs:
-        if f.shape != previous.shape:
-            raise DimensionError(f"intermediate shape {f.shape} does not match {previous.shape}")
-        norms.append(l2_norm(axpy(f, -1.0, previous)))
-        previous = f
-    return norms
 
 
 def select_pivotal(importances: Sequence[float], cache_rate: float) -> tuple[int, ...]:
@@ -252,13 +243,13 @@ def block_cached_forward(
 ) -> Tensor4:
     """Evaluate a block-decomposed predictor, replaying cached deltas when allowed.
 
-    A full-block step drops the cached deltas, runs every block, reselects
-    the pivotal set from the new delta norms and keeps only the deltas of the
-    replayed blocks, so the cache holds round(cache_rate * M) deltas and a
-    refresh never holds the old set next to the new one. While age <
-    interval, subsequent calls compute only pivotal blocks exactly and add
-    the cached delta for the rest. With interval 0 or cache_rate 0 every call
-    reproduces the plain forward pass.
+    A full-block step drops the cached deltas, runs every block, records
+    the new delta norms on state.norms, reselects the pivotal set from them
+    and keeps only the deltas of the replayed blocks, so the cache holds
+    round(cache_rate * M) deltas and a refresh never holds the old set next
+    to the new one. While age < interval, subsequent calls compute only
+    pivotal blocks exactly and add the cached delta for the rest. With
+    interval 0 or cache_rate 0 every call reproduces the plain forward pass.
     """
     m = net.num_blocks
     if m == 0:
@@ -276,6 +267,7 @@ def block_cached_forward(
             deltas.append(axpy(nxt, -1.0, features))
             norms.append(l2_norm(deltas[-1]))
             features = nxt
+        state.norms = tuple(norms)
         state.pivotal = select_pivotal(norms, cfg.cache_rate)
         for j in state.pivotal:
             deltas[j] = None
@@ -402,9 +394,5 @@ def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) ->
     increment sequence is fixed and replay_decisions over it is exactly
     monotone in the threshold.
     """
-    preds = list(predictions)
-    if len(preds) < 2:
-        return []
-    refs = [low_band_reference(preds[0], cfg)]
-    refs += [low_band_reference(p, cfg, refs[0].mask) for p in preds[1:]]
+    refs = low_band_references(predictions, cfg)
     return [refs[i - 1].drift(refs[i].band) for i in range(1, len(refs))]

@@ -11,9 +11,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .engine import StepCacheConfig, block_importance, low_band_reference, recorded_increments, trial_lowfreq_diff
-from .errors import ConfigError, DimensionError, DomainError, StateError
-from .predictors import toy_block_forward
+from .engine import (BlockCacheConfig, BlockCacheState, StepCacheConfig, block_cached_forward, low_band_references,
+                     recorded_increments, trial_lowfreq_diff)
+from .errors import ConfigError, DimensionError, DomainError
 from .report import RunReport
 from .sampler import Predictor, TimestepSchedule, euler_step, sample_baseline
 from .spectral import DEFAULT_RADIUS_SCALE, FrequencyMask, default_mask, highfreq_diff, lowfreq_diff, splice_bands
@@ -192,8 +192,7 @@ def resolution_sensitivity(
     spearmans = []
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
-        refs = [low_band_reference(traj.predictions[0], cfg)]
-        refs += [low_band_reference(p, cfg, refs[0].mask) for p in traj.predictions[1:-1]]
+        refs = low_band_references(traj.predictions[:-1], cfg)
         seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k], refs[k - 1], cfg) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
@@ -218,22 +217,21 @@ class BlockProfile:
 
 
 def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps: Sequence[int]) -> BlockProfile:
-    """Block importances at each probe step along the plain trajectory."""
+    """Block importances at each probe step of the plain trajectory: the norms a fresh block-cache refresh ranks."""
     probes = sorted(set(int(p) for p in probe_steps))
     n = schedule.n_steps
     for p in probes:
         if not 0 <= p < n:
             raise DomainError(f"probe step {p} outside [0, {n})")
+    if net.num_blocks == 0:
+        raise DomainError("block profile needs a net with at least one block")
     traj = run_trajectory(net, z_init, schedule)
-    t_values = []
     importances = []
     for p in probes:
-        _, intermediates = toy_block_forward(net, traj.latents[p], schedule.values[p], capture=True)
-        if intermediates is None:
-            raise StateError("block forward returned no intermediates despite capture=True")
-        t_values.append(schedule.values[p])
-        importances.append(tuple(block_importance(intermediates, traj.latents[p])))
-    return BlockProfile(tuple(probes), tuple(t_values), tuple(importances))
+        state = BlockCacheState()
+        block_cached_forward(net, traj.latents[p], schedule.values[p], BlockCacheConfig(), state)
+        importances.append(state.norms)
+    return BlockProfile(tuple(probes), tuple(schedule.values[p] for p in probes), tuple(importances))
 
 
 @dataclass(frozen=True)
@@ -245,17 +243,6 @@ class CostSummary:
     speedup_units: float
     skip_fraction: float
     trial_overhead_fraction: float
-
-    def breakeven_consistent(self) -> bool:
-        """Skips beyond the trial overhead must never slow the run down.
-
-        With the fractions defined against the same baseline denominator the
-        break-even factor is 1: skip_fraction > trial_overhead_fraction
-        implies speedup_units >= 1.
-        """
-        if self.skip_fraction > self.trial_overhead_fraction:
-            return self.speedup_units >= 1.0
-        return True
 
 
 def cost_accounting(report: RunReport) -> CostSummary:

@@ -11,7 +11,7 @@ for a transformer when block-level caching is exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -286,8 +286,7 @@ class ToyBlockNet:
         return Tensor4(features.data + self._gain(index, t) * np.tanh(pre))
 
     def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        out, _ = toy_block_forward(self, z, t, capture=False)
-        return out
+        return toy_block_forward(self, z, t)
 
 
 class ConstantDeltaNet:
@@ -312,25 +311,15 @@ class ConstantDeltaNet:
         return Tensor4(features.data + self._deltas[index].data)
 
     def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        out, _ = toy_block_forward(self, z, t)
-        return out
+        return toy_block_forward(self, z, t)
 
 
-def toy_block_forward(
-    net, z: Tensor4, t: float, capture: bool = False
-) -> tuple[Tensor4, Optional[list[Tensor4]]]:
-    """Fold the block stack over z; optionally return every intermediate.
-
-    Capture is observation only: the computation path is identical with the
-    flag on or off, so outputs match bitwise.
-    """
+def toy_block_forward(net, z: Tensor4, t: float) -> Tensor4:
+    """Fold the block stack over z: the plain forward pass."""
     features = z
-    intermediates: Optional[list[Tensor4]] = [] if capture else None
     for j in range(net.num_blocks):
         features = net.apply_block(j, features, t)
-        if intermediates is not None:
-            intermediates.append(features)
-    return features, intermediates
+    return features
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,8 @@ def make_schedule(n: int, kind: str = "uniform", shift: float = 1.0, terminal: f
     uniform: t_i = i / n traversed from i = n down to 0. shifted: the uniform
     grid u is warped through shift*u / (1 + (shift - 1)*u), which leaves the
     endpoints fixed and is the identity at shift = 1. A nonzero terminal maps
-    the warped grid linearly onto [terminal, 1].
+    the warped grid linearly onto [terminal, 1]. The first value is exactly
+    1.0, not the warp of u = 1, which rounds off 1.0 for some shifts < 1.
     """
     if not isinstance(n, int) or n < 2:
         raise ConfigError(f"schedule step count must be an integer >= 2, got {n!r}")
@@ -90,8 +91,8 @@ def make_schedule(n: int, kind: str = "uniform", shift: float = 1.0, terminal: f
         raise ConfigError(f"schedule shift must be > 0, got {shift}")
     if terminal < 0.0 or terminal >= 1.0:
         raise ConfigError(f"schedule terminal must lie in [0, 1), got {terminal}")
-    values = []
-    for i in range(n, -1, -1):
+    values = [1.0]
+    for i in range(n - 1, -1, -1):
         u = i / n
         if kind == "shifted":
             u = shift * u / (1.0 + (shift - 1.0) * u)

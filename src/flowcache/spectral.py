@@ -4,6 +4,8 @@ Each (frame, channel) slice is transformed with a unitary 2-D DFT (forward and
 inverse both scaled by 1/sqrt(H*W)), so Parseval holds with constant 1 and
 band energies partition the spatial energy exactly. The low band is a centered
 circular disk over signed frequency indices; everything else is the high band.
+band_spectrum is the one forward transform: it cuts either band, the low one
+from the mask's columns only, and a band's energy is spectrum_norm(band) ** 2.
 """
 
 from __future__ import annotations
@@ -50,10 +52,6 @@ class FrequencyMask:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def low_bin_count(self) -> int:
-        return int(np.count_nonzero(self.membership))
-
 
 def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
     """Centered circular mask: bin (u, v) is low iff its signed-index distance <= radius.
@@ -63,8 +61,6 @@ def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
     """
     if height < 1 or width < 1:
         raise DimensionError(f"mask grid must be at least 1x1, got {height}x{width}")
-    if radius < 0:
-        raise DomainError(f"mask radius must be >= 0, got {radius}")
     fu = np.fft.fftfreq(height) * height
     fv = np.fft.fftfreq(width) * width
     dist = np.sqrt(fu[:, None] ** 2 + fv[None, :] ** 2)
@@ -78,36 +74,6 @@ def default_mask(height: int, width: int, scale: float = DEFAULT_RADIUS_SCALE) -
     return circular_mask(height, width, scale * min(height, width))
 
 
-@dataclass(frozen=True)
-class SpectrumPair:
-    """Low/high complex spectra of one tensor; low + high is the full spectrum."""
-
-    low: np.ndarray = field(repr=False)
-    high: np.ndarray = field(repr=False)
-    mask: FrequencyMask
-
-    def __post_init__(self):
-        for name, arr in (("low", self.low), ("high", self.high)):
-            a = np.asarray(arr, dtype=np.complex128)
-            if a.ndim != 4:
-                raise DimensionError(f"{name} spectrum must be 4-D, got {a.ndim} axes")
-            a = np.ascontiguousarray(a)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        if self.low.shape != self.high.shape:
-            raise DimensionError(f"band shapes differ: {self.low.shape} vs {self.high.shape}")
-
-    def low_energy(self) -> float:
-        return float(np.sum(self.low.real ** 2 + self.low.imag ** 2))
-
-    def high_energy(self) -> float:
-        return float(np.sum(self.high.real ** 2 + self.high.imag ** 2))
-
-    def reconstruct(self) -> Tensor4:
-        """Inverse-transform low + high back to the spatial domain."""
-        return Tensor4(np.fft.ifft2(self.low + self.high, axes=(1, 2), norm="ortho").real)
-
-
 def _unitary_spectrum(x: Tensor4) -> np.ndarray:
     return np.fft.fft2(x.data, axes=(1, 2), norm="ortho")
 
@@ -117,14 +83,6 @@ def _require_mask_fit(x: Tensor4, mask: FrequencyMask) -> None:
         raise DimensionError(
             f"mask grid ({mask.height}, {mask.width}) does not match tensor plane ({x.height}, {x.width})"
         )
-
-
-def fft2_split(x: Tensor4, mask: FrequencyMask) -> SpectrumPair:
-    """Unitary per-slice 2-D DFT split into low/high bands by the mask."""
-    _require_mask_fit(x, mask)
-    spec = _unitary_spectrum(x)
-    m = mask.membership[None, :, :, None]
-    return SpectrumPair(low=spec * m, high=spec * ~m, mask=mask)
 
 
 def band_spectrum(x: Tensor4, mask: FrequencyMask, low: bool = True) -> np.ndarray:

@@ -9,7 +9,6 @@ checkable at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -79,14 +78,6 @@ class Tensor4:
     @staticmethod
     def full(shape: tuple[int, int, int, int], value: float) -> "Tensor4":
         return Tensor4(np.full(shape, float(value), dtype=np.float64))
-
-    @staticmethod
-    def from_flat(shape: tuple[int, int, int, int], values: Iterable[float]) -> "Tensor4":
-        flat = np.asarray(list(values), dtype=np.float64)
-        expected = shape[0] * shape[1] * shape[2] * shape[3]
-        if flat.size != expected:
-            raise DimensionError(f"flat data has {flat.size} values, shape {shape} needs {expected}")
-        return Tensor4(flat.reshape(shape))
 
 
 def seeded_normal(shape: tuple[int, int, int, int], seed: int) -> Tensor4:

@@ -224,6 +224,25 @@ def test_analyze_trace_projects_thresholds(tmp_path, config_path):
     assert rows[0]["threshold"] < rows[2]["threshold"]
 
 
+def test_analyze_trace_downsample_not_dividing_the_trace_latent_fails_first(tmp_path, capsys, monkeypatch):
+    """The config's own 8x8 latent takes 1x8x8 pooling; the 12x12 trace it analyzes does not."""
+    recorder = tmp_path / "record.cfg"
+    recorder.write_text(CONFIG_TEXT.replace("latent.height = 8", "latent.height = 12")
+                        .replace("latent.width = 8", "latent.width = 12"), encoding="utf-8")
+    trace = tmp_path / "run.trace"
+    assert run_command(["generate", "--config", str(recorder), "--mode", "baseline",
+                        "--trace", str(trace), "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("cache.downsample = 1x2x2", "cache.downsample = 1x8x8"), encoding="utf-8")
+    monkeypatch.setattr(cli, "recorded_increments", lambda *args: pytest.fail("analysis ran"))
+    out = tmp_path / "analysis.json"
+    assert run_command(["analyze-trace", "--config", str(config), str(trace), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "latent.height = 12" in err and "cache.downsample = 1x8x8" in err
+    assert not out.exists()
+
+
 def test_figures_writes_csv_series(tmp_path, config_path):
     out_dir = tmp_path / "figs"
     code = run_command(["figures", "--config", str(config_path), "--out", str(out_dir), "--svg"])

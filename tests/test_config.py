@@ -132,7 +132,7 @@ def test_missing_equals_rejected():
 
 
 def test_bad_numbers_rejected():
-    with pytest.raises(ConfigError, match="expected an integer"):
+    with pytest.raises(ConfigError, match="line 1: key 'schedule.n': expected an integer"):
         parse_config("schedule.n = fifty\n")
     with pytest.raises(ConfigError, match="expected a number"):
         parse_config("cache.alpha = big\n")
@@ -148,6 +148,18 @@ def test_bad_downsample_string_rejected():
 def test_invalid_alpha_value_rejected():
     with pytest.raises(ConfigError):
         parse_config("cache.alpha = -1\n")
+
+
+def test_sub_config_rejections_name_the_key_and_its_line():
+    cases = (
+        ("cache.alpha = -1\n", "line 1: key 'cache.alpha': alpha must be > 0"),
+        ("mode = baseline\ncache.warmup = 1\n", "line 2: key 'cache.warmup': warmup_steps must be"),
+        ("seeds = 1\n\ncache.downsample = 0x4x4\n", "line 3: key 'cache.downsample': downsample factor for axis frames"),
+    )
+    for text, message in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value).startswith(message)
 
 
 def test_invalid_mode_rejected():

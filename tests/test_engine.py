@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcache import engine, predictors
 from flowcache.engine import (
@@ -16,8 +18,8 @@ from flowcache.engine import (
     StepCachePolicy,
     accumulate_decide,
     block_cached_forward,
-    block_importance,
     low_band_reference,
+    low_band_references,
     recorded_increments,
     relative_threshold,
     replay_decisions,
@@ -138,14 +140,15 @@ def test_select_pivotal_bounds():
         select_pivotal([], 0.5)
 
 
-def test_block_importance_norms():
+def test_block_refresh_norms_hand_example():
+    """Features 0 -> 1 -> 1 -> 4 on four cells: the refresh ranks blocks by norms 2, 0, 6."""
     shape = (1, 2, 2, 1)
-    start = Tensor4.zeros(shape)
-    mids = [Tensor4.full(shape, 1.0), Tensor4.full(shape, 1.0), Tensor4.full(shape, 4.0)]
-    norms = block_importance(mids, start)
-    assert norms[0] == pytest.approx(2.0)
-    assert norms[1] == 0.0
-    assert norms[2] == pytest.approx(6.0)
+    net = ConstantDeltaNet([Tensor4.full(shape, 1.0), Tensor4.zeros(shape), Tensor4.full(shape, 3.0)])
+    state = BlockCacheState()
+    out = block_cached_forward(net, Tensor4.zeros(shape), 1.0, BlockCacheConfig(), state)
+    assert np.all(out.data == 4.0)
+    assert state.norms == (2.0, 0.0, 6.0)
+    assert state.pivotal == (0, 2)
 
 
 def test_block_cache_rate_zero_is_bitwise_plain():
@@ -155,7 +158,7 @@ def test_block_cache_rate_zero_is_bitwise_plain():
     z = seeded_normal((2, 4, 4, 2), seed=6)
     for t in (1.0, 0.8, 0.6, 0.4):
         cached = block_cached_forward(net, z, t, cfg, state)
-        plain, _ = toy_block_forward(net, z, t)
+        plain = toy_block_forward(net, z, t)
         assert np.array_equal(cached.data, plain.data)
 
 
@@ -166,7 +169,7 @@ def test_block_interval_zero_is_bitwise_plain():
     z = seeded_normal((2, 4, 4, 2), seed=8)
     for t in (1.0, 0.7, 0.4):
         cached = block_cached_forward(net, z, t, cfg, state)
-        plain, _ = toy_block_forward(net, z, t)
+        plain = toy_block_forward(net, z, t)
         assert np.array_equal(cached.data, plain.data)
         assert not state.last_partial
 
@@ -440,6 +443,29 @@ def test_recorded_increments_match_live_adjacent_drift():
     assert len(incs) == 11
     assert all(v >= 0 for v in incs)
     assert recorded_increments(preds[:1], cfg) == []
+
+
+def test_low_band_references_share_the_first_mask():
+    """One mask per sequence, and each band is the one low_band_reference cuts alone."""
+    preds = [seeded_normal(SHAPE, seed=s) for s in range(3)]
+    cfg = StepCacheConfig()
+    refs = low_band_references(preds, cfg)
+    assert all(ref.mask is refs[0].mask for ref in refs)
+    for ref, p in zip(refs, preds):
+        assert ref.band.tobytes() == low_band_reference(p, cfg).band.tobytes()
+    assert low_band_references([], cfg) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 10.0), max_size=60), st.lists(st.floats(0.0, 20.0), min_size=2, max_size=6))
+def test_replay_decisions_match_the_simulator_and_full_counts_never_rise_with_the_threshold(increments, thresholds):
+    """Exact, not statistical: increments are >= 0 and rounded addition is monotone."""
+    counts = []
+    for threshold in sorted(thresholds):
+        decisions = replay_decisions(increments, threshold)
+        assert decisions == reference_decisions(increments, threshold)
+        counts.append(decisions.count(DECISION_FULL))
+    assert counts == sorted(counts, reverse=True)
 
 
 def six_axis_pool(x, f):

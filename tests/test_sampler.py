@@ -26,6 +26,14 @@ def test_shifted_schedule_midpoint_example():
     assert sched.values[2] == 0.0
 
 
+def test_shifted_schedule_starts_at_exactly_one_for_small_shifts():
+    """The warp at u = 1 is shift / shift only up to rounding: 0.1 gave 1.0000000000000002, 1e-17 divided by zero."""
+    for shift in (0.1, 0.3, 1e-17):
+        sched = make_schedule(50, kind="shifted", shift=shift)
+        assert sched.values[0] == 1.0
+        assert sched.values[1] < 1.0 and sched.terminal == 0.0
+
+
 def test_shift_one_is_identity():
     assert make_schedule(5, kind="shifted", shift=1.0).values == make_schedule(5).values
 

@@ -1,7 +1,9 @@
 """Frequency-band machinery against a direct-DFT oracle.
 
 The oracle below evaluates the 2-D DFT as an explicit double sum, O(N^2) per
-output bin, so it is slow but independent of any FFT library choices.
+output bin, so it is slow but independent of any FFT library choices. It
+checks band_spectrum, the transform the step cache runs: the low and high
+bands are scattered back onto the (H, W) plane through the mask.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ from flowcache.spectral import (
     band_spectrum,
     circular_mask,
     default_mask,
-    fft2_split,
     highfreq_diff,
     lowfreq_diff,
+    spectrum_norm,
     splice_bands,
 )
 from flowcache.tensor import Tensor4, l2_norm, axpy
@@ -38,14 +40,20 @@ def direct_dft2(plane: np.ndarray) -> np.ndarray:
     return out
 
 
+def band_plane(x: Tensor4, mask: FrequencyMask) -> np.ndarray:
+    """band_spectrum's low and high bands scattered back onto the full (frames, H, W, channels) spectrum."""
+    plane = np.zeros(x.shape, dtype=np.complex128)
+    plane[:, mask.membership, :] = band_spectrum(x, mask)
+    plane[:, ~mask.membership, :] = band_spectrum(x, mask, low=False)
+    return plane
+
+
 @pytest.mark.parametrize("height,width", [(4, 4), (20, 20), (12, 18), (5, 7)])
 def test_split_matches_direct_dft_oracle(height, width):
     rng = np.random.default_rng(height * 100 + width)
     x = Tensor4(rng.standard_normal((1, height, width, 1)))
-    mask = default_mask(height, width)
-    pair = fft2_split(x, mask)
+    full = band_plane(x, default_mask(height, width))[0, :, :, 0]
     oracle = direct_dft2(x.data[0, :, :, 0])
-    full = pair.low[0, :, :, 0] + pair.high[0, :, :, 0]
     assert np.max(np.abs(full - oracle)) <= 1e-9 * max(1.0, np.max(np.abs(oracle)))
 
 
@@ -56,9 +64,8 @@ def test_split_matches_oracle_on_many_random_slices():
     for trial in range(50):
         h, w = sizes[trial % len(sizes)]
         x = Tensor4(rng.standard_normal((1, h, w, 1)))
-        pair = fft2_split(x, default_mask(h, w))
+        full = band_plane(x, default_mask(h, w))[0, :, :, 0]
         oracle = direct_dft2(x.data[0, :, :, 0])
-        full = pair.low[0, :, :, 0] + pair.high[0, :, :, 0]
         scale = max(1.0, float(np.max(np.abs(oracle))))
         assert np.max(np.abs(full - oracle)) <= 1e-9 * scale
 
@@ -83,7 +90,7 @@ def test_mask_radius_rule_examples():
 
 def test_mask_one_by_one_keeps_only_dc():
     mask = default_mask(1, 1)
-    assert mask.low_bin_count == 1
+    assert np.count_nonzero(mask.membership) == 1
     assert bool(mask.membership[0, 0])
 
 
@@ -104,24 +111,25 @@ def test_circular_mask_validates():
 
 def test_constant_slice_has_dc_only():
     x = Tensor4.full((1, 8, 8, 1), 3.25)
-    pair = fft2_split(x, default_mask(8, 8))
-    assert pair.high_energy() == pytest.approx(0.0, abs=1e-18)
-    assert pair.low_energy() == pytest.approx(l2_norm(x) ** 2, rel=1e-12)
+    mask = default_mask(8, 8)
+    assert spectrum_norm(band_spectrum(x, mask, low=False)) ** 2 == pytest.approx(0.0, abs=1e-18)
+    assert spectrum_norm(band_spectrum(x, mask)) ** 2 == pytest.approx(l2_norm(x) ** 2, rel=1e-12)
 
 
 def test_nyquist_checkerboard_has_no_low_energy():
     h = w = 8
     grid = np.indices((h, w)).sum(axis=0)
     checker = np.where(grid % 2 == 0, 1.0, -1.0)[None, :, :, None]
-    pair = fft2_split(Tensor4(checker), default_mask(h, w))
-    assert pair.low_energy() == pytest.approx(0.0, abs=1e-18)
-    assert pair.high_energy() == pytest.approx(float(h * w), rel=1e-12)
+    x, mask = Tensor4(checker), default_mask(h, w)
+    assert spectrum_norm(band_spectrum(x, mask)) ** 2 == pytest.approx(0.0, abs=1e-18)
+    assert spectrum_norm(band_spectrum(x, mask, low=False)) ** 2 == pytest.approx(float(h * w), rel=1e-12)
 
 
 def test_split_shape_guard():
     x = Tensor4.zeros((1, 8, 8, 1))
-    with pytest.raises(DimensionError):
-        fft2_split(x, default_mask(4, 4))
+    for low in (True, False):
+        with pytest.raises(DimensionError):
+            band_spectrum(x, default_mask(4, 4), low)
 
 
 def test_diff_of_identical_tensors_is_zero():
@@ -154,14 +162,6 @@ def test_splice_bands_output_is_real_for_real_inputs():
     b = Tensor4(rng.standard_normal((1, 7, 9, 2)))
     out = splice_bands(a, b, default_mask(7, 9))
     assert np.all(np.isfinite(out.data))
-
-
-def test_reconstruct_inverts_split():
-    rng = np.random.default_rng(4)
-    x = Tensor4(rng.standard_normal((3, 6, 10, 2)))
-    pair = fft2_split(x, default_mask(6, 10))
-    back = pair.reconstruct()
-    assert np.allclose(back.data, x.data, atol=1e-12)
 
 
 def test_mask_membership_is_read_only():
