@@ -13,9 +13,11 @@ output deltas were small at the last fully computed step are replayed from
 their cached deltas for a bounded number of subsequent full steps.
 
 A trial costs what the cost model charges for it: the latent is pooled and
-evaluated on the trial grid, and only the trial's low band is transformed.
+evaluated on the trial grid, and the trial's low band is cut with the mask's
+two small DFT matrices (spectral.band_spectrum), never a full transform.
 The cached prediction's low band (LowBandReference) is built once each time
-the cached prediction is replaced, and the mask once per run.
+the cached prediction is replaced, and the mask, with its DFT tables, once
+per run.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -150,9 +152,9 @@ def trial_lowfreq_diff(
 
     Both operands live on the downsampled grid: the latent is pooled before
     the trial evaluation, and reference holds the cached prediction pooled
-    and cut to the low band (low_band_reference). Cutting the band before
-    subtracting selects the same bins as subtracting whole spectra first, so
-    the value is bitwise that of lowfreq_diff on the two pooled tensors.
+    and cut to the low band (low_band_reference). Both bands come from the
+    same linear transform, so cutting before subtracting selects the same
+    bins as lowfreq_diff on the two pooled tensors, up to rounding.
     """
     z_small = avg_downsample(z, cfg.downsample)
     trial = pred.evaluate(z_small, t)
@@ -244,12 +246,14 @@ def block_cached_forward(
     """Evaluate a block-decomposed predictor, replaying cached deltas when allowed.
 
     A full-block step drops the cached deltas, runs every block, records
-    the new delta norms on state.norms, reselects the pivotal set from them
-    and keeps only the deltas of the replayed blocks, so the cache holds
-    round(cache_rate * M) deltas and a refresh never holds the old set next
-    to the new one. While age < interval, subsequent calls compute only
-    pivotal blocks exactly and add the cached delta for the rest. With
-    interval 0 or cache_rate 0 every call reproduces the plain forward pass.
+    the new delta norms on state.norms and reselects the pivotal set from
+    them (select_pivotal). It keeps only the deltas of the replayed blocks,
+    the r = round(cache_rate * M) lowest by (norm, -index), and drops every
+    other delta as soon as r lower ones have been seen, so a refresh holds at
+    most r + 1 deltas at once and never the old set next to the new one.
+    While age < interval, subsequent calls compute only pivotal blocks
+    exactly and add the cached delta for the rest. With interval 0 or
+    cache_rate 0 every call reproduces the plain forward pass.
     """
     m = net.num_blocks
     if m == 0:
@@ -260,18 +264,19 @@ def block_cached_forward(
     features = z
     if state.deltas is None or state.age >= cfg.interval:
         state.deltas = None
-        deltas: list[Optional[Tensor4]] = []
+        replay_count = round(cfg.cache_rate * m)
+        kept: dict[int, Tensor4] = {}
         norms: list[float] = []
         for j in range(m):
             nxt = net.apply_block(j, features, t)
-            deltas.append(axpy(nxt, -1.0, features))
-            norms.append(l2_norm(deltas[-1]))
+            kept[j] = axpy(nxt, -1.0, features)
+            norms.append(l2_norm(kept[j]))
+            if len(kept) > replay_count:
+                del kept[max(kept, key=lambda i: (norms[i], -i))]
             features = nxt
         state.norms = tuple(norms)
         state.pivotal = select_pivotal(norms, cfg.cache_rate)
-        for j in state.pivotal:
-            deltas[j] = None
-        state.deltas = deltas
+        state.deltas = [kept.get(j) for j in range(m)]
         state.age = 0
         state.last_partial = False
         return features

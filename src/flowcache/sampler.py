@@ -64,10 +64,6 @@ class TimestepSchedule:
     def n_steps(self) -> int:
         return len(self.values) - 1
 
-    @property
-    def terminal(self) -> float:
-        return self.values[-1]
-
     def pairs(self) -> list[tuple[int, float, float]]:
         """(step index, t, t_next) for each traversal step."""
         v = self.values

@@ -4,8 +4,11 @@ Each (frame, channel) slice is transformed with a unitary 2-D DFT (forward and
 inverse both scaled by 1/sqrt(H*W)), so Parseval holds with constant 1 and
 band energies partition the spatial energy exactly. The low band is a centered
 circular disk over signed frequency indices; everything else is the high band.
-band_spectrum is the one forward transform: it cuts either band, the low one
-from the mask's columns only, and a band's energy is spectrum_norm(band) ** 2.
+band_spectrum is the one forward transform: it cuts either band, and a band's
+energy is spectrum_norm(band) ** 2. The high band is cut from fft2; the low
+band is two small matrix products with the DFT rows of the frequency rows and
+columns the mask occupies, which costs O((H + W) * r) in table memory for a
+band of radius r and skips every bin the band leaves out.
 """
 
 from __future__ import annotations
@@ -25,17 +28,20 @@ DEFAULT_RADIUS_SCALE = 0.2
 class FrequencyMask:
     """Boolean low-band membership grid over an (H, W) frequency plane.
 
-    columns indexes the frequency columns holding at least one low bin, in
-    ascending order, and column_membership is membership restricted to them;
-    both are derived once on construction, read-only, for band_spectrum.
+    row_dft (m, H) and column_dft (k, W) are the unitary DFT rows of the m
+    frequency rows and k frequency columns holding at least one low bin, in
+    ascending order, and band_membership (m, k) is membership restricted to
+    them. All three are derived once on construction, read-only, for
+    band_spectrum.
     """
 
     height: int
     width: int
     radius: float
     membership: np.ndarray = field(repr=False)
-    columns: np.ndarray = field(init=False, repr=False, compare=False)
-    column_membership: np.ndarray = field(init=False, repr=False, compare=False)
+    row_dft: np.ndarray = field(init=False, repr=False, compare=False)
+    column_dft: np.ndarray = field(init=False, repr=False, compare=False)
+    band_membership: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -46,11 +52,23 @@ class FrequencyMask:
         if m.shape != (self.height, self.width):
             raise DimensionError(f"membership grid {m.shape} does not match ({self.height}, {self.width})")
         m = np.ascontiguousarray(m)
-        columns = np.flatnonzero(m.any(axis=0))
-        column_membership = np.ascontiguousarray(m[:, columns])
-        for name, arr in (("membership", m), ("columns", columns), ("column_membership", column_membership)):
+        rows, columns = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+        tables = (("membership", m), ("row_dft", _dft_rows(rows, self.height)),
+                  ("column_dft", _dft_rows(columns, self.width)),
+                  ("band_membership", np.ascontiguousarray(m[np.ix_(rows, columns)])))
+        for name, arr in tables:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+
+def _dft_rows(freqs: np.ndarray, n: int) -> np.ndarray:
+    """Rows of the unitary n-point DFT matrix for the given frequency indices.
+
+    The phase f * j / n is reduced modulo n in integers before it is scaled,
+    so every twiddle is exp(-2 pi i p / n) for an exact p in [0, n).
+    """
+    phase = np.outer(freqs, np.arange(n)) % n / n
+    return np.exp(-2j * np.pi * phase) / np.sqrt(n)
 
 
 def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
@@ -88,21 +106,24 @@ def _require_mask_fit(x: Tensor4, mask: FrequencyMask) -> None:
 def band_spectrum(x: Tensor4, mask: FrequencyMask, low: bool = True) -> np.ndarray:
     """Unitary spectrum of x restricted to one band: shape (frames, bins in the band, channels).
 
-    The low band transforms only the columns it touches: the width
-    transform runs on every row, as fft2 runs it first, and the height
-    transform only on the mask's columns. Each 1-D transform is the one
-    fft2 would apply to that row or column, so the bins are bitwise fft2's.
+    Bins come in fft2's row-major plane order. The high band is cut from
+    fft2. The low band is the mask's row DFT over height, then its column
+    DFT over width, which yields only the (m, k) sub-grid of rows and columns
+    the band occupies; the band's bins are cut from that. The low bins agree
+    with fft2's to rounding, not bit for bit.
     """
     _require_mask_fit(x, mask)
     if not low:
         return _unitary_spectrum(x)[:, ~mask.membership, :]
-    rows = np.fft.fft(x.data, axis=2, norm="ortho")[:, :, mask.columns, :]
-    return np.fft.fft(rows, axis=1, norm="ortho")[:, mask.column_membership, :]
+    frames, height, width, channels = x.shape
+    rows = mask.row_dft @ x.data.reshape(frames, height, width * channels)
+    sub = mask.column_dft @ rows.reshape(-1, width, channels)
+    return sub.reshape(frames, *mask.band_membership.shape, channels)[:, mask.band_membership, :]
 
 
 def spectrum_norm(spectrum: np.ndarray) -> float:
     """L2 norm of a complex spectrum."""
-    return float(np.sqrt(np.sum(spectrum.real ** 2 + spectrum.imag ** 2)))
+    return float(np.sqrt(np.vdot(spectrum, spectrum).real))
 
 
 def _band_diff_norm(a: Tensor4, b: Tensor4, mask: FrequencyMask, low: bool) -> float:

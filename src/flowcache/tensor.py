@@ -71,14 +71,6 @@ class Tensor4:
     def __repr__(self) -> str:
         return f"Tensor4(shape={self.shape})"
 
-    @staticmethod
-    def zeros(shape: tuple[int, int, int, int]) -> "Tensor4":
-        return Tensor4(np.zeros(shape, dtype=np.float64))
-
-    @staticmethod
-    def full(shape: tuple[int, int, int, int], value: float) -> "Tensor4":
-        return Tensor4(np.full(shape, float(value), dtype=np.float64))
-
 
 def seeded_normal(shape: tuple[int, int, int, int], seed: int) -> Tensor4:
     """Standard-normal tensor drawn from an explicitly seeded generator."""

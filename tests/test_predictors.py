@@ -107,7 +107,7 @@ def test_single_component_posterior_closed_form():
     shape = (1, 2, 2, 1)
     mu, var = 1.3, 2.5
     spec = GaussianMixtureSpec(shape, (MixtureComponent(1.0, mu, var),))
-    x = Tensor4.full(shape, 0.7)
+    x = Tensor4(np.full(shape, 0.7))
     for t in (0.9, 0.5, 0.1):
         s2 = (1 - t) ** 2 * var + t**2
         expected = mu + (1 - t) * var / s2 * (0.7 - (1 - t) * mu)
@@ -128,7 +128,7 @@ def test_velocity_definition():
 def test_time_domain_is_validated():
     shape = (1, 2, 2, 1)
     spec = structured_mixture(shape, seed=0)
-    x = Tensor4.zeros(shape)
+    x = Tensor4(np.zeros(shape))
     for bad in (0.0, -0.1, 1.1):
         with pytest.raises(DomainError):
             mixture_velocity(spec, x, bad)
@@ -216,14 +216,14 @@ def test_toy_block_deltas_match_golden_file():
 def test_toy_block_channel_mismatch():
     net = ToyBlockNet(2, channels=3, seed=0)
     with pytest.raises(DimensionError):
-        net.apply_block(0, Tensor4.zeros((1, 2, 2, 2)), 0.5)
+        net.apply_block(0, Tensor4(np.zeros((1, 2, 2, 2))), 0.5)
 
 
 def test_constant_delta_net_adds_fixed_tensors():
     shape = (1, 2, 2, 1)
-    deltas = [Tensor4.full(shape, 1.0), Tensor4.full(shape, -0.5)]
+    deltas = [Tensor4(np.full(shape, 1.0)), Tensor4(np.full(shape, -0.5))]
     net = ConstantDeltaNet(deltas)
-    z = Tensor4.full(shape, 2.0)
+    z = Tensor4(np.full(shape, 2.0))
     out = net.evaluate(z, 0.3)
     assert np.all(out.data == 2.5)
     assert net.num_blocks == 2
@@ -232,22 +232,22 @@ def test_constant_delta_net_adds_fixed_tensors():
 def test_trace_archive_round_trip_and_bounds():
     shape = (1, 2, 2, 1)
     sched = make_schedule(50)
-    preds = [Tensor4.full(shape, float(k)) for k in range(50)]
+    preds = [Tensor4(np.full(shape, float(k))) for k in range(50)]
     arch = TraceArchive.from_run(sched, preds)
     replay = TraceReplayPredictor(arch)
-    z = Tensor4.zeros(shape)
+    z = Tensor4(np.zeros(shape))
     for k in range(50):
         assert arch.records[k].step_index == 49 - k
         assert np.array_equal(replay.evaluate(z, sched.values[k]).data, preds[k].data)
     with pytest.raises(TraceError):
-        replay.evaluate(z, sched.terminal)
+        replay.evaluate(z, sched.values[-1])
     with pytest.raises(TraceError):
         replay.evaluate(z, 1.5)
 
 
 def test_trace_archive_validates_record_count():
     sched = make_schedule(3)
-    preds = [Tensor4.zeros((1, 2, 2, 1))] * 2
+    preds = [Tensor4(np.zeros((1, 2, 2, 1)))] * 2
     with pytest.raises(TraceError):
         TraceArchive.from_run(sched, preds)
 
@@ -256,8 +256,8 @@ def test_trace_archive_validates_index_order():
     sched = make_schedule(2)
     shape = (1, 2, 2, 1)
     records = (
-        TraceRecord(0, sched.values[0], Tensor4.zeros(shape)),
-        TraceRecord(1, sched.values[1], Tensor4.zeros(shape)),
+        TraceRecord(0, sched.values[0], Tensor4(np.zeros(shape))),
+        TraceRecord(1, sched.values[1], Tensor4(np.zeros(shape))),
     )
     with pytest.raises(TraceError):
         TraceArchive(sched, records)
@@ -281,7 +281,7 @@ def test_replay_predictor_marks_run_open_loop():
 
 def test_replay_predictor_rejects_unknown_time():
     sched = make_schedule(3)
-    preds = [Tensor4.zeros((1, 2, 2, 1))] * 3
+    preds = [Tensor4(np.zeros((1, 2, 2, 1)))] * 3
     replay = TraceReplayPredictor(TraceArchive.from_run(sched, preds))
     with pytest.raises(TraceError):
-        replay.evaluate(Tensor4.zeros((1, 2, 2, 1)), 0.123)
+        replay.evaluate(Tensor4(np.zeros((1, 2, 2, 1))), 0.123)

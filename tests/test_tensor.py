@@ -43,7 +43,7 @@ def test_tensor_rejects_non_finite():
 
 
 def test_tensor_is_immutable():
-    t = Tensor4.zeros((1, 2, 2, 1))
+    t = Tensor4(np.zeros((1, 2, 2, 1)))
     with pytest.raises(ValueError):
         t.data[0, 0, 0, 0] = 1.0
 
@@ -58,7 +58,7 @@ def test_tensor_freezes_adopted_array():
 
 
 def test_cells_counts_tokens_not_channels():
-    t = Tensor4.zeros((4, 16, 16, 2))
+    t = Tensor4(np.zeros((4, 16, 16, 2)))
     assert t.cells == 4 * 16 * 16
 
 
@@ -106,14 +106,14 @@ def test_axpy_matches_the_scaled_form_bitwise(case):
 
 
 def test_axpy_zero_scale_returns_input_object():
-    a = Tensor4.zeros((1, 2, 2, 1))
-    b = Tensor4.full((1, 2, 2, 1), 3.0)
+    a = Tensor4(np.zeros((1, 2, 2, 1)))
+    b = Tensor4(np.full((1, 2, 2, 1), 3.0))
     assert axpy(a, 0.0, b) is a
 
 
 def test_axpy_shape_mismatch():
     with pytest.raises(DimensionError):
-        axpy(Tensor4.zeros((1, 2, 2, 1)), 1.0, Tensor4.zeros((1, 2, 4, 1)))
+        axpy(Tensor4(np.zeros((1, 2, 2, 1))), 1.0, Tensor4(np.zeros((1, 2, 4, 1))))
 
 
 def test_l2_norm_known_value():
@@ -122,8 +122,8 @@ def test_l2_norm_known_value():
 
 
 def test_mse_known_value():
-    a = Tensor4.full((1, 2, 2, 1), 1.0)
-    b = Tensor4.full((1, 2, 2, 1), 3.0)
+    a = Tensor4(np.full((1, 2, 2, 1), 1.0))
+    b = Tensor4(np.full((1, 2, 2, 1), 3.0))
     assert mse(a, b) == 4.0
     assert mse(a, a) == 0.0
 
@@ -165,13 +165,13 @@ def test_avg_downsample_preserves_global_mean():
 
 
 def test_avg_downsample_rejects_indivisible():
-    x = Tensor4.zeros((3, 4, 4, 1))
+    x = Tensor4(np.zeros((3, 4, 4, 1)))
     with pytest.raises(DimensionError):
         avg_downsample(x, DownsampleFactors(2, 4, 4))
 
 
 def test_avg_downsample_constant_is_exact():
-    x = Tensor4.full((2, 4, 4, 3), 2.5)
+    x = Tensor4(np.full((2, 4, 4, 3), 2.5))
     out = avg_downsample(x, DownsampleFactors(2, 2, 2))
     assert np.all(out.data == 2.5)
 
