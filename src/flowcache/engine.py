@@ -246,11 +246,11 @@ def block_cached_forward(
     """Evaluate a block-decomposed predictor, replaying cached deltas when allowed.
 
     A full-block step drops the cached deltas, runs every block, records
-    the new delta norms on state.norms and reselects the pivotal set from
-    them (select_pivotal). It keeps only the deltas of the replayed blocks,
-    the r = round(cache_rate * M) lowest by (norm, -index), and drops every
-    other delta as soon as r lower ones have been seen, so a refresh holds at
-    most r + 1 deltas at once and never the old set next to the new one.
+    the new delta norms on state.norms and keeps only the deltas of the
+    replayed blocks, the r = round(cache_rate * M) lowest by (norm, -index).
+    It drops every other delta as soon as r lower ones have been seen, so a
+    refresh holds at most r + 1 deltas at once and never the old set next to
+    the new one. The dropped blocks are the pivotal set (select_pivotal's).
     While age < interval, subsequent calls compute only pivotal blocks
     exactly and add the cached delta for the rest. With interval 0 or
     cache_rate 0 every call reproduces the plain forward pass.
@@ -275,7 +275,7 @@ def block_cached_forward(
                 del kept[max(kept, key=lambda i: (norms[i], -i))]
             features = nxt
         state.norms = tuple(norms)
-        state.pivotal = select_pivotal(norms, cfg.cache_rate)
+        state.pivotal = tuple(j for j in range(m) if j not in kept)
         state.deltas = [kept.get(j) for j in range(m)]
         state.age = 0
         state.last_partial = False
