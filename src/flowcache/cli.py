@@ -250,8 +250,6 @@ def _cmd_sweep(args) -> int:
     seeds = require_seeds(cfg)
     axis = args.axis
     values = _parse_sweep_values(axis, args.values)
-    if axis == "cache_rate" and cfg.predictor.kind != "toy-block":
-        raise ConfigError("cache_rate sweep needs predictor.kind = toy-block (block cache requires a block-decomposed predictor)")
     variants = [(_sweep_label(axis, value), _sweep_variant(cfg, axis, value)) for value in values]
     header = ("run_id", "axis", "value", "seed", "skip_count", "skip_fraction",
               "speedup_units", "cost_units", "mse_vs_baseline", "psnr_db")

@@ -97,6 +97,9 @@ class RunConfig:
                 raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}")
         if self.mode in ("lfcache", "lfcache+block"):
             require_divisible(self.latent, self.cache.downsample, "cache.downsample")
+        if self.mode == "lfcache+block" and self.predictor.kind != "toy-block":
+            raise ConfigError(f"mode = lfcache+block needs predictor.kind = toy-block (the block cache needs a "
+                              f"block-decomposed predictor), got predictor.kind = {self.predictor.kind}")
         for s in self.seeds:
             if not isinstance(s, int):
                 raise ConfigError(f"seeds must be integers, got {s!r}")

@@ -12,12 +12,15 @@ policy's full-evaluation path for block-decomposed predictors: blocks whose
 output deltas were small at the last fully computed step are replayed from
 their cached deltas for a bounded number of subsequent full steps.
 
-A trial costs what the cost model charges for it: the latent is pooled and
-evaluated on the trial grid, and the trial's low band is cut with the mask's
-two small DFT matrices (spectral.band_spectrum), never a full transform.
-The cached prediction's low band (LowBandReference) is built once each time
-the cached prediction is replaced, and the mask, with its DFT tables, once
-per run.
+The low band is a function of the latent shape and the StepCacheConfig,
+stated here once: trial_mask is the mask of the pooled trial plane, with
+radius mask_scale * min(H, W) of that plane, and low_band pools a tensor and
+cuts its band. A trial costs what the cost model charges for it: the latent
+is pooled and evaluated on the trial grid, and the trial's low band is cut
+with the mask's two small DFT matrices (spectral.band_spectrum), never a
+full transform. The policy builds the mask, with its DFT tables, once per
+run, and the cached prediction's band once each time the cached prediction
+is replaced.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -25,7 +28,7 @@ prediction feeding that update is ever reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,12 +37,15 @@ from .errors import ConfigError, DimensionError, DomainError, StateError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 # euler_step and lowfreq_diff are unused here; they stay bound so the benchmark tracer's engine hooks resolve.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
-from .spectral import DEFAULT_RADIUS_SCALE, FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
-from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm
+from .spectral import FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
+from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, pooled_shape
 
 REUSE_PREDICTION = "prediction"
 REUSE_RESIDUAL = "residual"
 REUSE_STRATEGIES = (REUSE_PREDICTION, REUSE_RESIDUAL)
+
+#: Default low-band radius as a fraction of the trial plane's min(H, W).
+DEFAULT_RADIUS_SCALE = 0.2
 
 
 @dataclass(frozen=True)
@@ -71,44 +77,25 @@ class StepCacheConfig:
             raise ConfigError(f"mask_scale must be > 0, got {self.mask_scale}")
 
 
-@dataclass(frozen=True)
-class LowBandReference:
-    """The low band of a prediction pooled to the trial grid, and the mask that cut it.
+def trial_mask(shape: tuple[int, int, int, int], cfg: StepCacheConfig) -> FrequencyMask:
+    """Low-band mask of the trial plane: latents of this shape pooled by cfg.downsample.
 
-    band is the pooled prediction's unitary spectrum restricted to the mask,
-    shape (frames, low bins, channels). Nothing in it is full resolution, so
-    it may outlive the prediction it was built from.
+    The radius is cfg.mask_scale * min(H, W) of the pooled plane, no flooring.
     """
-
-    mask: FrequencyMask
-    band: np.ndarray = field(repr=False)
-
-    def drift(self, band: np.ndarray) -> float:
-        """L2 norm of band minus this reference's band: the low-band drift."""
-        if band.shape != self.band.shape:
-            raise DimensionError(f"low band of shape {band.shape} does not match the reference's {self.band.shape}")
-        return spectrum_norm(band - self.band)
+    _, height, width, _ = pooled_shape(shape, cfg.downsample)
+    return circular_mask(height, width, cfg.mask_scale * min(height, width))
 
 
-def low_band_reference(
-    prediction: Tensor4, cfg: StepCacheConfig, mask: Optional[FrequencyMask] = None
-) -> LowBandReference:
-    """Pool a prediction to the trial grid and keep its low band.
-
-    Without a mask, the mask is built for the pooled plane with radius
-    cfg.mask_scale * min(H, W); pass the returned reference's mask on to
-    reuse it for later predictions of the same shape.
-    """
-    pooled = avg_downsample(prediction, cfg.downsample)
-    if mask is None:
-        mask = circular_mask(pooled.height, pooled.width, cfg.mask_scale * min(pooled.height, pooled.width))
-    return LowBandReference(mask, band_spectrum(pooled, mask))
+def low_band(x: Tensor4, cfg: StepCacheConfig, mask: FrequencyMask) -> np.ndarray:
+    """x pooled to the trial grid and cut to the low band: shape (frames, low bins, channels)."""
+    return band_spectrum(avg_downsample(x, cfg.downsample), mask)
 
 
-def low_band_references(predictions: Sequence[Tensor4], cfg: StepCacheConfig) -> list[LowBandReference]:
-    """Low bands of a prediction sequence, all cut by the mask built for the first one."""
-    refs = [low_band_reference(p, cfg) for p in predictions[:1]]
-    return refs + [low_band_reference(p, cfg, refs[0].mask) for p in predictions[1:]]
+def _drift(band: np.ndarray, reference: np.ndarray) -> float:
+    """L2 norm of band minus reference: the low-band drift."""
+    if band.shape != reference.shape:
+        raise DimensionError(f"low band of shape {band.shape} does not match the reference's {reference.shape}")
+    return spectrum_norm(band - reference)
 
 
 @dataclass
@@ -116,14 +103,14 @@ class CacheState:
     """Mutable step-cache state threaded through a sampling run.
 
     cached_prediction is the prediction the previous step used, reference
-    its low band once a trial has needed it; cached_residual is the one of
+    its low_band once a trial has needed it; cached_residual is the one of
     the last full evaluation, kept only under residual reuse, the one
     strategy that reads it (None otherwise).
     """
 
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
-    reference: Optional[LowBandReference] = None
+    reference: Optional[np.ndarray] = None
     error: float = 0.0
     threshold: Optional[float] = None
 
@@ -145,22 +132,23 @@ def trial_lowfreq_diff(
     pred: Predictor,
     z: Tensor4,
     t: float,
-    reference: LowBandReference,
+    reference: np.ndarray,
+    mask: FrequencyMask,
     cfg: StepCacheConfig,
 ) -> float:
     """Low-band drift between a downsampled trial evaluation and the cached prediction.
 
     Both operands live on the downsampled grid: the latent is pooled before
-    the trial evaluation, and reference holds the cached prediction pooled
-    and cut to the low band (low_band_reference). Both bands come from the
-    same linear transform, so cutting before subtracting selects the same
-    bins as lowfreq_diff on the two pooled tensors, up to rounding.
+    the trial evaluation, and reference is the cached prediction's low_band
+    under the same mask (trial_mask). Both bands come from the same linear
+    transform, so cutting before subtracting selects the same bins as
+    lowfreq_diff on the two pooled tensors, up to rounding.
     """
     z_small = avg_downsample(z, cfg.downsample)
     trial = pred.evaluate(z_small, t)
     if trial.shape != z_small.shape:
         raise DimensionError(f"trial evaluation returned shape {trial.shape} for input shape {z_small.shape}")
-    return reference.drift(band_spectrum(trial, reference.mask))
+    return _drift(band_spectrum(trial, mask), reference)
 
 
 def accumulate_decide(state: CacheState, delta: float) -> str:
@@ -301,19 +289,21 @@ class StepCachePolicy:
     reuse the cached prediction (or latent + cached residual) while the total
     stays under the threshold; otherwise a full evaluation refreshes the cache
     and resets the accumulator. Full evaluations go through the block cache
-    when block_cfg is given.
+    when block_cfg is given. shape is the latent's; it fixes the trial mask.
     """
 
-    def __init__(self, pred: Predictor, cfg: StepCacheConfig, block_cfg: Optional[BlockCacheConfig], cells: int):
+    def __init__(self, pred: Predictor, cfg: StepCacheConfig, block_cfg: Optional[BlockCacheConfig],
+                 shape: tuple[int, int, int, int]):
         self.pred = pred
         self.cfg = cfg
         self.block_cfg = block_cfg
+        self.mask = trial_mask(shape, cfg)
+        cells = shape[0] * shape[1] * shape[2]
         self.full_cells = float(cells)
         self.trial_cells = float(cells // cfg.downsample.volume)
         self.state = CacheState()
         self.block_state = BlockCacheState()
         self.warmup_deltas: list[float] = []
-        self.mask: Optional[FrequencyMask] = None
 
     def __call__(self, k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
         state = self.state
@@ -321,7 +311,9 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k > 0:
-            delta = trial_lowfreq_diff(self.pred, z, t, self._reference(), self.cfg)
+            if state.reference is None:
+                state.reference = low_band(state.cached_prediction, self.cfg, self.mask)
+            delta = trial_lowfreq_diff(self.pred, z, t, state.reference, self.mask, self.cfg)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
@@ -346,14 +338,6 @@ class StepCachePolicy:
             state.reference = None
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
-
-    def _reference(self) -> LowBandReference:
-        """Low band of the cached prediction, built once per cached prediction on one mask per run."""
-        state = self.state
-        if state.reference is None:
-            state.reference = low_band_reference(state.cached_prediction, self.cfg, self.mask)
-            self.mask = state.reference.mask
-        return state.reference
 
     def _evaluate(self, z: Tensor4, t: float) -> tuple[Tensor4, float, Optional[int], Optional[bool]]:
         """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
@@ -382,7 +366,7 @@ def sample_cached(
     """
     if block_cfg is not None and not isinstance(pred, BlockPredictor):
         raise ConfigError("block-level caching requires a block-decomposed predictor")
-    policy = StepCachePolicy(pred, cfg, block_cfg, z_init.cells)
+    policy = StepCachePolicy(pred, cfg, block_cfg, z_init.shape)
     z, report = run_steps(policy, pred, z_init, schedule, observer, policy.trial_cells)
     report.threshold = policy.state.threshold
     report.warmup_max_delta = max(policy.warmup_deltas) if policy.warmup_deltas else None
@@ -393,11 +377,15 @@ def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) ->
     """Per-step low-band drift between adjacent recorded predictions.
 
     Open-loop stand-in for the live trial sequence: each recorded prediction
-    is pooled to the downsampled grid and cut to its low band once, and each
-    increment is the drift of one band from the previous one, the statistic
-    trial_lowfreq_diff measures. No predictor is evaluated, so the resulting
-    increment sequence is fixed and replay_decisions over it is exactly
-    monotone in the threshold.
+    is pooled to the downsampled grid and cut to its low band once, on the
+    trial mask of the first prediction's shape, and each increment is the
+    drift of one band from the previous one, the statistic trial_lowfreq_diff
+    measures. No predictor is evaluated, so the resulting increment sequence
+    is fixed and replay_decisions over it is exactly monotone in the
+    threshold.
     """
-    refs = low_band_references(predictions, cfg)
-    return [refs[i - 1].drift(refs[i].band) for i in range(1, len(refs))]
+    if not predictions:
+        return []
+    mask = trial_mask(predictions[0].shape, cfg)
+    bands = [low_band(p, cfg, mask) for p in predictions]
+    return [_drift(bands[i], bands[i - 1]) for i in range(1, len(bands))]

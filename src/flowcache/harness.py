@@ -7,16 +7,16 @@ same seed, so reported errors isolate the intervention being studied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .engine import (BlockCacheConfig, BlockCacheState, StepCacheConfig, block_cached_forward, low_band_references,
-                     recorded_increments, trial_lowfreq_diff)
+from .engine import (DEFAULT_RADIUS_SCALE, BlockCacheConfig, BlockCacheState, StepCacheConfig, block_cached_forward,
+                     low_band, recorded_increments, trial_lowfreq_diff, trial_mask)
 from .errors import ConfigError, DimensionError, DomainError
 from .report import RunReport
-from .sampler import Predictor, TimestepSchedule, euler_step, sample_baseline
-from .spectral import DEFAULT_RADIUS_SCALE, FrequencyMask, default_mask, highfreq_diff, lowfreq_diff, splice_bands
+from .sampler import Predictor, TimestepSchedule, sample_baseline
+from .spectral import highfreq_diff, lowfreq_diff, splice_bands
 from .tensor import DownsampleFactors, Tensor4, axpy, l2_norm, mse
 
 VARIANT_FULL = "full-prediction"
@@ -69,31 +69,48 @@ def run_trajectory(pred: Predictor, z_init: Tensor4, schedule: TimestepSchedule)
     return Trajectory(schedule, tuple(latents), tuple(predictions), terminal)
 
 
+def _full_resolution(mask_scale: float = DEFAULT_RADIUS_SCALE) -> StepCacheConfig:
+    """Step-cache config of an unpooled trial: its trial_mask is the latent plane's own low band."""
+    return StepCacheConfig(downsample=DownsampleFactors(1, 1, 1), mask_scale=mask_scale)
+
+
+class _Substituted:
+    """Predictor that returns fixed predictions at some timesteps and evaluates pred at the others."""
+
+    def __init__(self, pred: Predictor, fixed: dict[float, Tensor4]):
+        self.pred = pred
+        self.fixed = fixed
+
+    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
+        f = self.fixed.get(t)
+        return self.pred.evaluate(z, t) if f is None else f
+
+
 def single_step_skip_influence(
     pred: Predictor,
     z_init: Tensor4,
     schedule: TimestepSchedule,
     variant: str = VARIANT_FULL,
-    mask: Optional[FrequencyMask] = None,
 ) -> InfluenceProfile:
     """Terminal MSE from substituting the previous step's prediction at one step.
 
     For each step k >= 1 the sampler is rerun with the step-k prediction
-    replaced, then continued normally. full-prediction substitutes the entire
-    previous prediction; lf-only splices only its low band onto the fresh high
-    band; hf-only is the converse. Step 0 has no predecessor and is excluded.
+    replaced, then continued normally; steps before k replay the recorded
+    predictions, so the latent entering step k is bitwise the recorded one.
+    full-prediction substitutes the entire previous prediction; lf-only
+    splices only its low band onto the fresh high band; hf-only is the
+    converse. The band is the full-resolution trial mask's. Step 0 has no
+    predecessor and is excluded.
     """
     if variant not in INFLUENCE_VARIANTS:
         raise ConfigError(f"unknown influence variant {variant!r}, expected one of {INFLUENCE_VARIANTS}")
     traj = run_trajectory(pred, z_init, schedule)
-    if mask is None:
-        mask = default_mask(z_init.height, z_init.width)
+    mask = trial_mask(z_init.shape, _full_resolution())
     values = schedule.values
-    n = schedule.n_steps
     indices = []
     t_values = []
     mses = []
-    for k in range(1, n):
+    for k in range(1, schedule.n_steps):
         fresh = traj.predictions[k]
         stale = traj.predictions[k - 1]
         if variant == VARIANT_FULL:
@@ -102,10 +119,9 @@ def single_step_skip_influence(
             substituted = splice_bands(stale, fresh, mask)
         else:
             substituted = splice_bands(fresh, stale, mask)
-        z = euler_step(traj.latents[k], substituted, values[k], values[k + 1])
-        for j in range(k + 1, n):
-            f = pred.evaluate(z, values[j])
-            z = euler_step(z, f, values[j], values[j + 1])
+        fixed = dict(zip(values[:k], traj.predictions[:k]))
+        fixed[values[k]] = substituted
+        z, _ = sample_baseline(_Substituted(pred, fixed), z_init, schedule)
         indices.append(k)
         t_values.append(values[k])
         mses.append(mse(z, traj.terminal))
@@ -127,16 +143,14 @@ def adjacent_diff_profile(
     pred: Predictor,
     z_init: Tensor4,
     schedule: TimestepSchedule,
-    mask: Optional[FrequencyMask] = None,
 ) -> AdjacentDiffProfile:
-    """Norms of F_k - F_{k-1} along a no-cache trajectory, split by band.
+    """Norms of F_k - F_{k-1} along a no-cache trajectory, split by the full-resolution trial mask's band.
 
     The unitary transform makes the bands partition energy: raw^2 equals
     low^2 + high^2 up to rounding.
     """
     traj = run_trajectory(pred, z_init, schedule)
-    if mask is None:
-        mask = default_mask(z_init.height, z_init.width)
+    mask = trial_mask(z_init.shape, _full_resolution())
     indices, t_values, raw, low, high = [], [], [], [], []
     for k in range(1, schedule.n_steps):
         a, b = traj.predictions[k], traj.predictions[k - 1]
@@ -185,15 +199,15 @@ def resolution_sensitivity(
     """
     traj = run_trajectory(pred, z_init, schedule)
     indices = tuple(range(1, schedule.n_steps))
-    full = StepCacheConfig(downsample=DownsampleFactors(1, 1, 1), mask_scale=mask_scale)
-    reference = tuple(recorded_increments(traj.predictions, full))
+    reference = tuple(recorded_increments(traj.predictions, _full_resolution(mask_scale)))
     series = []
     pearsons = []
     spearmans = []
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
-        refs = low_band_references(traj.predictions[:-1], cfg)
-        seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k], refs[k - 1], cfg) for k in indices]
+        mask = trial_mask(z_init.shape, cfg)
+        seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k],
+                                  low_band(traj.predictions[k - 1], cfg, mask), mask, cfg) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
         spearmans.append(spearman(seq, reference))
@@ -287,20 +301,9 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.arange(1, values.size + 1, dtype=np.float64)
-    # average ranks within tied groups
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
-    return ranks
+    """1-based ranks; a tied group of c values ending at rank r shares the average rank r - (c - 1) / 2."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:

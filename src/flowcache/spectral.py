@@ -20,9 +20,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .tensor import Tensor4
 
-#: Default low-band radius as a fraction of min(H, W).
-DEFAULT_RADIUS_SCALE = 0.2
-
 
 @dataclass(frozen=True)
 class FrequencyMask:
@@ -83,13 +80,6 @@ def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
     fv = np.fft.fftfreq(width) * width
     dist = np.sqrt(fu[:, None] ** 2 + fv[None, :] ** 2)
     return FrequencyMask(height, width, float(radius), dist <= radius)
-
-
-def default_mask(height: int, width: int, scale: float = DEFAULT_RADIUS_SCALE) -> FrequencyMask:
-    """Mask with the default radius rule: scale * min(H, W), no flooring."""
-    if scale <= 0:
-        raise DomainError(f"radius scale must be > 0, got {scale}")
-    return circular_mask(height, width, scale * min(height, width))
 
 
 def _unitary_spectrum(x: Tensor4) -> np.ndarray:

@@ -99,6 +99,15 @@ class DownsampleFactors:
         return (self.frames, self.height, self.width)
 
 
+def pooled_shape(shape: tuple[int, int, int, int], factors: DownsampleFactors) -> tuple[int, int, int, int]:
+    """Shape avg_downsample gives a tensor of this shape; each factor must divide its axis."""
+    for axis, extent, factor in zip(_AXIS_NAMES, shape, factors.as_tuple()):
+        if extent % factor:
+            raise DimensionError(f"axis {axis} of extent {extent} is not divisible by factor {factor}")
+    t, h, w, c = shape
+    return (t // factors.frames, h // factors.height, w // factors.width, c)
+
+
 def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     """Block-mean pooling by integer factors along frames/height/width.
 
@@ -116,18 +125,14 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     C = 1, H' = 1, that mean let numpy coalesce the reduced axes and sum
     part of each block pairwise, so the two may differ in the last bits.
     """
-    t, h, w, c = x.shape
-    for axis, extent, factor in zip(_AXIS_NAMES, x.shape, factors.as_tuple()):
-        if extent % factor:
-            raise DimensionError(f"axis {axis} of extent {extent} is not divisible by factor {factor}")
+    pooled = pooled_shape(x.shape, factors)
     if factors.as_tuple() == (1, 1, 1):
         return x
-    pooled = (t // factors.frames, h // factors.height, w // factors.width, c)
     blocked = x.data.reshape(
         pooled[0], factors.frames,
         pooled[1], factors.height,
         pooled[2], factors.width,
-        c,
+        pooled[3],
     )
     rows = np.ascontiguousarray(blocked.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(factors.volume, -1)
     total = rows.sum(axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]

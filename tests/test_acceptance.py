@@ -28,7 +28,6 @@ from flowcache.harness import (
     spearman,
 )
 from flowcache.predictors import (
-    ConstantDeltaNet,
     MixturePredictor,
     ToyBlockNet,
     TraceArchive,
@@ -38,9 +37,11 @@ from flowcache.predictors import (
 )
 from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 from flowcache.sampler import make_schedule, sample_baseline
-from flowcache.spectral import band_spectrum, default_mask, highfreq_diff, lowfreq_diff
+from flowcache.spectral import band_spectrum, circular_mask, highfreq_diff, lowfreq_diff
 from flowcache.tensor import DownsampleFactors, Tensor4, axpy, l2_norm, mse, seeded_normal
 from flowcache.traceio import read_trace, write_trace
+
+from nets import ConstantDeltaNet
 
 SHAPE = (4, 16, 16, 2)
 N_STEPS = 50
@@ -191,7 +192,7 @@ def test_criterion_3_spectral_correctness():
     for trial in range(50):
         h, w = sizes[trial % len(sizes)]
         x = Tensor4(rng.standard_normal((1, h, w, 1)))
-        full = band_plane(x, default_mask(h, w))[0, :, :, 0]
+        full = band_plane(x, circular_mask(h, w, 0.2 * min(h, w)))[0, :, :, 0]
         oracle = direct_dft2(x.data[0, :, :, 0])
         scale = max(1.0, float(np.max(np.abs(oracle))))
         worst_split = max(worst_split, float(np.max(np.abs(full - oracle))) / scale)
@@ -200,7 +201,7 @@ def test_criterion_3_spectral_correctness():
     for _ in range(100):
         a = Tensor4(rng.standard_normal((2, 12, 10, 2)))
         b = Tensor4(rng.standard_normal((2, 12, 10, 2)))
-        mask = default_mask(12, 10)
+        mask = circular_mask(12, 10, 2.0)
         raw = l2_norm(axpy(a, -1.0, b)) ** 2
         split = lowfreq_diff(a, b, mask) ** 2 + highfreq_diff(a, b, mask) ** 2
         worst_parseval = max(worst_parseval, abs(split - raw) / raw)

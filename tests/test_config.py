@@ -222,6 +222,16 @@ def test_cached_modes_reject_a_latent_the_downsample_does_not_divide():
         replace(parse_config("mode = baseline\nlatent.height = 6\n"), mode="lfcache")
 
 
+def test_block_cache_mode_rejects_a_predictor_without_blocks():
+    """mode = lfcache+block with the default mixture predictor used to parse and then fail inside the run."""
+    with pytest.raises(ConfigError) as err:
+        parse_config("mode = lfcache+block\n")
+    assert "mode = lfcache+block" in str(err.value) and "predictor.kind = mixture" in str(err.value)
+    assert parse_config("mode = lfcache+block\npredictor.kind = toy-block\n").mode == "lfcache+block"
+    with pytest.raises(ConfigError, match="predictor.kind"):
+        replace(parse_config("mode = baseline\n"), mode="lfcache+block")
+
+
 #: Every key of the document set away from its default, in canonical order.
 EVERY_KEY_DOCUMENT = """\
 mode = lfcache+block
@@ -289,13 +299,14 @@ def run_configs(draw):
         latent = tuple(f * draw(_small) for f in downsample.as_tuple()) + (draw(_small),)
     else:
         latent = tuple(draw(st.integers(min_value=1, max_value=16)) for _ in range(4))
+    kind = "toy-block" if mode == "lfcache+block" else draw(st.sampled_from(PREDICTOR_KINDS))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     return RunConfig(
         mode=mode,
         seeds=tuple(draw(st.lists(st.integers(-10**6, 10**6), max_size=3))),
         latent=latent,
-        predictor=PredictorConfig(kind=draw(st.sampled_from(PREDICTOR_KINDS)),
+        predictor=PredictorConfig(kind=kind,
                                   seed=draw(st.none() | st.integers(-10**6, 10**6)),
                                   components=draw(_small), smooth_amp=draw(finite), rough_amp=draw(finite),
                                   var=draw(positive), blocks=draw(_small)),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flowcache import engine, predictors
 from flowcache.engine import (
+    DEFAULT_RADIUS_SCALE,
     REUSE_PREDICTION,
     REUSE_RESIDUAL,
     BlockCacheConfig,
@@ -20,18 +21,17 @@ from flowcache.engine import (
     StepCachePolicy,
     accumulate_decide,
     block_cached_forward,
-    low_band_reference,
-    low_band_references,
+    low_band,
     recorded_increments,
     relative_threshold,
     replay_decisions,
     sample_cached,
     select_pivotal,
     trial_lowfreq_diff,
+    trial_mask,
 )
 from flowcache.errors import ConfigError, DimensionError, DomainError, StateError
 from flowcache.predictors import (
-    ConstantDeltaNet,
     GaussianMixtureSpec,
     MixturePredictor,
     ToyBlockNet,
@@ -41,8 +41,10 @@ from flowcache.predictors import (
 )
 from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, StepRecord
 from flowcache.sampler import make_schedule, run_steps, sample_baseline
-from flowcache.spectral import circular_mask
+from flowcache.spectral import circular_mask, spectrum_norm
 from flowcache.tensor import DownsampleFactors, Tensor4, axpy, seeded_normal
+
+from nets import ConstantDeltaNet
 
 SHAPE = (4, 16, 16, 2)
 
@@ -432,7 +434,7 @@ def test_residual_reuse_differs_from_prediction_reuse_on_skips():
 @pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
 def test_only_residual_reuse_keeps_a_residual(reuse):
     z0 = seeded_normal(SHAPE, seed=106)
-    policy = StepCachePolicy(make_pred(6), StepCacheConfig(alpha=0.9, reuse=reuse), None, z0.cells)
+    policy = StepCachePolicy(make_pred(6), StepCacheConfig(alpha=0.9, reuse=reuse), None, z0.shape)
     _, report = run_steps(policy, policy.pred, z0, make_schedule(30), None, policy.trial_cells)
     assert report.skip_count > 0
     assert (policy.state.cached_residual is None) == (reuse == REUSE_PREDICTION)
@@ -464,9 +466,23 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
             return Tensor4(np.full(z.shape, 1.25))
 
     cfg = StepCacheConfig()
+    mask = trial_mask(SHAPE, cfg)
     z = seeded_normal(SHAPE, seed=3)
     cached = Tensor4(np.full(SHAPE, 1.25))
-    assert trial_lowfreq_diff(Constant(), z, 0.5, low_band_reference(cached, cfg), cfg) == pytest.approx(0.0, abs=1e-12)
+    assert trial_lowfreq_diff(Constant(), z, 0.5, low_band(cached, cfg, mask), mask, cfg) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_trial_mask_radius_rule_examples():
+    """The radius is mask_scale * min(H, W) of the plane cfg.downsample pools the latent to."""
+    full = DownsampleFactors(1, 1, 1)
+    assert trial_mask((1, 20, 20, 1), StepCacheConfig(downsample=full)).radius == pytest.approx(4.0)
+    assert trial_mask((1, 10, 30, 1), StepCacheConfig(downsample=full)).radius == pytest.approx(2.0)
+    pooled = trial_mask((2, 40, 80, 1), StepCacheConfig(mask_scale=0.35))
+    assert (pooled.height, pooled.width) == (10, 20)
+    assert pooled.radius == pytest.approx(3.5)
+    assert StepCacheConfig().mask_scale == DEFAULT_RADIUS_SCALE == 0.2
+    with pytest.raises(DimensionError):
+        trial_mask((2, 18, 16, 1), StepCacheConfig())
 
 
 def test_block_cache_requires_block_predictor():
@@ -502,15 +518,40 @@ def test_recorded_increments_match_live_adjacent_drift():
     assert recorded_increments(preds[:1], cfg) == []
 
 
-def test_low_band_references_share_the_first_mask():
-    """One mask per sequence, and each band is the one low_band_reference cuts alone."""
+def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
+    """One circular_mask call per call, and each band is low_band of its own prediction."""
     preds = [seeded_normal(SHAPE, seed=s) for s in range(3)]
     cfg = StepCacheConfig()
-    refs = low_band_references(preds, cfg)
-    assert all(ref.mask is refs[0].mask for ref in refs)
-    for ref, p in zip(refs, preds):
-        assert ref.band.tobytes() == low_band_reference(p, cfg).band.tobytes()
-    assert low_band_references([], cfg) == []
+    fresh_mask = trial_mask(SHAPE, cfg)
+    masks, bands = [], []
+    original_mask, original_band = engine.circular_mask, engine.low_band
+
+    def counted_mask(*args):
+        masks.append(original_mask(*args))
+        return masks[-1]
+
+    def spied_band(x, cfg, mask):
+        bands.append((x, mask, original_band(x, cfg, mask)))
+        return bands[-1][2]
+
+    monkeypatch.setattr(engine, "circular_mask", counted_mask)
+    monkeypatch.setattr(engine, "low_band", spied_band)
+    incs = recorded_increments(preds, cfg)
+    assert recorded_increments([], cfg) == []
+    assert len(masks) == 1
+    assert [x for x, _, _ in bands] == preds
+    assert all(mask is masks[0] for _, mask, _ in bands)
+    for p, (_, _, band) in zip(preds, bands):
+        assert band.tobytes() == original_band(p, cfg, fresh_mask).tobytes()
+    assert incs == [spectrum_norm(bands[i][2] - bands[i - 1][2]) for i in (1, 2)]
+
+
+def test_recorded_increments_reject_predictions_whose_frame_counts_differ():
+    """A 1-frame band would broadcast against a 2-frame one; the drift refuses it."""
+    cfg = StepCacheConfig(downsample=DownsampleFactors(1, 4, 4))
+    preds = [seeded_normal((2, 16, 16, 2), seed=1), seeded_normal((1, 16, 16, 2), seed=2)]
+    with pytest.raises(DimensionError, match="does not match"):
+        recorded_increments(preds, cfg)
 
 
 @settings(max_examples=300, deadline=None)

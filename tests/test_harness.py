@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowcache.engine import StepCacheConfig, sample_cached
 from flowcache.errors import ConfigError, DimensionError, DomainError
@@ -11,6 +13,7 @@ from flowcache.harness import (
     VARIANT_FULL,
     VARIANT_HIGH,
     VARIANT_LOW,
+    _fractional_ranks,
     adjacent_diff_profile,
     block_profile,
     cost_accounting,
@@ -21,10 +24,12 @@ from flowcache.harness import (
     single_step_skip_influence,
     spearman,
 )
-from flowcache.predictors import ConstantDeltaNet, MixturePredictor, ToyBlockNet, structured_mixture
+from flowcache.predictors import MixturePredictor, ToyBlockNet, structured_mixture
 from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 from flowcache.sampler import euler_step, make_schedule
 from flowcache.tensor import DownsampleFactors, Tensor4, mse, seeded_normal
+
+from nets import ConstantDeltaNet
 
 SHAPE = (4, 8, 8, 2)
 
@@ -67,6 +72,36 @@ def test_spearman_averages_tied_ranks():
     # ranks of x are [1.5, 1.5, 3]; Pearson against [1, 2, 3] is sqrt(3)/2
     r = spearman([4.0, 4.0, 9.0], [1.0, 2.0, 3.0])
     assert r == pytest.approx(np.sqrt(3.0) / 2.0, rel=1e-12)
+
+
+def test_spearman_hand_example_with_ties_in_both_sequences():
+    # ranks of x are [4, 1, 4, 2, 4] (three-way tie at 3, 4, 5); of y [2.5, 2.5, 5, 1, 4].
+    # Centered: [1, -2, 1, -1, 1] and [-0.5, -0.5, 2, -2, 1], so r = 5.5 / sqrt(8 * 9.5) = 2.75 / sqrt(19)
+    x, y = [3.0, 1.0, 3.0, 2.0, 3.0], [2.0, 2.0, 5.0, 1.0, 4.0]
+    assert spearman(x, y) == pytest.approx(2.75 / np.sqrt(19.0), rel=1e-12)
+    assert spearman(y, x) == pytest.approx(2.75 / np.sqrt(19.0), rel=1e-12)
+
+
+def tie_averaging_loop(values):
+    """Reference ranks: a stable sort, then each tied run gets the mean of its 1-based positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    ranks[order] = np.arange(1, values.size + 1, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    return ranks
+
+
+@given(st.lists(st.integers(-4, 4).map(float) | st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_fractional_ranks_match_the_tie_averaging_loop_bitwise(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert _fractional_ranks(values).tobytes() == tie_averaging_loop(values).tobytes()
 
 
 def test_pearson_identical_sequences_exactly_one():

@@ -8,7 +8,6 @@ import pytest
 
 from flowcache.errors import DimensionError, DomainError, TraceError
 from flowcache.predictors import (
-    ConstantDeltaNet,
     GaussianMixtureSpec,
     MixtureComponent,
     MixturePredictor,
@@ -25,6 +24,8 @@ from flowcache.predictors import (
 )
 from flowcache.sampler import make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
+
+from nets import ConstantDeltaNet
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 

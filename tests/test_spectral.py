@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from flowcache.errors import DimensionError, DomainError
 from flowcache.spectral import (
-    DEFAULT_RADIUS_SCALE,
     FrequencyMask,
     band_spectrum,
     circular_mask,
-    default_mask,
     highfreq_diff,
     lowfreq_diff,
     spectrum_norm,
@@ -52,7 +50,7 @@ def band_plane(x: Tensor4, mask: FrequencyMask) -> np.ndarray:
 def test_split_matches_direct_dft_oracle(height, width):
     rng = np.random.default_rng(height * 100 + width)
     x = Tensor4(rng.standard_normal((1, height, width, 1)))
-    full = band_plane(x, default_mask(height, width))[0, :, :, 0]
+    full = band_plane(x, circular_mask(height, width, 0.2 * min(height, width)))[0, :, :, 0]
     oracle = direct_dft2(x.data[0, :, :, 0])
     assert np.max(np.abs(full - oracle)) <= 1e-9 * max(1.0, np.max(np.abs(oracle)))
 
@@ -64,7 +62,7 @@ def test_split_matches_oracle_on_many_random_slices():
     for trial in range(50):
         h, w = sizes[trial % len(sizes)]
         x = Tensor4(rng.standard_normal((1, h, w, 1)))
-        full = band_plane(x, default_mask(h, w))[0, :, :, 0]
+        full = band_plane(x, circular_mask(h, w, 0.2 * min(h, w)))[0, :, :, 0]
         oracle = direct_dft2(x.data[0, :, :, 0])
         scale = max(1.0, float(np.max(np.abs(oracle))))
         assert np.max(np.abs(full - oracle)) <= 1e-9 * scale
@@ -76,20 +74,14 @@ def test_parseval_band_partition():
     for _ in range(100):
         a = Tensor4(rng.standard_normal((2, 8, 10, 2)))
         b = Tensor4(rng.standard_normal((2, 8, 10, 2)))
-        mask = default_mask(8, 10)
+        mask = circular_mask(8, 10, 1.6)
         raw = l2_norm(axpy(a, -1.0, b)) ** 2
         split = lowfreq_diff(a, b, mask) ** 2 + highfreq_diff(a, b, mask) ** 2
         assert split == pytest.approx(raw, rel=1e-9)
 
 
-def test_mask_radius_rule_examples():
-    assert default_mask(20, 20).radius == pytest.approx(4.0)
-    assert default_mask(10, 30).radius == pytest.approx(2.0)
-    assert DEFAULT_RADIUS_SCALE == 0.2
-
-
 def test_mask_one_by_one_keeps_only_dc():
-    mask = default_mask(1, 1)
+    mask = circular_mask(1, 1, 0.2)
     assert np.count_nonzero(mask.membership) == 1
     assert bool(mask.membership[0, 0])
 
@@ -111,7 +103,7 @@ def test_circular_mask_validates():
 
 def test_constant_slice_has_dc_only():
     x = Tensor4(np.full((1, 8, 8, 1), 3.25))
-    mask = default_mask(8, 8)
+    mask = circular_mask(8, 8, 1.6)
     assert spectrum_norm(band_spectrum(x, mask, low=False)) ** 2 == pytest.approx(0.0, abs=1e-18)
     assert spectrum_norm(band_spectrum(x, mask)) ** 2 == pytest.approx(l2_norm(x) ** 2, rel=1e-12)
 
@@ -120,7 +112,7 @@ def test_nyquist_checkerboard_has_no_low_energy():
     h = w = 8
     grid = np.indices((h, w)).sum(axis=0)
     checker = np.where(grid % 2 == 0, 1.0, -1.0)[None, :, :, None]
-    x, mask = Tensor4(checker), default_mask(h, w)
+    x, mask = Tensor4(checker), circular_mask(h, w, 0.2 * min(h, w))
     assert spectrum_norm(band_spectrum(x, mask)) ** 2 == pytest.approx(0.0, abs=1e-18)
     assert spectrum_norm(band_spectrum(x, mask, low=False)) ** 2 == pytest.approx(float(h * w), rel=1e-12)
 
@@ -129,19 +121,19 @@ def test_split_shape_guard():
     x = Tensor4(np.zeros((1, 8, 8, 1)))
     for low in (True, False):
         with pytest.raises(DimensionError):
-            band_spectrum(x, default_mask(4, 4), low)
+            band_spectrum(x, circular_mask(4, 4, 0.8), low)
 
 
 def test_diff_of_identical_tensors_is_zero():
     x = Tensor4(np.random.default_rng(0).standard_normal((1, 6, 6, 2)))
-    mask = default_mask(6, 6)
+    mask = circular_mask(6, 6, 1.2)
     assert lowfreq_diff(x, x, mask) == 0.0
     assert highfreq_diff(x, x, mask) == 0.0
 
 
 def test_splice_bands_identity_when_both_sources_match():
     x = Tensor4(np.random.default_rng(1).standard_normal((2, 8, 8, 1)))
-    mask = default_mask(8, 8)
+    mask = circular_mask(8, 8, 1.6)
     out = splice_bands(x, x, mask)
     assert np.allclose(out.data, x.data, atol=1e-12)
 
@@ -150,7 +142,7 @@ def test_splice_bands_takes_low_from_first_high_from_second():
     rng = np.random.default_rng(2)
     a = Tensor4(rng.standard_normal((1, 8, 8, 1)))
     b = Tensor4(rng.standard_normal((1, 8, 8, 1)))
-    mask = default_mask(8, 8)
+    mask = circular_mask(8, 8, 1.6)
     out = splice_bands(a, b, mask)
     assert lowfreq_diff(out, a, mask) == pytest.approx(0.0, abs=1e-12)
     assert highfreq_diff(out, b, mask) == pytest.approx(0.0, abs=1e-12)
@@ -160,12 +152,12 @@ def test_splice_bands_output_is_real_for_real_inputs():
     rng = np.random.default_rng(3)
     a = Tensor4(rng.standard_normal((1, 7, 9, 2)))
     b = Tensor4(rng.standard_normal((1, 7, 9, 2)))
-    out = splice_bands(a, b, default_mask(7, 9))
+    out = splice_bands(a, b, circular_mask(7, 9, 1.4))
     assert np.all(np.isfinite(out.data))
 
 
 def test_mask_membership_is_read_only():
-    mask = default_mask(8, 8)
+    mask = circular_mask(8, 8, 1.6)
     with pytest.raises(ValueError):
         mask.membership[0, 0] = False
 
@@ -186,8 +178,8 @@ def test_mask_dft_tables_are_the_band_rows_and_columns_read_only():
 
 
 def test_default_mask_dft_tables_stay_small_on_a_256_plane():
-    """The tables are separable, O((H + W) * r); a dense (bins x H*W) basis would take about 8.6 GB here."""
-    mask = default_mask(256, 256)
+    """At the default radius 0.2 * 256 the tables are separable, O((H + W) * r); a dense (bins x H*W) basis would take about 8.6 GB."""
+    mask = circular_mask(256, 256, 51.2)
     assert mask.row_dft.nbytes + mask.column_dft.nbytes + mask.band_membership.nbytes < 2 * 2**20
 
 
