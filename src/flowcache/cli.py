@@ -232,9 +232,12 @@ def _parse_sweep_values(axis: str, tokens: Optional[Sequence[str]]):
 def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
     """The cached run of one sweep value; building it validates the value against the rest of the config.
 
-    downsample, alpha and mask_scale name StepCacheConfig fields.
+    downsample, alpha and mask_scale name StepCacheConfig fields; cache_rate runs the block cache.
     """
     if axis == "cache_rate":
+        if cfg.predictor.kind != "toy-block":
+            raise ConfigError(f"sweep --axis cache_rate needs predictor.kind = toy-block (the block cache needs a "
+                              f"block-decomposed predictor), got predictor.kind = {cfg.predictor.kind}")
         return replace(cfg, mode="lfcache+block", block=replace(cfg.block, cache_rate=value))
     return replace(cfg, mode="lfcache", cache=replace(cfg.cache, **{axis: value}))
 
@@ -372,7 +375,8 @@ def _cmd_figures(args) -> int:
     out_dir = Path(args.out or cfg.output.figures or "figures")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    profiles = {variant: single_step_skip_influence(pred, z0, schedule, variant)
+    mask_scale = cfg.cache.mask_scale
+    profiles = {variant: single_step_skip_influence(pred, z0, schedule, variant, mask_scale)
                 for variant in (VARIANT_FULL, VARIANT_LOW, VARIANT_HIGH)}
     base = profiles[VARIANT_FULL]
     _write_csv(out_dir / "influence.csv",
@@ -380,13 +384,13 @@ def _cmd_figures(args) -> int:
                [(k, t, profiles[VARIANT_FULL].mses[i], profiles[VARIANT_LOW].mses[i], profiles[VARIANT_HIGH].mses[i])
                 for i, (k, t) in enumerate(zip(base.step_indices, base.t_values))])
 
-    adj = adjacent_diff_profile(pred, z0, schedule)
+    adj = adjacent_diff_profile(pred, z0, schedule, mask_scale)
     _write_csv(out_dir / "adjacent_diff.csv",
                ("step", "t", "raw", "low", "high"),
                [(k, t, adj.raw[i], adj.low[i], adj.high[i])
                 for i, (k, t) in enumerate(zip(adj.step_indices, adj.t_values))])
 
-    res = resolution_sensitivity(pred, z0, schedule, mask_scale=cfg.cache.mask_scale)
+    res = resolution_sensitivity(pred, z0, schedule, mask_scale=mask_scale)
     labels = [format_downsample(f) for f in res.factors]
     _write_csv(out_dir / "resolution.csv",
                ("factor", "pearson", "spearman"),

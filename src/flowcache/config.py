@@ -91,15 +91,16 @@ class RunConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
+            raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}", ("mode",))
         for extent, axis in zip(self.latent, LATENT_AXES):
             if not isinstance(extent, int) or extent < 1:
-                raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}")
+                raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}", (f"latent.{axis}",))
         if self.mode in ("lfcache", "lfcache+block"):
-            require_divisible(self.latent, self.cache.downsample, "cache.downsample")
+            require_divisible(self.latent, self.cache.downsample, "cache.downsample", ("mode",))
         if self.mode == "lfcache+block" and self.predictor.kind != "toy-block":
             raise ConfigError(f"mode = lfcache+block needs predictor.kind = toy-block (the block cache needs a "
-                              f"block-decomposed predictor), got predictor.kind = {self.predictor.kind}")
+                              f"block-decomposed predictor), got predictor.kind = {self.predictor.kind}",
+                              ("mode", "predictor.kind"))
         for s in self.seeds:
             if not isinstance(s, int):
                 raise ConfigError(f"seeds must be integers, got {s!r}")
@@ -193,11 +194,14 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown keys, duplicate keys, malformed values, and keys nested deeper
     than one section all raise ConfigError naming the offender and its line,
-    and so does a value its section's config class rejects. An empty
+    and so does a value its section's config class rejects. A check that
+    spans keys (RunConfig's) blames the last line among the keys it read and
+    names those of them the document leaves at their defaults. An empty
     document yields the default configuration.
     """
     acc: dict = {section: {} for _, section, _, _, _ in _KEYS}
     where: dict = {section: {} for section in acc}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -217,17 +221,27 @@ def parse_config(text: str) -> RunConfig:
         _, section, name, parse, _ = row
         if name in acc[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        lines[key] = lineno
         where[section][name] = f"line {lineno}: key {key!r}"
         acc[section][name] = parse(where[section][name], value)
 
     defaults = RunConfig.__dataclass_fields__
     latent = acc["latent"]
-    return RunConfig(
-        **acc[None],
-        latent=tuple(latent.get(axis, default) for axis, default in zip(LATENT_AXES, defaults["latent"].default)),
-        **{section: _build_section(defaults[section].default_factory, acc[section], where[section])
-           for section in _SECTIONS},
-    )
+    try:
+        return RunConfig(
+            **acc[None],
+            latent=tuple(latent.get(axis, default) for axis, default in zip(LATENT_AXES, defaults["latent"].default)),
+            **{section: _build_section(defaults[section].default_factory, acc[section], where[section])
+               for section in _SECTIONS},
+        )
+    except ConfigError as exc:
+        given = [key for key in exc.keys if key in lines]
+        if not given:
+            raise
+        key = max(given, key=lines.get)
+        left = [k for k in exc.keys if k not in lines]
+        note = f"; {' and '.join(left)} left at the default" if left else ""
+        raise ConfigError(f"line {lines[key]}: key {key!r}: {exc}{note}") from None
 
 
 def _build_section(factory, values: dict, where: dict):
@@ -258,15 +272,18 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def require_divisible(latent: tuple[int, ...], factors: DownsampleFactors, source: str) -> None:
+def require_divisible(latent: tuple[int, ...], factors: DownsampleFactors, source: str,
+                      also: tuple[str, ...] = ()) -> None:
     """Raise ConfigError naming latent.<axis> when a pooling factor does not divide that extent.
 
-    source names the setting the factors come from, in the message.
+    source names the setting the factors come from, in the message; the
+    error's keys are latent.<axis>, source and also, the other keys that
+    made the check apply.
     """
     for extent, factor, axis in zip(latent, factors.as_tuple(), LATENT_AXES):
         if extent % factor != 0:
             raise ConfigError(f"latent.{axis} = {extent} is not divisible by its {source} factor {factor} "
-                              f"({source} = {format_downsample(factors)})")
+                              f"({source} = {format_downsample(factors)})", (*also, f"latent.{axis}", source))
 
 
 def require_seeds(cfg: RunConfig) -> tuple[int, ...]:

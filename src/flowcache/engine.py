@@ -15,12 +15,15 @@ their cached deltas for a bounded number of subsequent full steps.
 The low band is a function of the latent shape and the StepCacheConfig,
 stated here once: trial_mask is the mask of the pooled trial plane, with
 radius mask_scale * min(H, W) of that plane, and low_band pools a tensor and
-cuts its band. A trial costs what the cost model charges for it: the latent
-is pooled and evaluated on the trial grid, and the trial's low band is cut
-with the mask's two small DFT matrices (spectral.band_spectrum), never a
-full transform. The policy builds the mask, with its DFT tables, once per
-run, and the cached prediction's band once each time the cached prediction
-is replaced.
+cuts its band. A trial costs what the cost model charges for it: it is
+evaluated on the trial grid, and its low band is cut with the mask's two
+small DFT matrices (spectral.band_spectrum), never a full transform. The
+policy carries the trial latent on that grid: pooling and the Euler update
+are both linear, so it pools z_0 once and then advances the pooled latent
+with the sampler's own update and the pooled prediction each step used. So
+every full-resolution tensor is pooled at most once: z_0, and each new
+prediction when the next trial first reads it, which is also when its band
+is cut. The mask and its DFT tables are built once per run.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
-# euler_step and lowfreq_diff are unused here; they stay bound so the benchmark tracer's engine hooks resolve.
+# lowfreq_diff is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
 from .spectral import FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, pooled_shape
@@ -102,15 +105,19 @@ def _drift(band: np.ndarray, reference: np.ndarray) -> float:
 class CacheState:
     """Mutable step-cache state threaded through a sampling run.
 
-    cached_prediction is the prediction the previous step used, reference
-    its low_band once a trial has needed it; cached_residual is the one of
-    the last full evaluation, kept only under residual reuse, the one
-    strategy that reads it (None otherwise).
+    cached_prediction is the prediction the previous step used;
+    pooled_prediction is it pooled to the trial grid and reference its low
+    band, both set once a trial has needed them. trial_latent is the latent
+    entering the current step, on the trial grid. cached_residual is the
+    prediction minus the latent of the last full evaluation, kept only under
+    residual reuse, the one strategy that reads it (None otherwise).
     """
 
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
+    pooled_prediction: Optional[Tensor4] = None
     reference: Optional[np.ndarray] = None
+    trial_latent: Optional[Tensor4] = None
     error: float = 0.0
     threshold: Optional[float] = None
 
@@ -130,21 +137,19 @@ def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
 
 def trial_lowfreq_diff(
     pred: Predictor,
-    z: Tensor4,
+    z_small: Tensor4,
     t: float,
     reference: np.ndarray,
     mask: FrequencyMask,
-    cfg: StepCacheConfig,
 ) -> float:
-    """Low-band drift between a downsampled trial evaluation and the cached prediction.
+    """Low-band drift between a trial evaluation at z_small and the cached prediction.
 
-    Both operands live on the downsampled grid: the latent is pooled before
-    the trial evaluation, and reference is the cached prediction's low_band
-    under the same mask (trial_mask). Both bands come from the same linear
-    transform, so cutting before subtracting selects the same bins as
-    lowfreq_diff on the two pooled tensors, up to rounding.
+    Both operands live on the trial grid: z_small is the latent pooled to it,
+    and reference is the cached prediction's low_band under the same mask
+    (trial_mask). Both bands come from the same linear transform, so cutting
+    before subtracting selects the same bins as lowfreq_diff on the two
+    pooled tensors, up to rounding.
     """
-    z_small = avg_downsample(z, cfg.downsample)
     trial = pred.evaluate(z_small, t)
     if trial.shape != z_small.shape:
         raise DimensionError(f"trial evaluation returned shape {trial.shape} for input shape {z_small.shape}")
@@ -290,6 +295,10 @@ class StepCachePolicy:
     stays under the threshold; otherwise a full evaluation refreshes the cache
     and resets the accumulator. Full evaluations go through the block cache
     when block_cfg is given. shape is the latent's; it fixes the trial mask.
+
+    The trial latent is carried, not pooled: it advances by the Euler update
+    run_steps applies, so the policy must be called for steps 0, 1, 2, ...
+    of one run, in order, and raises StateError otherwise.
     """
 
     def __init__(self, pred: Predictor, cfg: StepCacheConfig, block_cfg: Optional[BlockCacheConfig],
@@ -304,16 +313,25 @@ class StepCachePolicy:
         self.state = CacheState()
         self.block_state = BlockCacheState()
         self.warmup_deltas: list[float] = []
+        self.last_step = (-1, 0.0)
 
     def __call__(self, k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
         state = self.state
+        last_k, last_t = self.last_step
+        if k != last_k + 1:
+            raise StateError(f"step {k} called after step {last_k}; the carried trial latent needs steps in order")
+        self.last_step = (k, t)
         delta: Optional[float] = None
         cost = 0.0
         decision = DECISION_WARMUP
-        if k > 0:
-            if state.reference is None:
-                state.reference = low_band(state.cached_prediction, self.cfg, self.mask)
-            delta = trial_lowfreq_diff(self.pred, z, t, state.reference, self.mask, self.cfg)
+        if k == 0:
+            state.trial_latent = avg_downsample(z, self.cfg.downsample)
+        else:
+            if state.pooled_prediction is None:
+                state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample)
+                state.reference = band_spectrum(state.pooled_prediction, self.mask)
+            state.trial_latent = euler_step(state.trial_latent, state.pooled_prediction, last_t, t)
+            delta = trial_lowfreq_diff(self.pred, state.trial_latent, t, state.reference, self.mask)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
@@ -335,6 +353,7 @@ class StepCachePolicy:
                 state.cached_residual = axpy(f, -1.0, z)
         if f is not state.cached_prediction:
             state.cached_prediction = f
+            state.pooled_prediction = None
             state.reference = None
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)

@@ -12,7 +12,15 @@ class DimensionError(FlowCacheError):
 
 
 class ConfigError(FlowCacheError):
-    """Invalid, unknown, or missing configuration value."""
+    """Invalid, unknown, or missing configuration value.
+
+    keys names the document keys (like "mode" or "latent.height") whose
+    values a check read, so that parse_config can name the line to blame.
+    """
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 class ScheduleError(FlowCacheError):

@@ -17,7 +17,7 @@ from .errors import ConfigError, DimensionError, DomainError
 from .report import RunReport
 from .sampler import Predictor, TimestepSchedule, sample_baseline
 from .spectral import highfreq_diff, lowfreq_diff, splice_bands
-from .tensor import DownsampleFactors, Tensor4, axpy, l2_norm, mse
+from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, mse
 
 VARIANT_FULL = "full-prediction"
 VARIANT_LOW = "lf-only"
@@ -69,7 +69,7 @@ def run_trajectory(pred: Predictor, z_init: Tensor4, schedule: TimestepSchedule)
     return Trajectory(schedule, tuple(latents), tuple(predictions), terminal)
 
 
-def _full_resolution(mask_scale: float = DEFAULT_RADIUS_SCALE) -> StepCacheConfig:
+def _full_resolution(mask_scale: float) -> StepCacheConfig:
     """Step-cache config of an unpooled trial: its trial_mask is the latent plane's own low band."""
     return StepCacheConfig(downsample=DownsampleFactors(1, 1, 1), mask_scale=mask_scale)
 
@@ -91,6 +91,7 @@ def single_step_skip_influence(
     z_init: Tensor4,
     schedule: TimestepSchedule,
     variant: str = VARIANT_FULL,
+    mask_scale: float = DEFAULT_RADIUS_SCALE,
 ) -> InfluenceProfile:
     """Terminal MSE from substituting the previous step's prediction at one step.
 
@@ -99,13 +100,13 @@ def single_step_skip_influence(
     predictions, so the latent entering step k is bitwise the recorded one.
     full-prediction substitutes the entire previous prediction; lf-only
     splices only its low band onto the fresh high band; hf-only is the
-    converse. The band is the full-resolution trial mask's. Step 0 has no
-    predecessor and is excluded.
+    converse. The band is the full-resolution trial mask's at mask_scale.
+    Step 0 has no predecessor and is excluded.
     """
     if variant not in INFLUENCE_VARIANTS:
         raise ConfigError(f"unknown influence variant {variant!r}, expected one of {INFLUENCE_VARIANTS}")
     traj = run_trajectory(pred, z_init, schedule)
-    mask = trial_mask(z_init.shape, _full_resolution())
+    mask = trial_mask(z_init.shape, _full_resolution(mask_scale))
     values = schedule.values
     indices = []
     t_values = []
@@ -143,14 +144,15 @@ def adjacent_diff_profile(
     pred: Predictor,
     z_init: Tensor4,
     schedule: TimestepSchedule,
+    mask_scale: float = DEFAULT_RADIUS_SCALE,
 ) -> AdjacentDiffProfile:
-    """Norms of F_k - F_{k-1} along a no-cache trajectory, split by the full-resolution trial mask's band.
+    """Norms of F_k - F_{k-1} along a no-cache trajectory, split by the full-resolution trial mask's band at mask_scale.
 
     The unitary transform makes the bands partition energy: raw^2 equals
     low^2 + high^2 up to rounding.
     """
     traj = run_trajectory(pred, z_init, schedule)
-    mask = trial_mask(z_init.shape, _full_resolution())
+    mask = trial_mask(z_init.shape, _full_resolution(mask_scale))
     indices, t_values, raw, low, high = [], [], [], [], []
     for k in range(1, schedule.n_steps):
         a, b = traj.predictions[k], traj.predictions[k - 1]
@@ -206,8 +208,8 @@ def resolution_sensitivity(
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
         mask = trial_mask(z_init.shape, cfg)
-        seq = [trial_lowfreq_diff(pred, traj.latents[k], schedule.values[k],
-                                  low_band(traj.predictions[k - 1], cfg, mask), mask, cfg) for k in indices]
+        seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k], f), schedule.values[k],
+                                  low_band(traj.predictions[k - 1], cfg, mask), mask) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
         spearmans.append(spearman(seq, reference))

@@ -200,7 +200,9 @@ def test_sweep_cache_rate_needs_block_predictor(tmp_path, config_path, capsys):
     code = run_command(["sweep", "--config", str(config_path), "--axis", "cache_rate",
                         "--out", str(tmp_path / "s.csv")])
     assert code == 1
-    assert "toy-block" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sweep --axis cache_rate needs predictor.kind = toy-block" in err
+    assert "mode" not in err, "the config never set a mode"
 
 
 def test_analyze_trace_projects_thresholds(tmp_path, config_path):
@@ -265,6 +267,18 @@ def test_figures_writes_csv_series(tmp_path, config_path):
         text = (out_dir / name).read_text(encoding="utf-8")
         assert text.startswith("<svg")
         assert "polyline" in text
+
+
+def test_figures_cut_every_band_at_the_configured_mask_scale(tmp_path, config_path):
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(CONFIG_TEXT + "cache.mask_scale = 0.35\n", encoding="utf-8")
+    assert run_command(["figures", "--config", str(config_path), "--out", str(tmp_path / "narrow")]) == 0
+    assert run_command(["figures", "--config", str(wide), "--out", str(tmp_path / "wide")]) == 0
+    for name, unbanded in (("influence.csv", "full_prediction"), ("adjacent_diff.csv", "raw")):
+        narrow_header, narrow = read_csv(tmp_path / "narrow" / name)
+        wide_header, wide_rows = read_csv(tmp_path / "wide" / name)
+        assert narrow_header == wide_header and narrow != wide_rows
+        assert [r[unbanded] for r in narrow] == [r[unbanded] for r in wide_rows]
 
 
 def test_figures_resolution_factor_not_dividing_the_latent_fails_before_any_output(tmp_path, capsys):

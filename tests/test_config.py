@@ -232,6 +232,27 @@ def test_block_cache_mode_rejects_a_predictor_without_blocks():
         replace(parse_config("mode = baseline\n"), mode="lfcache+block")
 
 
+def test_cross_section_rejections_name_the_last_line_they_read_and_the_keys_left_at_default():
+    cases = [
+        ("mode = lfcache+block\n", "line 1: key 'mode': mode = lfcache+block needs", "predictor.kind left at the default"),
+        ("seeds = 1\nlatent.height = 6\n", "line 2: key 'latent.height': latent.height = 6 is not divisible",
+         "mode and cache.downsample left at the default"),
+        ("latent.height = 6\nmode = lfcache\n", "line 2: key 'mode': latent.height = 6",
+         "cache.downsample left at the default"),
+        ("cache.downsample = 3x4x4\n", "line 1: key 'cache.downsample': latent.frames = 4",
+         "mode and latent.frames left at the default"),
+        ("mode = lfcache+block\npredictor.kind = mixture\n", "line 2: key 'predictor.kind': mode = lfcache+block", ""),
+        ("\nmode = fast\n", "line 2: key 'mode': unknown mode 'fast'", ""),
+        ("latent.width = 0\n", "line 1: key 'latent.width': latent.width must be an integer >= 1", ""),
+    ]
+    for text, prefix, note in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        message = str(err.value)
+        assert message.startswith(prefix), message
+        assert message.endswith(note) and ("left at" in message) == bool(note), message
+
+
 #: Every key of the document set away from its default, in canonical order.
 EVERY_KEY_DOCUMENT = """\
 mode = lfcache+block

@@ -42,7 +42,7 @@ from flowcache.predictors import (
 from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, StepRecord
 from flowcache.sampler import make_schedule, run_steps, sample_baseline
 from flowcache.spectral import circular_mask, spectrum_norm
-from flowcache.tensor import DownsampleFactors, Tensor4, axpy, seeded_normal
+from flowcache.tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, seeded_normal
 
 from nets import ConstantDeltaNet
 
@@ -469,7 +469,8 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     mask = trial_mask(SHAPE, cfg)
     z = seeded_normal(SHAPE, seed=3)
     cached = Tensor4(np.full(SHAPE, 1.25))
-    assert trial_lowfreq_diff(Constant(), z, 0.5, low_band(cached, cfg, mask), mask, cfg) == pytest.approx(0.0, abs=1e-12)
+    z_small = avg_downsample(z, cfg.downsample)
+    assert trial_lowfreq_diff(Constant(), z_small, 0.5, low_band(cached, cfg, mask), mask) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trial_mask_radius_rule_examples():
@@ -711,6 +712,7 @@ def test_cached_run_with_an_unpooled_trial_on_a_64_plane_completes():
 
 
 def test_trial_pools_the_latent_once_and_the_cached_prediction_once_per_refresh(monkeypatch):
+    """z_0 is pooled once per run, then carried; each prediction a trial reads is pooled once."""
     calls = {"avg_downsample": 0, "circular_mask": 0}
 
     def counted(name):
@@ -729,4 +731,52 @@ def test_trial_pools_the_latent_once_and_the_cached_prediction_once_per_refresh(
     refreshes = sum(decisions[k - 1] != DECISION_SKIP for k in range(1, len(decisions)))
     assert report.trial_eval_count == len(decisions) - 1
     assert refreshes < report.trial_eval_count
-    assert calls == {"avg_downsample": report.trial_eval_count + refreshes, "circular_mask": 1}
+    assert calls == {"avg_downsample": 1 + refreshes, "circular_mask": 1}
+
+
+def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
+    """(z_k, trial latent of step k) for every step of one cached run, and the run's report."""
+    policy = StepCachePolicy(pred, cfg, block_cfg, z0.shape)
+    pairs = []
+    _, report = run_steps(policy, pred, z0, sched, lambda k, t, z, f: pairs.append((z, policy.state.trial_latent)),
+                          policy.trial_cells)
+    return pairs, report
+
+
+@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("kind", ["mixture", "block"])
+def test_carried_trial_latent_tracks_the_pooled_latent_over_200_steps(kind, reuse):
+    cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse)
+    if kind == "mixture":
+        pred, z0, block_cfg = make_pred(8), seeded_normal(SHAPE, seed=9), None
+    else:
+        pred, z0 = ToyBlockNet(6, channels=4, seed=8), seeded_normal((4, 16, 16, 4), seed=9)
+        block_cfg = BlockCacheConfig(cache_rate=0.4, interval=2)
+    pairs, report = carried_trial_latents(pred, z0, make_schedule(200), cfg, block_cfg)
+    assert len(pairs) == 200 and report.skip_count > 0
+    for z, carried in pairs:
+        exact = avg_downsample(z, cfg.downsample).data
+        assert np.max(np.abs(carried.data - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+def test_unpooled_carried_trial_latent_is_the_latent_bitwise(reuse):
+    cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse, downsample=DownsampleFactors(1, 1, 1))
+    pairs, report = carried_trial_latents(make_pred(8), seeded_normal(SHAPE, seed=9), make_schedule(60), cfg)
+    assert report.skip_count > 0
+    for z, carried in pairs:
+        assert carried.tobytes() == z.tobytes()
+
+
+def test_policy_rejects_a_step_that_does_not_follow_the_previous_one():
+    z0 = seeded_normal(SHAPE, seed=3)
+    policy = StepCachePolicy(make_pred(2), StepCacheConfig(), None, z0.shape)
+    with pytest.raises(StateError, match="step 1"):
+        policy(1, 0.9, z0)
+    f, _ = policy(0, 1.0, z0)
+    z1 = axpy(z0, -0.1, f)
+    with pytest.raises(StateError, match="step 0"):
+        policy(0, 1.0, z0)
+    with pytest.raises(StateError, match="step 2"):
+        policy(2, 0.8, z1)
+    policy(1, 0.9, z1)
