@@ -48,9 +48,11 @@ class MixtureComponent:
 class GaussianMixtureSpec:
     """Cellwise-independent scalar Gaussian mixture over a fixed latent shape.
 
-    Component means are materialized once per evaluation shape (mean_fields)
-    and kept for the life of the spec; the memo takes no part in equality or
-    repr.
+    Component means are materialized once per evaluation shape into one
+    read-only (K, *shape) stack whose row k is component k's mean at that
+    shape (mean_stack); mean_fields returns the stack's rows. The memo holds
+    one stack per shape for the life of the spec and takes no part in
+    equality or repr.
     """
 
     shape: tuple[int, int, int, int]
@@ -75,16 +77,25 @@ class GaussianMixtureSpec:
                     f"component {i} mean shape {comp.mean.shape} must be ({c},) or the latent shape {self.shape}"
                 )
 
-    def mean_fields(self, shape: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
-        """Every component mean at an evaluation shape, read-only, built on first request."""
+    def _memo(self, shape: tuple[int, int, int, int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         shape = tuple(shape)
-        fields = self._mean_memo.get(shape)
-        if fields is None:
-            fields = tuple(_mean_field(comp, self.shape, shape) for comp in self.components)
-            for f in fields:
-                f.flags.writeable = False
-            self._mean_memo[shape] = fields
-        return fields
+        entry = self._mean_memo.get(shape)
+        if entry is None:
+            stack = np.empty((len(self.components),) + shape, dtype=np.float64)
+            for k, comp in enumerate(self.components):
+                stack[k] = _mean_field(comp, self.shape, shape)
+            stack.flags.writeable = False
+            entry = (stack, tuple(stack))
+            self._mean_memo[shape] = entry
+        return entry
+
+    def mean_stack(self, shape: tuple[int, int, int, int]) -> np.ndarray:
+        """Every component mean at an evaluation shape as one read-only (K, *shape) array."""
+        return self._memo(shape)[0]
+
+    def mean_fields(self, shape: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
+        """The rows of mean_stack(shape), one read-only mean per component."""
+        return self._memo(shape)[1]
 
     def prior_mean_field(self, shape: tuple[int, int, int, int]) -> np.ndarray:
         out = np.zeros(shape, dtype=np.float64)
@@ -118,49 +129,67 @@ def _mean_field(comp: MixtureComponent, spec_shape: tuple[int, ...], eval_shape:
     return pooled.data
 
 
-def _check_time(t: float, *, allow_one: bool = True) -> None:
-    if not (0.0 < t <= 1.0) or (not allow_one and t == 1.0):
+def _check_time(t: float) -> None:
+    if not 0.0 < t <= 1.0:
         raise DomainError(f"time must lie in (0, 1], got {t}")
 
 
-def mixture_responsibilities(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> np.ndarray:
-    """Posterior component probabilities per cell, shape (K,) + latent shape.
+def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.ndarray:
+    """E[x0 | x_t = x] per cell as a fresh writable array; t must already be checked.
 
-    Computed in log space with max subtraction so far tails stay normalized.
+    One pass over the stacked means in two (K, *shape) buffers and the
+    output. The first buffer holds the residual x - (1 - t) * mu_k; the
+    second its log-density log w_k - 0.5 * log(2 pi s2_k) - resid^2 /
+    (2 s2_k), normalized in log space with max subtraction so far tails stay
+    normalized, which leaves the responsibilities; the output holds the max
+    and then the normalizer. The residual then becomes resp_k * (mu_k +
+    gain_k * resid), summed over components in order from +0.0. Every
+    expression keeps the association of the per-component loop in
+    tests/test_predictors.py, so the result is bitwise that loop's.
     """
-    _check_time(t)
-    xd = x.data
+    mu = spec.mean_stack(xd.shape)
     one_minus_t = 1.0 - t
-    logs = np.empty((len(spec.components),) + xd.shape, dtype=np.float64)
-    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
+    log_norm, two_s2, gain = [], [], []
+    for comp in spec.components:
         s2 = one_minus_t * one_minus_t * comp.var + t * t
-        resid = xd - one_minus_t * mu
-        logs[k] = np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2) - resid * resid / (2.0 * s2)
-    logs -= logs.max(axis=0, keepdims=True)
-    w = np.exp(logs)
-    w /= w.sum(axis=0, keepdims=True)
-    return w
+        log_norm.append(np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2))
+        two_s2.append(2.0 * s2)
+        gain.append(one_minus_t * comp.var / s2)
+    per_component = (3, len(spec.components)) + (1,) * xd.ndim
+    log_norm, two_s2, gain = np.array((log_norm, two_s2, gain)).reshape(per_component)
+    resid = np.multiply(mu, one_minus_t)
+    np.subtract(xd, resid, out=resid)
+    resp = np.multiply(resid, resid)
+    resp /= two_s2
+    np.subtract(log_norm, resp, out=resp)
+    out = np.empty_like(xd)
+    resp -= np.max(resp, axis=0, out=out)
+    np.exp(resp, out=resp)
+    resp /= np.sum(resp, axis=0, out=out)
+    resid *= gain
+    resid += mu
+    resid *= resp
+    # Not resid.sum(axis=0): numpy sums that axis pairwise when the latent
+    # is one cell and there are eight or more components.
+    out.fill(0.0)
+    for term in resid:
+        out += term
+    return out
 
 
 def mixture_posterior_mean(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> Tensor4:
     """E[x0 | x_t = x] per cell under the linear interpolation path."""
     _check_time(t)
-    resp = mixture_responsibilities(spec, x, t)
-    xd = x.data
-    one_minus_t = 1.0 - t
-    out = np.zeros_like(xd)
-    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
-        s2 = one_minus_t * one_minus_t * comp.var + t * t
-        gain = one_minus_t * comp.var / s2
-        out += resp[k] * (mu + gain * (xd - one_minus_t * mu))
-    return Tensor4(out)
+    return Tensor4(_posterior_mean(spec, x.data, t))
 
 
 def mixture_velocity(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> Tensor4:
     """Flow velocity (x - E[x0 | x_t = x]) / t; exact for the mixture."""
     _check_time(t)
-    posterior = mixture_posterior_mean(spec, x, t)
-    return Tensor4((x.data - posterior.data) / t)
+    out = _posterior_mean(spec, x.data, t)
+    np.subtract(x.data, out, out=out)
+    out /= t
+    return Tensor4(out)
 
 
 class MixturePredictor:

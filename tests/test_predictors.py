@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowcache import predictors
 from flowcache.errors import DimensionError, DomainError, TraceError
 from flowcache.predictors import (
     GaussianMixtureSpec,
@@ -17,7 +18,6 @@ from flowcache.predictors import (
     TraceReplayPredictor,
     _mean_field,
     mixture_posterior_mean,
-    mixture_responsibilities,
     mixture_velocity,
     structured_mixture,
     toy_block_forward,
@@ -55,6 +55,87 @@ def sample_cell_posterior_mc(weights, means, var, x, t, n_samples, seed, batches
     return float(estimates.mean()), float(estimates.std(ddof=1) / np.sqrt(batches))
 
 
+def mixture_responsibilities(spec, x, t):
+    """Oracle: posterior component probabilities per cell, one component at a time.
+
+    The per-component loop the fused kernel replaced, kept as its bitwise
+    reference; shape (K,) + latent shape.
+    """
+    xd = x.data
+    one_minus_t = 1.0 - t
+    logs = np.empty((len(spec.components),) + xd.shape, dtype=np.float64)
+    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
+        s2 = one_minus_t * one_minus_t * comp.var + t * t
+        resid = xd - one_minus_t * mu
+        logs[k] = np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2) - resid * resid / (2.0 * s2)
+    logs -= logs.max(axis=0, keepdims=True)
+    w = np.exp(logs)
+    w /= w.sum(axis=0, keepdims=True)
+    return w
+
+
+def reference_posterior_mean(spec, x, t):
+    """Oracle: E[x0 | x_t = x] summed one component at a time from +0.0."""
+    resp = mixture_responsibilities(spec, x, t)
+    xd = x.data
+    one_minus_t = 1.0 - t
+    out = np.zeros_like(xd)
+    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
+        s2 = one_minus_t * one_minus_t * comp.var + t * t
+        gain = one_minus_t * comp.var / s2
+        out += resp[k] * (mu + gain * (xd - one_minus_t * mu))
+    return out
+
+
+def _oracle_grid_specs():
+    """Mixtures with 1-4 components of every mean kind, at C = 1 and C = 4."""
+    rng = np.random.default_rng(20)
+    for channels in (1, 4):
+        shape = (2, 8, 8, channels)
+        for k in range(1, 5):
+            for kind in ("scalar", "channel", "field", "mixed"):
+                comps = []
+                weights = rng.uniform(0.2, 1.0, size=k)
+                weights /= weights.sum()
+                weights[-1] = 1.0 - weights[:-1].sum()
+                for j in range(k):
+                    mean_kind = ("scalar", "channel", "field")[j % 3] if kind == "mixed" else kind
+                    if mean_kind == "scalar":
+                        mean = float(3.0 * rng.standard_normal())
+                    elif mean_kind == "channel":
+                        mean = 3.0 * rng.standard_normal(channels)
+                    else:
+                        mean = 3.0 * rng.standard_normal(shape)
+                    comps.append(MixtureComponent(float(weights[j]), mean, float(rng.uniform(0.2, 50.0))))
+                yield GaussianMixtureSpec(shape, tuple(comps))
+
+
+def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
+    """Full and pooled (trial-shape) evaluations, near and far-tail latents, t from 1 to 1e-3."""
+    rng = np.random.default_rng(21)
+    cases = 0
+    for spec in _oracle_grid_specs():
+        t_ext, h_ext, w_ext, c_ext = spec.shape
+        for eval_shape in (spec.shape, (t_ext // 2, h_ext // 4, w_ext // 4, c_ext)):
+            for scale in (3.0, 1e3):
+                x = Tensor4(scale * rng.standard_normal(eval_shape))
+                for t in (1.0, 0.5, 1e-3):
+                    expected = reference_posterior_mean(spec, x, t)
+                    assert mixture_posterior_mean(spec, x, t).tobytes() == expected.tobytes()
+                    assert mixture_velocity(spec, x, t).tobytes() == ((x.data - expected) / t).tobytes()
+                    cases += 1
+    assert cases == 2 * 4 * 4 * 2 * 2 * 3
+    # With eight or more components on a one-cell latent numpy sums axis 0
+    # pairwise, not in component order.
+    weights = np.full(9, 1.0 / 9)
+    weights[-1] = 1.0 - weights[:-1].sum()
+    spec = GaussianMixtureSpec((1, 1, 1, 1), tuple(
+        MixtureComponent(float(w), float(m), 1.0) for w, m in zip(weights, np.linspace(-40.0, 40.0, 9))))
+    for value in np.linspace(-50.0, 50.0, 41):
+        x = Tensor4(np.full((1, 1, 1, 1), value))
+        assert mixture_posterior_mean(spec, x, 0.5).tobytes() == reference_posterior_mean(spec, x, 0.5).tobytes()
+
+
 def test_mean_fields_are_memoised_and_match_a_fresh_materialization():
     shape = (4, 8, 8, 2)
     field = seeded_normal(shape, seed=4).data
@@ -70,7 +151,9 @@ def test_mean_fields_are_memoised_and_match_a_fresh_materialization():
             assert mu.shape == eval_shape
             assert mu.tobytes() == _mean_field(comp, spec.shape, eval_shape).tobytes()
             assert not mu.flags.writeable
-    assert spec.mean_fields(shape)[2] is spec.components[2].mean
+        stack = spec.mean_stack(eval_shape)
+        assert stack.shape == (3,) + eval_shape and not stack.flags.writeable
+        assert all(np.shares_memory(mu, stack) for mu in fields)
 
 
 def test_mean_memo_stays_out_of_equality_and_repr():
@@ -131,8 +214,18 @@ def test_time_domain_is_validated():
     spec = structured_mixture(shape, seed=0)
     x = Tensor4(np.zeros(shape))
     for bad in (0.0, -0.1, 1.1):
-        with pytest.raises(DomainError):
-            mixture_velocity(spec, x, bad)
+        for evaluate in (mixture_velocity, mixture_posterior_mean):
+            with pytest.raises(DomainError, match=rf"time must lie in \(0, 1\], got {bad}"):
+                evaluate(spec, x, bad)
+
+
+def test_one_evaluation_checks_time_once(monkeypatch):
+    calls = []
+    check = predictors._check_time
+    monkeypatch.setattr(predictors, "_check_time", lambda t: (calls.append(t), check(t)))
+    shape = (1, 2, 2, 1)
+    MixturePredictor(structured_mixture(shape, seed=0)).evaluate(Tensor4(np.zeros(shape)), 0.5)
+    assert calls == [0.5]
 
 
 def test_velocity_is_continuous_in_t():
