@@ -25,22 +25,30 @@ every full-resolution tensor is pooled at most once: z_0, and each new
 prediction when the next trial first reads it, which is also when its band
 is cut. The mask and its DFT tables are built once per run.
 
+The trial step runs on arrays the policy owns, not on Tensor4s: the pooled
+latent is advanced in place in a buffer, and trial_lowfreq_diff takes the
+velocity from the predictor's evaluate_array where it has one, cuts its band
+with spectral.low_band_spectrum and takes the drift. trial_lowfreq_diff is
+also where the trial checks finiteness.
+
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, StateError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
-# lowfreq_diff is unused here; it stays bound so the benchmark tracer's engine hook resolves.
+# euler_step is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
-from .spectral import FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
+# lowfreq_diff is unused here; it stays bound so the benchmark tracer's engine hook resolves.
+from .spectral import FrequencyMask, band_spectrum, circular_mask, low_band_spectrum, lowfreq_diff, spectrum_norm
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, pooled_shape
 
 REUSE_PREDICTION = "prediction"
@@ -107,19 +115,25 @@ class CacheState:
 
     cached_prediction is the prediction the previous step used;
     pooled_prediction is it pooled to the trial grid and reference its low
-    band, both set once a trial has needed them. trial_latent is the latent
-    entering the current step, on the trial grid. cached_residual is the
-    prediction minus the latent of the last full evaluation, kept only under
-    residual reuse, the one strategy that reads it (None otherwise).
+    band, both set once a trial has needed them. trial_buffer is the latent
+    entering the current step, on the trial grid, in a writable array the
+    policy advances in place; trial_latent is a Tensor4 copy of it.
+    cached_residual is the prediction minus the latent of the last full
+    evaluation, kept only under residual reuse, the one strategy that reads
+    it (None otherwise).
     """
 
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
     pooled_prediction: Optional[Tensor4] = None
     reference: Optional[np.ndarray] = None
-    trial_latent: Optional[Tensor4] = None
+    trial_buffer: Optional[np.ndarray] = None
     error: float = 0.0
     threshold: Optional[float] = None
+
+    @property
+    def trial_latent(self) -> Optional[Tensor4]:
+        return None if self.trial_buffer is None else Tensor4(self.trial_buffer.copy())
 
 
 def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
@@ -137,7 +151,7 @@ def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
 
 def trial_lowfreq_diff(
     pred: Predictor,
-    z_small: Tensor4,
+    z_small: Union[Tensor4, np.ndarray],
     t: float,
     reference: np.ndarray,
     mask: FrequencyMask,
@@ -145,15 +159,32 @@ def trial_lowfreq_diff(
     """Low-band drift between a trial evaluation at z_small and the cached prediction.
 
     Both operands live on the trial grid: z_small is the latent pooled to it,
-    and reference is the cached prediction's low_band under the same mask
-    (trial_mask). Both bands come from the same linear transform, so cutting
-    before subtracting selects the same bins as lowfreq_diff on the two
-    pooled tensors, up to rounding.
+    as a Tensor4 or a bare array, and reference is the cached prediction's
+    low_band under the same mask (trial_mask). Both bands come from the same
+    linear transform, so cutting before subtracting selects the same bins as
+    lowfreq_diff on the two pooled tensors, up to rounding.
+
+    A predictor with an evaluate_array method gives the trial velocity as an
+    array; any other is evaluated on a Tensor4 copy of the latent (Tensor4
+    marks the array it wraps read-only, which would freeze the caller's
+    buffer). The velocity is scanned for finiteness only when the drift is
+    not finite: a circular band keeps the DC bin, which every cell reaches
+    with weight 1/sqrt(H W), so a non-finite cell always makes the drift
+    non-finite. So the trial raises Tensor4's DomainError exactly when its
+    velocity holds a non-finite value.
     """
-    trial = pred.evaluate(z_small, t)
-    if trial.shape != z_small.shape:
-        raise DimensionError(f"trial evaluation returned shape {trial.shape} for input shape {z_small.shape}")
-    return _drift(band_spectrum(trial, mask), reference)
+    latent = z_small.data if isinstance(z_small, Tensor4) else z_small
+    evaluate_array = getattr(pred, "evaluate_array", None)
+    if evaluate_array is not None:
+        velocity = evaluate_array(latent, t)
+    else:
+        velocity = pred.evaluate(Tensor4(latent.copy()), t).data
+    if velocity.shape != latent.shape:
+        raise DimensionError(f"trial evaluation returned shape {velocity.shape} for input shape {latent.shape}")
+    drift = _drift(low_band_spectrum(velocity, mask), reference)
+    if not math.isfinite(drift) and not np.isfinite(velocity).all():
+        raise DomainError("tensor contains non-finite values")
+    return drift
 
 
 def accumulate_decide(state: CacheState, delta: float) -> str:
@@ -307,6 +338,7 @@ class StepCachePolicy:
         self.cfg = cfg
         self.block_cfg = block_cfg
         self.mask = trial_mask(shape, cfg)
+        self._scratch = np.empty(pooled_shape(shape, cfg.downsample))
         cells = shape[0] * shape[1] * shape[2]
         self.full_cells = float(cells)
         self.trial_cells = float(cells // cfg.downsample.volume)
@@ -325,13 +357,15 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k == 0:
-            state.trial_latent = avg_downsample(z, self.cfg.downsample)
+            state.trial_buffer = avg_downsample(z, self.cfg.downsample).data.copy()
         else:
             if state.pooled_prediction is None:
                 state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample)
                 state.reference = band_spectrum(state.pooled_prediction, self.mask)
-            state.trial_latent = euler_step(state.trial_latent, state.pooled_prediction, last_t, t)
-            delta = trial_lowfreq_diff(self.pred, state.trial_latent, t, state.reference, self.mask)
+            # euler_step's axpy(latent, t - last_t, pooled) in place: a + scale * b, scale never 0.
+            np.multiply(state.pooled_prediction.data, t - last_t, out=self._scratch)
+            state.trial_buffer += self._scratch
+            delta = trial_lowfreq_diff(self.pred, state.trial_buffer, t, state.reference, self.mask)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)

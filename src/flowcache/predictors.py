@@ -50,9 +50,8 @@ class GaussianMixtureSpec:
 
     Component means are materialized once per evaluation shape into one
     read-only (K, *shape) stack whose row k is component k's mean at that
-    shape (mean_stack); mean_fields returns the stack's rows. The memo holds
-    one stack per shape for the life of the spec and takes no part in
-    equality or repr.
+    shape (mean_stack). The memo holds one stack per shape for the life of
+    the spec and takes no part in equality or repr.
     """
 
     shape: tuple[int, int, int, int]
@@ -77,31 +76,17 @@ class GaussianMixtureSpec:
                     f"component {i} mean shape {comp.mean.shape} must be ({c},) or the latent shape {self.shape}"
                 )
 
-    def _memo(self, shape: tuple[int, int, int, int]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def mean_stack(self, shape: tuple[int, int, int, int]) -> np.ndarray:
+        """Every component mean at an evaluation shape as one read-only (K, *shape) array."""
         shape = tuple(shape)
-        entry = self._mean_memo.get(shape)
-        if entry is None:
+        stack = self._mean_memo.get(shape)
+        if stack is None:
             stack = np.empty((len(self.components),) + shape, dtype=np.float64)
             for k, comp in enumerate(self.components):
                 stack[k] = _mean_field(comp, self.shape, shape)
             stack.flags.writeable = False
-            entry = (stack, tuple(stack))
-            self._mean_memo[shape] = entry
-        return entry
-
-    def mean_stack(self, shape: tuple[int, int, int, int]) -> np.ndarray:
-        """Every component mean at an evaluation shape as one read-only (K, *shape) array."""
-        return self._memo(shape)[0]
-
-    def mean_fields(self, shape: tuple[int, int, int, int]) -> tuple[np.ndarray, ...]:
-        """The rows of mean_stack(shape), one read-only mean per component."""
-        return self._memo(shape)[1]
-
-    def prior_mean_field(self, shape: tuple[int, int, int, int]) -> np.ndarray:
-        out = np.zeros(shape, dtype=np.float64)
-        for comp, mu in zip(self.components, self.mean_fields(shape)):
-            out += comp.weight * mu
-        return out
+            self._mean_memo[shape] = stack
+        return stack
 
 
 def _mean_field(comp: MixtureComponent, spec_shape: tuple[int, ...], eval_shape: tuple[int, ...]) -> np.ndarray:
@@ -163,9 +148,9 @@ def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.n
     resp /= two_s2
     np.subtract(log_norm, resp, out=resp)
     out = np.empty_like(xd)
-    resp -= np.max(resp, axis=0, out=out)
+    resp -= np.maximum.reduce(resp, 0, None, out)
     np.exp(resp, out=resp)
-    resp /= np.sum(resp, axis=0, out=out)
+    resp /= np.add.reduce(resp, 0, None, out)
     resid *= gain
     resid += mu
     resid *= resp
@@ -183,23 +168,36 @@ def mixture_posterior_mean(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> T
     return Tensor4(_posterior_mean(spec, x.data, t))
 
 
+def _velocity(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.ndarray:
+    """(xd - E[x0 | x_t = xd]) / t as a fresh writable array; xd is only read."""
+    _check_time(t)
+    out = _posterior_mean(spec, xd, t)
+    np.subtract(xd, out, out=out)
+    out /= t
+    return out
+
+
 def mixture_velocity(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> Tensor4:
     """Flow velocity (x - E[x0 | x_t = x]) / t; exact for the mixture."""
-    _check_time(t)
-    out = _posterior_mean(spec, x.data, t)
-    np.subtract(x.data, out, out=out)
-    out /= t
-    return Tensor4(out)
+    return Tensor4(_velocity(spec, x.data, t))
 
 
 class MixturePredictor:
-    """Sampler-facing wrapper around the analytic mixture velocity."""
+    """Sampler-facing wrapper around the analytic mixture velocity.
+
+    evaluate_array is the same velocity on a bare (T, H, W, C) float64
+    array, returned as a fresh writable array with no finiteness check;
+    the step cache's trial calls it on a latent buffer it owns.
+    """
 
     def __init__(self, spec: GaussianMixtureSpec):
         self.spec = spec
 
     def evaluate(self, z: Tensor4, t: float) -> Tensor4:
         return mixture_velocity(self.spec, z, t)
+
+    def evaluate_array(self, x: np.ndarray, t: float) -> np.ndarray:
+        return _velocity(self.spec, x, t)
 
 
 def _smooth_field(shape: tuple[int, int, int, int], rng: np.random.Generator, amplitude: float) -> np.ndarray:

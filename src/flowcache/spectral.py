@@ -86,10 +86,10 @@ def _unitary_spectrum(x: Tensor4) -> np.ndarray:
     return np.fft.fft2(x.data, axes=(1, 2), norm="ortho")
 
 
-def _require_mask_fit(x: Tensor4, mask: FrequencyMask) -> None:
-    if (x.height, x.width) != (mask.height, mask.width):
+def _require_mask_fit(shape: tuple[int, ...], mask: FrequencyMask) -> None:
+    if shape[1:3] != (mask.height, mask.width):
         raise DimensionError(
-            f"mask grid ({mask.height}, {mask.width}) does not match tensor plane ({x.height}, {x.width})"
+            f"mask grid ({mask.height}, {mask.width}) does not match tensor plane {shape[1:3]}"
         )
 
 
@@ -97,16 +97,25 @@ def band_spectrum(x: Tensor4, mask: FrequencyMask, low: bool = True) -> np.ndarr
     """Unitary spectrum of x restricted to one band: shape (frames, bins in the band, channels).
 
     Bins come in fft2's row-major plane order. The high band is cut from
-    fft2. The low band is the mask's row DFT over height, then its column
-    DFT over width, which yields only the (m, k) sub-grid of rows and columns
-    the band occupies; the band's bins are cut from that. The low bins agree
-    with fft2's to rounding, not bit for bit.
+    fft2; the low band is low_band_spectrum of x's array.
     """
-    _require_mask_fit(x, mask)
-    if not low:
-        return _unitary_spectrum(x)[:, ~mask.membership, :]
-    frames, height, width, channels = x.shape
-    rows = mask.row_dft @ x.data.reshape(frames, height, width * channels)
+    if low:
+        return low_band_spectrum(x.data, mask)
+    _require_mask_fit(x.shape, mask)
+    return _unitary_spectrum(x)[:, ~mask.membership, :]
+
+
+def low_band_spectrum(data: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """The low band of a (T, H, W, C) float64 array, the array core of band_spectrum.
+
+    The mask's row DFT over height, then its column DFT over width, yields
+    only the (m, k) sub-grid of rows and columns the band occupies; the
+    band's bins are cut from that. They agree with fft2's to rounding, not
+    bit for bit. data is only read, and it is not checked for finiteness.
+    """
+    _require_mask_fit(data.shape, mask)
+    frames, height, width, channels = data.shape
+    rows = mask.row_dft @ data.reshape(frames, height, width * channels)
     sub = mask.column_dft @ rows.reshape(-1, width, channels)
     return sub.reshape(frames, *mask.band_membership.shape, channels)[:, mask.band_membership, :]
 
@@ -141,7 +150,7 @@ def splice_bands(low_source: Tensor4, high_source: Tensor4, mask: FrequencyMask)
     """
     if low_source.shape != high_source.shape:
         raise DimensionError(f"shape mismatch {low_source.shape} vs {high_source.shape}")
-    _require_mask_fit(low_source, mask)
+    _require_mask_fit(low_source.shape, mask)
     m = mask.membership[None, :, :, None]
     spec = _unitary_spectrum(low_source) * m + _unitary_spectrum(high_source) * ~m
     return Tensor4(np.fft.ifft2(spec, axes=(1, 2), norm="ortho").real)

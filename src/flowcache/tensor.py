@@ -135,7 +135,7 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
         pooled[3],
     )
     rows = np.ascontiguousarray(blocked.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(factors.volume, -1)
-    total = rows.sum(axis=0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
+    total = np.add.reduce(rows, 0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
     total /= factors.volume
     return Tensor4(total.reshape(pooled))
 

@@ -780,3 +780,46 @@ def test_policy_rejects_a_step_that_does_not_follow_the_previous_one():
     with pytest.raises(StateError, match="step 2"):
         policy(2, 0.8, z1)
     policy(1, 0.9, z1)
+
+
+def test_cached_mixture_trials_take_the_array_entry_point_and_never_evaluate(monkeypatch):
+    """MixturePredictor.evaluate runs only for the warmup and full rows; every trial calls evaluate_array."""
+    calls = {"evaluate": [], "evaluate_array": []}
+
+    def spied(name):
+        original = getattr(MixturePredictor, name)
+
+        def wrapper(self, z, t):
+            calls[name].append(z.shape)
+            return original(self, z, t)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(MixturePredictor, name, spied(name))
+    _, report = sample_cached(make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(40),
+                              StepCacheConfig(alpha=0.9, warmup_steps=3))
+    assert report.skip_count > 0
+    assert calls["evaluate"] == [SHAPE] * (report.warmup_full_count + report.full_eval_count)
+    assert calls["evaluate_array"] == [(2, 4, 4, 2)] * report.trial_eval_count
+
+
+def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
+    """One trial-latent cell at 1e200 overflows the mixture's log-densities, so its velocity is NaN."""
+    z0 = seeded_normal(SHAPE, seed=3)
+    policy = StepCachePolicy(make_pred(2), StepCacheConfig(), None, z0.shape)
+    f, _ = policy(0, 1.0, z0)
+    policy.state.trial_buffer[0, 0, 0, 0] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+            policy(1, 0.9, axpy(z0, -0.1, f))
+
+
+def test_a_non_finite_trial_evaluation_on_the_fallback_path_raises_tensor4s_error():
+    """A predictor without evaluate_array that returns inf at the trial shape fails as it always has."""
+
+    class InfAtTrialShape:
+        def evaluate(self, z, t):
+            return Tensor4(np.full(z.shape, 0.5 if z.shape == SHAPE else np.inf))
+
+    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+        sample_cached(InfAtTrialShape(), seeded_normal(SHAPE, seed=3), make_schedule(10), StepCacheConfig())

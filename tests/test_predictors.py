@@ -64,7 +64,7 @@ def mixture_responsibilities(spec, x, t):
     xd = x.data
     one_minus_t = 1.0 - t
     logs = np.empty((len(spec.components),) + xd.shape, dtype=np.float64)
-    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
+    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_stack(x.shape))):
         s2 = one_minus_t * one_minus_t * comp.var + t * t
         resid = xd - one_minus_t * mu
         logs[k] = np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2) - resid * resid / (2.0 * s2)
@@ -80,7 +80,7 @@ def reference_posterior_mean(spec, x, t):
     xd = x.data
     one_minus_t = 1.0 - t
     out = np.zeros_like(xd)
-    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_fields(x.shape))):
+    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_stack(x.shape))):
         s2 = one_minus_t * one_minus_t * comp.var + t * t
         gain = one_minus_t * comp.var / s2
         out += resp[k] * (mu + gain * (xd - one_minus_t * mu))
@@ -110,6 +110,15 @@ def _oracle_grid_specs():
                 yield GaussianMixtureSpec(shape, tuple(comps))
 
 
+def assert_array_velocity_is_mixture_velocity(spec, x, t):
+    """MixturePredictor.evaluate_array: mixture_velocity's bytes, as a fresh writable array, its input unchanged."""
+    latent = x.data.copy()
+    velocity = MixturePredictor(spec).evaluate_array(latent, t)
+    assert velocity.tobytes() == mixture_velocity(spec, x, t).tobytes()
+    assert velocity.flags.writeable and not np.shares_memory(velocity, latent)
+    assert latent.tobytes() == x.tobytes()
+
+
 def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
     """Full and pooled (trial-shape) evaluations, near and far-tail latents, t from 1 to 1e-3."""
     rng = np.random.default_rng(21)
@@ -123,6 +132,7 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
                     expected = reference_posterior_mean(spec, x, t)
                     assert mixture_posterior_mean(spec, x, t).tobytes() == expected.tobytes()
                     assert mixture_velocity(spec, x, t).tobytes() == ((x.data - expected) / t).tobytes()
+                    assert_array_velocity_is_mixture_velocity(spec, x, t)
                     cases += 1
     assert cases == 2 * 4 * 4 * 2 * 2 * 3
     # With eight or more components on a one-cell latent numpy sums axis 0
@@ -134,9 +144,10 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
     for value in np.linspace(-50.0, 50.0, 41):
         x = Tensor4(np.full((1, 1, 1, 1), value))
         assert mixture_posterior_mean(spec, x, 0.5).tobytes() == reference_posterior_mean(spec, x, 0.5).tobytes()
+        assert_array_velocity_is_mixture_velocity(spec, x, 0.5)
 
 
-def test_mean_fields_are_memoised_and_match_a_fresh_materialization():
+def test_mean_stack_is_memoised_and_matches_a_fresh_materialization():
     shape = (4, 8, 8, 2)
     field = seeded_normal(shape, seed=4).data
     spec = GaussianMixtureSpec(shape, (
@@ -145,22 +156,19 @@ def test_mean_fields_are_memoised_and_match_a_fresh_materialization():
         MixtureComponent(0.5, field, 3.0),
     ))
     for eval_shape in ((2, 2, 2, 2), (4, 4, 8, 2), shape):
-        fields = spec.mean_fields(eval_shape)
-        assert spec.mean_fields(eval_shape) is fields
-        for comp, mu in zip(spec.components, fields):
-            assert mu.shape == eval_shape
+        stack = spec.mean_stack(eval_shape)
+        assert spec.mean_stack(eval_shape) is stack
+        assert stack.shape == (3,) + eval_shape and not stack.flags.writeable
+        for comp, mu in zip(spec.components, stack):
             assert mu.tobytes() == _mean_field(comp, spec.shape, eval_shape).tobytes()
             assert not mu.flags.writeable
-        stack = spec.mean_stack(eval_shape)
-        assert stack.shape == (3,) + eval_shape and not stack.flags.writeable
-        assert all(np.shares_memory(mu, stack) for mu in fields)
 
 
 def test_mean_memo_stays_out_of_equality_and_repr():
     spec = structured_mixture((4, 8, 8, 2), seed=5)
     twin = GaussianMixtureSpec(spec.shape, spec.components)
     before = repr(spec)
-    spec.mean_fields((2, 2, 2, 2))
+    spec.mean_stack((2, 2, 2, 2))
     assert spec == twin
     assert repr(spec) == before == repr(twin)
     assert "mean_memo" not in before
@@ -183,7 +191,8 @@ def test_posterior_mean_at_t_one_is_prior_mean():
     spec = structured_mixture(shape, seed=5)
     x = seeded_normal(shape, seed=6)
     post = mixture_posterior_mean(spec, x, 1.0)
-    assert np.allclose(post.data, spec.prior_mean_field(shape), atol=1e-12)
+    prior_mean = sum(comp.weight * mu for comp, mu in zip(spec.components, spec.mean_stack(shape)))
+    assert np.allclose(post.data, prior_mean, atol=1e-12)
 
 
 def test_single_component_posterior_closed_form():
