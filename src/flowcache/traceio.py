@@ -12,18 +12,26 @@ Layout (all integers little-endian):
 
 Records run from step index N - 1 down to 0, matching traversal order from
 t = 1 toward the terminal. Write followed by read is a bitwise identity on
-the header and every tensor. Malformed input raises TraceError naming the
-byte offset of the first violated field, or the expected versus actual byte
-count when the file is the wrong length.
+the header and every tensor.
+
+Records stream between the file and their own arrays: the writer hands each
+prediction's buffer to the file, and the reader fills a fresh array per
+record straight from it. A round trip so holds the archive plus at most one
+record, never a copy of the whole file. The reader checks the header and the
+exact file length before it reads the schedule or allocates any record.
+Malformed input raises TraceError naming the byte offset of the first
+violated field, or the expected versus actual byte count when the file is
+the wrong length; a non-regular file such as a FIFO reports a length of 0.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .errors import ScheduleError, TraceError
+from .errors import DomainError, ScheduleError, TraceError
 from .predictors import TraceArchive, TraceRecord
 from .sampler import TimestepSchedule
 from .tensor import Tensor4
@@ -32,8 +40,8 @@ TRACE_MAGIC = b"PCTR"
 TRACE_VERSION = 1
 ELEM_TAG_F64_LE = 1
 
-_U32 = struct.Struct("<I")
-_F64 = struct.Struct("<d")
+_HEADER = struct.Struct("<4s7I")  # magic, version, element tag, shape, step count
+_PREFIX = struct.Struct("<Id")  # a record's step index and t
 _U32_MAX = 2**32 - 1
 
 _MAGIC_OFFSET = 0
@@ -46,12 +54,15 @@ _SCHEDULE_OFFSET = 32
 
 def _expected_size(shape: tuple[int, int, int, int], n_steps: int) -> int:
     cells = shape[0] * shape[1] * shape[2] * shape[3]
-    record = _U32.size + _F64.size + cells * 8
-    return _SCHEDULE_OFFSET + (n_steps + 1) * 8 + n_steps * record
+    return _SCHEDULE_OFFSET + (n_steps + 1) * 8 + n_steps * (_PREFIX.size + cells * 8)
 
 
-def trace_bytes(archive: TraceArchive) -> bytes:
-    """Serialize an archive to the binary trace format."""
+def write_trace(path, archive: TraceArchive) -> None:
+    """Write an archive to disk in the binary trace format.
+
+    The archive is validated before the file is opened, so a rejected archive
+    neither creates nor truncates the target.
+    """
     if not archive.records:
         raise TraceError("archive holds no records")
     shape = archive.records[0].prediction.shape
@@ -59,72 +70,66 @@ def trace_bytes(archive: TraceArchive) -> bytes:
     for value, what in ((n, "step count"), *((extent, "shape extent") for extent in shape)):
         if value > _U32_MAX:
             raise TraceError(f"{what} {value} does not fit in an unsigned 32-bit field")
-    parts = [
-        TRACE_MAGIC,
-        _U32.pack(TRACE_VERSION),
-        _U32.pack(ELEM_TAG_F64_LE),
-        struct.pack("<4I", *shape),
-        _U32.pack(n),
-        np.asarray(archive.schedule.values, dtype="<f8").tobytes(),
-    ]
-    for rec in archive.records:
-        parts.append(_U32.pack(rec.step_index))
-        parts.append(_F64.pack(rec.t))
-        parts.append(np.ascontiguousarray(rec.prediction.data, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def write_trace(path, archive: TraceArchive) -> None:
-    """Write an archive to disk in the binary trace format."""
-    data = trace_bytes(archive)
     with open(path, "wb") as handle:
-        handle.write(data)
-
-
-def parse_trace(data: bytes) -> TraceArchive:
-    """Decode the binary trace format from bytes."""
-    if len(data) < _SCHEDULE_OFFSET:
-        raise TraceError(f"expected at least {_SCHEDULE_OFFSET} header bytes, got {len(data)}")
-    if data[_MAGIC_OFFSET:_MAGIC_OFFSET + 4] != TRACE_MAGIC:
-        raise TraceError(f"bad magic {data[:4]!r} at byte offset {_MAGIC_OFFSET}, expected {TRACE_MAGIC!r}")
-    (version,) = _U32.unpack_from(data, _VERSION_OFFSET)
-    if version != TRACE_VERSION:
-        raise TraceError(f"unsupported format version {version} at byte offset {_VERSION_OFFSET}, expected {TRACE_VERSION}")
-    (elem_tag,) = _U32.unpack_from(data, _ELEM_TAG_OFFSET)
-    if elem_tag != ELEM_TAG_F64_LE:
-        raise TraceError(f"unsupported element type tag {elem_tag} at byte offset {_ELEM_TAG_OFFSET}, expected {ELEM_TAG_F64_LE}")
-    shape = struct.unpack_from("<4I", data, _SHAPE_OFFSET)
-    for pos, extent in enumerate(shape):
-        if extent < 1:
-            raise TraceError(f"shape extent {extent} at byte offset {_SHAPE_OFFSET + 4 * pos} must be >= 1")
-    (n,) = _U32.unpack_from(data, _COUNT_OFFSET)
-    if n < 1:
-        raise TraceError(f"step count {n} at byte offset {_COUNT_OFFSET} must be >= 1")
-    expected = _expected_size(shape, n)
-    if len(data) != expected:
-        raise TraceError(f"expected {expected} bytes for shape {shape} and {n} steps, got {len(data)}")
-
-    schedule_values = np.frombuffer(data, dtype="<f8", count=n + 1, offset=_SCHEDULE_OFFSET)
-    try:
-        schedule = TimestepSchedule(tuple(float(v) for v in schedule_values))
-    except ScheduleError as exc:
-        raise TraceError(f"embedded schedule at byte offset {_SCHEDULE_OFFSET} is invalid: {exc}") from exc
-
-    cells = shape[0] * shape[1] * shape[2] * shape[3]
-    offset = _SCHEDULE_OFFSET + (n + 1) * 8
-    records = []
-    for _ in range(n):
-        (step_index,) = _U32.unpack_from(data, offset)
-        (t_value,) = _F64.unpack_from(data, offset + _U32.size)
-        values = np.frombuffer(data, dtype="<f8", count=cells, offset=offset + _U32.size + _F64.size)
-        prediction = Tensor4(values.reshape(shape).copy())
-        records.append(TraceRecord(step_index=step_index, t=t_value, prediction=prediction))
-        offset += _U32.size + _F64.size + cells * 8
-    return TraceArchive(schedule, tuple(records))
+        handle.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, ELEM_TAG_F64_LE, *shape, n))
+        handle.write(np.asarray(archive.schedule.values, dtype="<f8"))
+        for rec in archive.records:
+            handle.write(_PREFIX.pack(rec.step_index, rec.t))
+            handle.write(np.ascontiguousarray(rec.prediction.data, dtype="<f8"))
 
 
 def read_trace(path) -> TraceArchive:
     """Read a binary trace file back into an archive."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    return parse_trace(data)
+        header = handle.read(_SCHEDULE_OFFSET)
+        if len(header) < _SCHEDULE_OFFSET:
+            raise TraceError(f"expected at least {_SCHEDULE_OFFSET} header bytes, got {len(header)}")
+        magic, version, elem_tag, *extents, n = _HEADER.unpack(header)
+        shape = tuple(extents)
+        if magic != TRACE_MAGIC:
+            raise TraceError(f"bad magic {magic!r} at byte offset {_MAGIC_OFFSET}, expected {TRACE_MAGIC!r}")
+        if version != TRACE_VERSION:
+            raise TraceError(f"unsupported format version {version} at byte offset {_VERSION_OFFSET}, expected {TRACE_VERSION}")
+        if elem_tag != ELEM_TAG_F64_LE:
+            raise TraceError(f"unsupported element type tag {elem_tag} at byte offset {_ELEM_TAG_OFFSET}, expected {ELEM_TAG_F64_LE}")
+        for pos, extent in enumerate(shape):
+            if extent < 1:
+                raise TraceError(f"shape extent {extent} at byte offset {_SHAPE_OFFSET + 4 * pos} must be >= 1")
+        if n < 1:
+            raise TraceError(f"step count {n} at byte offset {_COUNT_OFFSET} must be >= 1")
+        expected = _expected_size(shape, n)
+
+        def check_length(actual: int) -> None:
+            if actual != expected:
+                raise TraceError(f"expected {expected} bytes for shape {shape} and {n} steps, got {actual}")
+
+        def fill(buffer) -> int:
+            """Fill buffer from the file; return the byte offset it was read from."""
+            offset = handle.tell()
+            got = handle.readinto(buffer)
+            if got != buffer.nbytes:
+                # the file shrank after the length check: report the length it has now
+                check_length(offset + got)
+            return offset
+
+        check_length(os.fstat(handle.fileno()).st_size)
+        schedule_values = np.empty(n + 1, dtype="<f8")
+        fill(schedule_values)
+        try:
+            schedule = TimestepSchedule(tuple(float(v) for v in schedule_values))
+        except ScheduleError as exc:
+            raise TraceError(f"embedded schedule at byte offset {_SCHEDULE_OFFSET} is invalid: {exc}") from exc
+
+        prefix = memoryview(bytearray(_PREFIX.size))
+        records = []
+        for pos in range(n):
+            fill(prefix)
+            step_index, t_value = _PREFIX.unpack(prefix)
+            values = np.empty(shape, dtype="<f8")
+            payload_offset = fill(values)
+            try:
+                prediction = Tensor4(values)
+            except DomainError as exc:
+                raise TraceError(f"record {pos} payload at byte offset {payload_offset} is invalid: {exc}") from exc
+            records.append(TraceRecord(step_index=step_index, t=t_value, prediction=prediction))
+    return TraceArchive(schedule, tuple(records))
