@@ -28,7 +28,7 @@ is cut. The mask and its DFT tables are built once per run.
 The trial step runs on arrays the policy owns, not on Tensor4s: the pooled
 latent is advanced in place in a buffer, and trial_lowfreq_diff takes the
 velocity from the predictor's evaluate_array where it has one, cuts its band
-with spectral.low_band_spectrum and takes the drift. trial_lowfreq_diff is
+with spectral.band_spectrum and takes the drift. trial_lowfreq_diff is
 also where the trial checks finiteness.
 
 The latent itself is always advanced by a real Euler update; only the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, St
 # euler_step is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
 # lowfreq_diff is unused here; it stays bound so the benchmark tracer's engine hook resolves.
-from .spectral import FrequencyMask, band_spectrum, circular_mask, low_band_spectrum, lowfreq_diff, spectrum_norm
+from .spectral import FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, pooled_shape
 
 REUSE_PREDICTION = "prediction"
@@ -99,7 +99,7 @@ def trial_mask(shape: tuple[int, int, int, int], cfg: StepCacheConfig) -> Freque
 
 def low_band(x: Tensor4, cfg: StepCacheConfig, mask: FrequencyMask) -> np.ndarray:
     """x pooled to the trial grid and cut to the low band: shape (frames, low bins, channels)."""
-    return band_spectrum(avg_downsample(x, cfg.downsample), mask)
+    return band_spectrum(avg_downsample(x, cfg.downsample).data, mask)
 
 
 def _drift(band: np.ndarray, reference: np.ndarray) -> float:
@@ -114,10 +114,10 @@ class CacheState:
     """Mutable step-cache state threaded through a sampling run.
 
     cached_prediction is the prediction the previous step used;
-    pooled_prediction is it pooled to the trial grid and reference its low
-    band, both set once a trial has needed them. trial_buffer is the latent
-    entering the current step, on the trial grid, in a writable array the
-    policy advances in place; trial_latent is a Tensor4 copy of it.
+    pooled_prediction is its array pooled to the trial grid and reference
+    its low band, both set once a trial has needed them. trial_buffer is the
+    latent entering the current step, on the trial grid, in a writable array
+    the policy advances in place.
     cached_residual is the prediction minus the latent of the last full
     evaluation, kept only under residual reuse, the one strategy that reads
     it (None otherwise).
@@ -125,15 +125,11 @@ class CacheState:
 
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
-    pooled_prediction: Optional[Tensor4] = None
+    pooled_prediction: Optional[np.ndarray] = None
     reference: Optional[np.ndarray] = None
     trial_buffer: Optional[np.ndarray] = None
     error: float = 0.0
     threshold: Optional[float] = None
-
-    @property
-    def trial_latent(self) -> Optional[Tensor4]:
-        return None if self.trial_buffer is None else Tensor4(self.trial_buffer.copy())
 
 
 def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
@@ -151,18 +147,18 @@ def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
 
 def trial_lowfreq_diff(
     pred: Predictor,
-    z_small: Union[Tensor4, np.ndarray],
+    latent: np.ndarray,
     t: float,
     reference: np.ndarray,
     mask: FrequencyMask,
 ) -> float:
-    """Low-band drift between a trial evaluation at z_small and the cached prediction.
+    """Low-band drift between a trial evaluation at latent and the cached prediction.
 
-    Both operands live on the trial grid: z_small is the latent pooled to it,
-    as a Tensor4 or a bare array, and reference is the cached prediction's
-    low_band under the same mask (trial_mask). Both bands come from the same
-    linear transform, so cutting before subtracting selects the same bins as
-    lowfreq_diff on the two pooled tensors, up to rounding.
+    Both operands live on the trial grid: latent is the step's latent pooled
+    to it, a bare array that is only read, and reference is the cached
+    prediction's low_band under the same mask (trial_mask). Both bands come
+    from the same linear transform, so cutting before subtracting selects the
+    same bins as lowfreq_diff on the two pooled tensors, up to rounding.
 
     A predictor with an evaluate_array method gives the trial velocity as an
     array; any other is evaluated on a Tensor4 copy of the latent (Tensor4
@@ -173,7 +169,6 @@ def trial_lowfreq_diff(
     non-finite. So the trial raises Tensor4's DomainError exactly when its
     velocity holds a non-finite value.
     """
-    latent = z_small.data if isinstance(z_small, Tensor4) else z_small
     evaluate_array = getattr(pred, "evaluate_array", None)
     if evaluate_array is not None:
         velocity = evaluate_array(latent, t)
@@ -181,7 +176,7 @@ def trial_lowfreq_diff(
         velocity = pred.evaluate(Tensor4(latent.copy()), t).data
     if velocity.shape != latent.shape:
         raise DimensionError(f"trial evaluation returned shape {velocity.shape} for input shape {latent.shape}")
-    drift = _drift(low_band_spectrum(velocity, mask), reference)
+    drift = _drift(band_spectrum(velocity, mask), reference)
     if not math.isfinite(drift) and not np.isfinite(velocity).all():
         raise DomainError("tensor contains non-finite values")
     return drift
@@ -360,10 +355,10 @@ class StepCachePolicy:
             state.trial_buffer = avg_downsample(z, self.cfg.downsample).data.copy()
         else:
             if state.pooled_prediction is None:
-                state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample)
+                state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample).data
                 state.reference = band_spectrum(state.pooled_prediction, self.mask)
             # euler_step's axpy(latent, t - last_t, pooled) in place: a + scale * b, scale never 0.
-            np.multiply(state.pooled_prediction.data, t - last_t, out=self._scratch)
+            np.multiply(state.pooled_prediction, t - last_t, out=self._scratch)
             state.trial_buffer += self._scratch
             delta = trial_lowfreq_diff(self.pred, state.trial_buffer, t, state.reference, self.mask)
             cost += self.trial_cells

@@ -11,107 +11,83 @@ for a transformer when block-level caching is exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, TraceError
 from .sampler import TimestepSchedule
-from .tensor import DownsampleFactors, Tensor4, avg_downsample
-
-MeanLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class MixtureComponent:
-    """One mixture component: weight, mean (scalar, per-channel, or full field), variance."""
-
-    weight: float
-    mean: MeanLike
-    var: float
-
-    def __post_init__(self):
-        if not self.weight > 0:
-            raise DomainError(f"component weight must be > 0, got {self.weight}")
-        if not self.var > 0:
-            raise DomainError(f"component variance must be > 0, got {self.var}")
-        if isinstance(self.mean, np.ndarray):
-            m = np.asarray(self.mean, dtype=np.float64)
-            if not np.all(np.isfinite(m)):
-                raise DomainError("component mean field contains non-finite values")
-            m = np.ascontiguousarray(m)
-            m.flags.writeable = False
-            object.__setattr__(self, "mean", m)
+from .tensor import DownsampleFactors, Tensor4, avg_downsample, pooled_shape
 
 
 @dataclass(frozen=True)
 class GaussianMixtureSpec:
     """Cellwise-independent scalar Gaussian mixture over a fixed latent shape.
 
-    Component means are materialized once per evaluation shape into one
-    read-only (K, *shape) stack whose row k is component k's mean at that
-    shape (mean_stack). The memo holds one stack per shape for the life of
-    the spec and takes no part in equality or repr.
+    Component k has weight weights[k], variance variances[k] and mean field
+    means[k]: means is one read-only (K, *shape) float64 stack, the only copy
+    of the component means. mean_stack pools it to coarser evaluation shapes
+    and memoises one stack per shape for the life of the spec; the memo takes
+    no part in equality or repr.
     """
 
     shape: tuple[int, int, int, int]
-    components: tuple[MixtureComponent, ...]
+    weights: tuple[float, ...]
+    variances: tuple[float, ...]
+    means: np.ndarray
     _mean_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.shape) != 4 or any(int(s) < 1 for s in self.shape):
             raise DimensionError(f"latent shape must be four positive extents, got {self.shape}")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        comps = tuple(self.components)
-        if not comps:
+        weights = tuple(float(w) for w in self.weights)
+        variances = tuple(float(v) for v in self.variances)
+        if not weights:
             raise DomainError("mixture needs at least one component")
-        object.__setattr__(self, "components", comps)
-        total = sum(c.weight for c in comps)
+        if len(variances) != len(weights):
+            raise DimensionError(f"got {len(weights)} component weights but {len(variances)} variances")
+        for k, (weight, var) in enumerate(zip(weights, variances)):
+            if not weight > 0:
+                raise DomainError(f"component {k} weight must be > 0, got {weight}")
+            if not var > 0:
+                raise DomainError(f"component {k} variance must be > 0, got {var}")
+        total = sum(weights)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"component weights must sum to 1 within 1e-12, got {total}")
-        c = self.shape[3]
-        for i, comp in enumerate(comps):
-            if isinstance(comp.mean, np.ndarray) and comp.mean.shape not in ((c,), self.shape):
-                raise DimensionError(
-                    f"component {i} mean shape {comp.mean.shape} must be ({c},) or the latent shape {self.shape}"
-                )
+        means = np.ascontiguousarray(self.means, dtype=np.float64)
+        if means.shape != (len(weights),) + self.shape:
+            raise DimensionError(f"mean stack shape {means.shape} must be (K,) + the latent shape, "
+                                 f"{(len(weights),) + self.shape}")
+        for k, mu in enumerate(means):
+            if not np.isfinite(mu).all():
+                raise DomainError(f"component {k} mean field contains non-finite values")
+        means.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "means", means)
 
     def mean_stack(self, shape: tuple[int, int, int, int]) -> np.ndarray:
-        """Every component mean at an evaluation shape as one read-only (K, *shape) array."""
+        """Every component mean at an evaluation shape as one read-only (K, *shape) array.
+
+        At the spec's shape this is means itself. A coarser shape gets every
+        row block-mean pooled (avg_downsample), as the latent is for trial
+        inference; it must be the spec's shape pooled by integer factors.
+        """
         shape = tuple(shape)
+        if shape == self.shape:
+            return self.means
         stack = self._mean_memo.get(shape)
         if stack is None:
-            stack = np.empty((len(self.components),) + shape, dtype=np.float64)
-            for k, comp in enumerate(self.components):
-                stack[k] = _mean_field(comp, self.shape, shape)
+            factors = DownsampleFactors(*(full // part for full, part in zip(self.shape[:3], shape[:3])))
+            if pooled_shape(self.shape, factors) != shape:
+                raise DimensionError(f"latent shape {self.shape} does not pool to the evaluation shape {shape}")
+            stack = np.empty((len(self.weights),) + shape, dtype=np.float64)
+            for k, mu in enumerate(self.means):
+                stack[k] = avg_downsample(Tensor4(mu), factors).data
             stack.flags.writeable = False
             self._mean_memo[shape] = stack
         return stack
-
-
-def _mean_field(comp: MixtureComponent, spec_shape: tuple[int, ...], eval_shape: tuple[int, ...]) -> np.ndarray:
-    """Materialize a component mean at the requested evaluation shape.
-
-    Full mean fields adapt to coarser evaluation grids by block-mean pooling,
-    mirroring how the latent itself is downsampled for trial inference.
-    """
-    if not isinstance(comp.mean, np.ndarray):
-        return np.full(eval_shape, float(comp.mean), dtype=np.float64)
-    if comp.mean.shape == (spec_shape[3],):
-        return np.broadcast_to(comp.mean, eval_shape).astype(np.float64, copy=False)
-    if eval_shape == spec_shape:
-        return comp.mean
-    if eval_shape[3] != spec_shape[3]:
-        raise DimensionError(f"axis channels mismatch: {eval_shape[3]} vs {spec_shape[3]}")
-    factors = []
-    for axis, name in ((0, "frames"), (1, "height"), (2, "width")):
-        if spec_shape[axis] % eval_shape[axis] != 0:
-            raise DimensionError(
-                f"axis {name}: spec extent {spec_shape[axis]} not divisible by evaluation extent {eval_shape[axis]}"
-            )
-        factors.append(spec_shape[axis] // eval_shape[axis])
-    pooled = avg_downsample(Tensor4(comp.mean), DownsampleFactors(*factors))
-    return pooled.data
 
 
 def _check_time(t: float) -> None:
@@ -135,12 +111,12 @@ def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.n
     mu = spec.mean_stack(xd.shape)
     one_minus_t = 1.0 - t
     log_norm, two_s2, gain = [], [], []
-    for comp in spec.components:
-        s2 = one_minus_t * one_minus_t * comp.var + t * t
-        log_norm.append(np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2))
+    for weight, var in zip(spec.weights, spec.variances):
+        s2 = one_minus_t * one_minus_t * var + t * t
+        log_norm.append(np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2))
         two_s2.append(2.0 * s2)
-        gain.append(one_minus_t * comp.var / s2)
-    per_component = (3, len(spec.components)) + (1,) * xd.ndim
+        gain.append(one_minus_t * var / s2)
+    per_component = (3, len(spec.weights)) + (1,) * xd.ndim
     log_norm, two_s2, gain = np.array((log_norm, two_s2, gain)).reshape(per_component)
     resid = np.multiply(mu, one_minus_t)
     np.subtract(xd, resid, out=resid)
@@ -251,20 +227,16 @@ def structured_mixture(
     """
     if components < 1:
         raise DomainError(f"need at least one component, got {components}")
-    t_ext, h_ext, w_ext, c_ext = shape
     rng = np.random.default_rng(seed)
-    comps: list[MixtureComponent] = []
-    remaining = components
-    weight = 1.0 / components
-    if remaining % 2 == 1:
-        comps.append(MixtureComponent(weight, _smooth_field(shape, rng, smooth_amp), var))
-        remaining -= 1
-    for _ in range(remaining // 2):
+    means = np.empty((components,) + tuple(shape), dtype=np.float64)
+    if components % 2 == 1:
+        means[0] = _smooth_field(shape, rng, smooth_amp)
+    for k in range(components % 2, components, 2):
         smooth = _smooth_field(shape, rng, smooth_amp)
         detail = rough_amp * _paired_frame_noise(shape, rng)
-        comps.append(MixtureComponent(weight, smooth + detail, var))
-        comps.append(MixtureComponent(weight, smooth - detail, var))
-    return GaussianMixtureSpec(shape, tuple(comps))
+        np.add(smooth, detail, out=means[k])
+        np.subtract(smooth, detail, out=means[k + 1])
+    return GaussianMixtureSpec(shape, (1.0 / components,) * components, (var,) * components, means)
 
 
 class ToyBlockNet:
@@ -333,6 +305,18 @@ class TraceRecord:
     prediction: Tensor4
 
 
+def check_record_position(schedule: TimestepSchedule, pos: int, step_index: int, t: float) -> None:
+    """Raise TraceError unless the record at position pos has that position's step index and t.
+
+    Records run from index N - 1 down to 0, record pos at schedule.values[pos].
+    """
+    expected_index = schedule.n_steps - 1 - pos
+    if step_index != expected_index:
+        raise TraceError(f"record {pos} has step index {step_index}, expected {expected_index} (strictly decreasing)")
+    if t != schedule.values[pos]:
+        raise TraceError(f"record {pos} has t={t!r}, schedule says {schedule.values[pos]!r}")
+
+
 @dataclass(frozen=True)
 class TraceArchive:
     """Recorded predictions of a full run, ordered from index N-1 down to 0."""
@@ -348,13 +332,7 @@ class TraceArchive:
             raise TraceError(f"archive holds {len(records)} records but schedule has {n} steps")
         shape = records[0].prediction.shape if records else None
         for pos, rec in enumerate(records):
-            expected_index = n - 1 - pos
-            if rec.step_index != expected_index:
-                raise TraceError(
-                    f"record {pos} has step index {rec.step_index}, expected {expected_index} (strictly decreasing)"
-                )
-            if rec.t != self.schedule.values[pos]:
-                raise TraceError(f"record {pos} has t={rec.t!r}, schedule says {self.schedule.values[pos]!r}")
+            check_record_position(self.schedule, pos, rec.step_index, rec.t)
             if rec.prediction.shape != shape:
                 raise TraceError(f"record {pos} shape {rec.prediction.shape} differs from {shape}")
 

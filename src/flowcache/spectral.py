@@ -82,8 +82,8 @@ def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
     return FrequencyMask(height, width, float(radius), dist <= radius)
 
 
-def _unitary_spectrum(x: Tensor4) -> np.ndarray:
-    return np.fft.fft2(x.data, axes=(1, 2), norm="ortho")
+def _unitary_spectrum(data: np.ndarray) -> np.ndarray:
+    return np.fft.fft2(data, axes=(1, 2), norm="ortho")
 
 
 def _require_mask_fit(shape: tuple[int, ...], mask: FrequencyMask) -> None:
@@ -93,27 +93,19 @@ def _require_mask_fit(shape: tuple[int, ...], mask: FrequencyMask) -> None:
         )
 
 
-def band_spectrum(x: Tensor4, mask: FrequencyMask, low: bool = True) -> np.ndarray:
-    """Unitary spectrum of x restricted to one band: shape (frames, bins in the band, channels).
+def band_spectrum(data: np.ndarray, mask: FrequencyMask, low: bool = True) -> np.ndarray:
+    """Unitary spectrum of a (T, H, W, C) float64 array restricted to one band.
 
-    Bins come in fft2's row-major plane order. The high band is cut from
-    fft2; the low band is low_band_spectrum of x's array.
-    """
-    if low:
-        return low_band_spectrum(x.data, mask)
-    _require_mask_fit(x.shape, mask)
-    return _unitary_spectrum(x)[:, ~mask.membership, :]
-
-
-def low_band_spectrum(data: np.ndarray, mask: FrequencyMask) -> np.ndarray:
-    """The low band of a (T, H, W, C) float64 array, the array core of band_spectrum.
-
-    The mask's row DFT over height, then its column DFT over width, yields
-    only the (m, k) sub-grid of rows and columns the band occupies; the
-    band's bins are cut from that. They agree with fft2's to rounding, not
-    bit for bit. data is only read, and it is not checked for finiteness.
+    The result has shape (frames, bins in the band, channels), bins in
+    fft2's row-major plane order. The high band is cut from fft2. The low
+    band is the mask's row DFT over height, then its column DFT over width,
+    which yields only the (m, k) sub-grid of rows and columns the band
+    occupies; its bins are cut from that and agree with fft2's to rounding,
+    not bit for bit. data is only read, and it is not checked for finiteness.
     """
     _require_mask_fit(data.shape, mask)
+    if not low:
+        return _unitary_spectrum(data)[:, ~mask.membership, :]
     frames, height, width, channels = data.shape
     rows = mask.row_dft @ data.reshape(frames, height, width * channels)
     sub = mask.column_dft @ rows.reshape(-1, width, channels)
@@ -128,7 +120,7 @@ def spectrum_norm(spectrum: np.ndarray) -> float:
 def _band_diff_norm(a: Tensor4, b: Tensor4, mask: FrequencyMask, low: bool) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return spectrum_norm(band_spectrum(a, mask, low) - band_spectrum(b, mask, low))
+    return spectrum_norm(band_spectrum(a.data, mask, low) - band_spectrum(b.data, mask, low))
 
 
 def lowfreq_diff(a: Tensor4, b: Tensor4, mask: FrequencyMask) -> float:
@@ -152,5 +144,5 @@ def splice_bands(low_source: Tensor4, high_source: Tensor4, mask: FrequencyMask)
         raise DimensionError(f"shape mismatch {low_source.shape} vs {high_source.shape}")
     _require_mask_fit(low_source.shape, mask)
     m = mask.membership[None, :, :, None]
-    spec = _unitary_spectrum(low_source) * m + _unitary_spectrum(high_source) * ~m
+    spec = _unitary_spectrum(low_source.data) * m + _unitary_spectrum(high_source.data) * ~m
     return Tensor4(np.fft.ifft2(spec, axes=(1, 2), norm="ortho").real)

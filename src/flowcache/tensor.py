@@ -44,18 +44,6 @@ class Tensor4:
         return self._data.shape  # type: ignore[return-value]
 
     @property
-    def frames(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self._data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self._data.shape[2]
-
-    @property
     def channels(self) -> int:
         return self._data.shape[3]
 

@@ -18,7 +18,8 @@ Records stream between the file and their own arrays: the writer hands each
 prediction's buffer to the file, and the reader fills a fresh array per
 record straight from it. A round trip so holds the archive plus at most one
 record, never a copy of the whole file. The reader checks the header and the
-exact file length before it reads the schedule or allocates any record.
+exact file length before it reads the schedule or allocates any record,
+and each record's step index and t before it allocates that record.
 Malformed input raises TraceError naming the byte offset of the first
 violated field, or the expected versus actual byte count when the file is
 the wrong length; a non-regular file such as a FIFO reports a length of 0.
@@ -32,7 +33,7 @@ import struct
 import numpy as np
 
 from .errors import DomainError, ScheduleError, TraceError
-from .predictors import TraceArchive, TraceRecord
+from .predictors import TraceArchive, TraceRecord, check_record_position
 from .sampler import TimestepSchedule
 from .tensor import Tensor4
 
@@ -125,6 +126,7 @@ def read_trace(path) -> TraceArchive:
         for pos in range(n):
             fill(prefix)
             step_index, t_value = _PREFIX.unpack(prefix)
+            check_record_position(schedule, pos, step_index, t_value)
             values = np.empty(shape, dtype="<f8")
             payload_offset = fill(values)
             try:

@@ -469,7 +469,7 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     mask = trial_mask(SHAPE, cfg)
     z = seeded_normal(SHAPE, seed=3)
     cached = Tensor4(np.full(SHAPE, 1.25))
-    z_small = avg_downsample(z, cfg.downsample)
+    z_small = avg_downsample(z, cfg.downsample).data
     assert trial_lowfreq_diff(Constant(), z_small, 0.5, low_band(cached, cfg, mask), mask) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -583,7 +583,8 @@ class FreshMeansMixture:
         self.spec = spec
 
     def evaluate(self, z, t):
-        return mixture_velocity(GaussianMixtureSpec(self.spec.shape, self.spec.components), z, t)
+        spec = self.spec
+        return mixture_velocity(GaussianMixtureSpec(spec.shape, spec.weights, spec.variances, spec.means), z, t)
 
 
 class PerTrialPolicy:
@@ -608,7 +609,8 @@ class PerTrialPolicy:
         if k > 0:
             z_small = six_axis_pool(z, cfg.downsample)
             trial = self.pred.evaluate(z_small, t)
-            mask = circular_mask(z_small.height, z_small.width, cfg.mask_scale * min(z_small.height, z_small.width))
+            _, height, width, _ = z_small.shape
+            mask = circular_mask(height, width, cfg.mask_scale * min(height, width))
             cached_small = six_axis_pool(state.cached_prediction, cfg.downsample)
             d = np.fft.fft2(trial.data, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small.data, axes=(1, 2), norm="ortho")
             low = d[:, mask.membership, :]
@@ -738,7 +740,8 @@ def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
     """(z_k, trial latent of step k) for every step of one cached run, and the run's report."""
     policy = StepCachePolicy(pred, cfg, block_cfg, z0.shape)
     pairs = []
-    _, report = run_steps(policy, pred, z0, sched, lambda k, t, z, f: pairs.append((z, policy.state.trial_latent)),
+    _, report = run_steps(policy, pred, z0, sched,
+                          lambda k, t, z, f: pairs.append((z, Tensor4(policy.state.trial_buffer.copy()))),
                           policy.trial_cells)
     return pairs, report
 

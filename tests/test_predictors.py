@@ -1,6 +1,7 @@
 """Analytic mixture predictor, toy block nets, and trace archives."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,20 +11,18 @@ from flowcache import predictors
 from flowcache.errors import DimensionError, DomainError, TraceError
 from flowcache.predictors import (
     GaussianMixtureSpec,
-    MixtureComponent,
     MixturePredictor,
     ToyBlockNet,
     TraceArchive,
     TraceRecord,
     TraceReplayPredictor,
-    _mean_field,
     mixture_posterior_mean,
     mixture_velocity,
     structured_mixture,
     toy_block_forward,
 )
 from flowcache.sampler import make_schedule, sample_baseline
-from flowcache.tensor import Tensor4, seeded_normal
+from flowcache.tensor import DownsampleFactors, Tensor4, avg_downsample, seeded_normal
 
 from nets import ConstantDeltaNet
 
@@ -63,11 +62,11 @@ def mixture_responsibilities(spec, x, t):
     """
     xd = x.data
     one_minus_t = 1.0 - t
-    logs = np.empty((len(spec.components),) + xd.shape, dtype=np.float64)
-    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_stack(x.shape))):
-        s2 = one_minus_t * one_minus_t * comp.var + t * t
+    logs = np.empty((len(spec.weights),) + xd.shape, dtype=np.float64)
+    for k, (weight, var, mu) in enumerate(zip(spec.weights, spec.variances, spec.mean_stack(x.shape))):
+        s2 = one_minus_t * one_minus_t * var + t * t
         resid = xd - one_minus_t * mu
-        logs[k] = np.log(comp.weight) - 0.5 * np.log(2.0 * np.pi * s2) - resid * resid / (2.0 * s2)
+        logs[k] = np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2) - resid * resid / (2.0 * s2)
     logs -= logs.max(axis=0, keepdims=True)
     w = np.exp(logs)
     w /= w.sum(axis=0, keepdims=True)
@@ -80,34 +79,38 @@ def reference_posterior_mean(spec, x, t):
     xd = x.data
     one_minus_t = 1.0 - t
     out = np.zeros_like(xd)
-    for k, (comp, mu) in enumerate(zip(spec.components, spec.mean_stack(x.shape))):
-        s2 = one_minus_t * one_minus_t * comp.var + t * t
-        gain = one_minus_t * comp.var / s2
+    for k, (var, mu) in enumerate(zip(spec.variances, spec.mean_stack(x.shape))):
+        s2 = one_minus_t * one_minus_t * var + t * t
+        gain = one_minus_t * var / s2
         out += resp[k] * (mu + gain * (xd - one_minus_t * mu))
     return out
 
 
 def _oracle_grid_specs():
-    """Mixtures with 1-4 components of every mean kind, at C = 1 and C = 4."""
+    """Mixtures with 1-4 components of every mean kind, at C = 1 and C = 4.
+
+    A scalar or per-channel mean is broadcast to a full field.
+    """
     rng = np.random.default_rng(20)
     for channels in (1, 4):
         shape = (2, 8, 8, channels)
         for k in range(1, 5):
             for kind in ("scalar", "channel", "field", "mixed"):
-                comps = []
+                means = np.empty((k,) + shape)
                 weights = rng.uniform(0.2, 1.0, size=k)
                 weights /= weights.sum()
                 weights[-1] = 1.0 - weights[:-1].sum()
+                variances = []
                 for j in range(k):
                     mean_kind = ("scalar", "channel", "field")[j % 3] if kind == "mixed" else kind
                     if mean_kind == "scalar":
-                        mean = float(3.0 * rng.standard_normal())
+                        means[j] = np.full(shape, float(3.0 * rng.standard_normal()))
                     elif mean_kind == "channel":
-                        mean = 3.0 * rng.standard_normal(channels)
+                        means[j] = np.broadcast_to(3.0 * rng.standard_normal(channels), shape)
                     else:
-                        mean = 3.0 * rng.standard_normal(shape)
-                    comps.append(MixtureComponent(float(weights[j]), mean, float(rng.uniform(0.2, 50.0))))
-                yield GaussianMixtureSpec(shape, tuple(comps))
+                        means[j] = 3.0 * rng.standard_normal(shape)
+                    variances.append(float(rng.uniform(0.2, 50.0)))
+                yield GaussianMixtureSpec(shape, tuple(weights), tuple(variances), means)
 
 
 def assert_array_velocity_is_mixture_velocity(spec, x, t):
@@ -139,8 +142,7 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
     # pairwise, not in component order.
     weights = np.full(9, 1.0 / 9)
     weights[-1] = 1.0 - weights[:-1].sum()
-    spec = GaussianMixtureSpec((1, 1, 1, 1), tuple(
-        MixtureComponent(float(w), float(m), 1.0) for w, m in zip(weights, np.linspace(-40.0, 40.0, 9))))
+    spec = GaussianMixtureSpec((1, 1, 1, 1), tuple(weights), (1.0,) * 9, np.linspace(-40.0, 40.0, 9).reshape(9, 1, 1, 1, 1))
     for value in np.linspace(-50.0, 50.0, 41):
         x = Tensor4(np.full((1, 1, 1, 1), value))
         assert mixture_posterior_mean(spec, x, 0.5).tobytes() == reference_posterior_mean(spec, x, 0.5).tobytes()
@@ -149,29 +151,66 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
 
 def test_mean_stack_is_memoised_and_matches_a_fresh_materialization():
     shape = (4, 8, 8, 2)
-    field = seeded_normal(shape, seed=4).data
-    spec = GaussianMixtureSpec(shape, (
-        MixtureComponent(0.25, 0.5, 1.0),
-        MixtureComponent(0.25, np.array([1.0, -1.0]), 2.0),
-        MixtureComponent(0.5, field, 3.0),
-    ))
-    for eval_shape in ((2, 2, 2, 2), (4, 4, 8, 2), shape):
+    means = np.stack([np.full(shape, 0.5), np.broadcast_to(np.array([1.0, -1.0]), shape),
+                      seeded_normal(shape, seed=4).data])
+    spec = GaussianMixtureSpec(shape, (0.25, 0.25, 0.5), (1.0, 2.0, 3.0), means)
+    assert spec.mean_stack(shape) is spec.means and not spec.means.flags.writeable
+    assert spec.means.tobytes() == means.tobytes() and spec.means.flags.c_contiguous
+    for eval_shape in ((2, 2, 2, 2), (4, 4, 8, 2)):
         stack = spec.mean_stack(eval_shape)
         assert spec.mean_stack(eval_shape) is stack
         assert stack.shape == (3,) + eval_shape and not stack.flags.writeable
-        for comp, mu in zip(spec.components, stack):
-            assert mu.tobytes() == _mean_field(comp, spec.shape, eval_shape).tobytes()
+        factors = DownsampleFactors(*(a // b for a, b in zip(shape[:3], eval_shape[:3])))
+        for row, mu in zip(means, stack):
+            assert mu.tobytes() == avg_downsample(Tensor4(row), factors).tobytes()
             assert not mu.flags.writeable
+
+
+@pytest.mark.parametrize("eval_shape", [(4, 8, 8, 1), (3, 8, 8, 2), (4, 3, 8, 2), (8, 8, 8, 2)])
+def test_mean_stack_rejects_a_shape_the_means_do_not_pool_to(eval_shape):
+    spec = structured_mixture((4, 8, 8, 2), seed=5)
+    with pytest.raises(DimensionError):
+        spec.mean_stack(eval_shape)
+
+
+def test_the_spec_holds_its_means_once():
+    """The full-shape stack is the spec's own means; only the pooled stack is added to them."""
+    shape, trial_shape = (8, 64, 64, 4), (4, 16, 16, 4)
+    structured_mixture((2, 4, 4, 4), seed=7).mean_stack((1, 1, 1, 4))  # one-time imports stay out of the count
+    tracemalloc.start()
+    try:
+        spec = structured_mixture(shape, seed=7)
+        assert spec.mean_stack(shape) is spec.means and not spec.means.flags.writeable
+        pooled = spec.mean_stack(trial_shape)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= spec.means.nbytes + pooled.nbytes + 64 * 1024
 
 
 def test_mean_memo_stays_out_of_equality_and_repr():
     spec = structured_mixture((4, 8, 8, 2), seed=5)
-    twin = GaussianMixtureSpec(spec.shape, spec.components)
+    twin = GaussianMixtureSpec(spec.shape, spec.weights, spec.variances, spec.means)
     before = repr(spec)
     spec.mean_stack((2, 2, 2, 2))
     assert spec == twin
     assert repr(spec) == before == repr(twin)
     assert "mean_memo" not in before
+
+
+@pytest.mark.parametrize("weights, variances, means, error, match", [
+    ((), (), np.empty((0, 1, 2, 2, 1)), DomainError, "at least one component"),
+    ((0.5, 0.5), (1.0,), np.zeros((2, 1, 2, 2, 1)), DimensionError, "2 component weights but 1 variances"),
+    ((1.5, -0.5), (1.0, 1.0), np.zeros((2, 1, 2, 2, 1)), DomainError, "component 1 weight must be > 0"),
+    ((0.5, 0.5), (1.0, 0.0), np.zeros((2, 1, 2, 2, 1)), DomainError, "component 1 variance must be > 0"),
+    ((0.5, 0.5), (1.0, 1.0), np.zeros((2, 1, 2, 2, 2)), DimensionError, "mean stack shape"),
+    ((0.5, 0.5), (1.0, 1.0), np.zeros((1, 1, 2, 2, 1)), DimensionError, "mean stack shape"),
+    ((0.5, 0.5), (1.0, 1.0), np.array([np.zeros((1, 2, 2, 1)), np.full((1, 2, 2, 1), np.nan)]), DomainError,
+     "component 1 mean field contains non-finite values"),
+])
+def test_mixture_spec_validation_names_the_component(weights, variances, means, error, match):
+    with pytest.raises(error, match=match):
+        GaussianMixtureSpec((1, 2, 2, 1), weights, variances, means)
 
 
 def test_responsibilities_sum_to_one():
@@ -191,7 +230,7 @@ def test_posterior_mean_at_t_one_is_prior_mean():
     spec = structured_mixture(shape, seed=5)
     x = seeded_normal(shape, seed=6)
     post = mixture_posterior_mean(spec, x, 1.0)
-    prior_mean = sum(comp.weight * mu for comp, mu in zip(spec.components, spec.mean_stack(shape)))
+    prior_mean = sum(weight * mu for weight, mu in zip(spec.weights, spec.mean_stack(shape)))
     assert np.allclose(post.data, prior_mean, atol=1e-12)
 
 
@@ -199,7 +238,7 @@ def test_single_component_posterior_closed_form():
     """One Gaussian component reduces to the textbook linear estimator."""
     shape = (1, 2, 2, 1)
     mu, var = 1.3, 2.5
-    spec = GaussianMixtureSpec(shape, (MixtureComponent(1.0, mu, var),))
+    spec = GaussianMixtureSpec(shape, (1.0,), (var,), np.full((1,) + shape, mu))
     x = Tensor4(np.full(shape, 0.7))
     for t in (0.9, 0.5, 0.1):
         s2 = (1 - t) ** 2 * var + t**2
@@ -254,17 +293,13 @@ def test_posterior_mean_against_monte_carlo_smoke():
     """Cheap 3-point version of the Monte-Carlo oracle (full run in acceptance)."""
     shape = (2, 4, 4, 2)
     spec = structured_mixture(shape, seed=11)
-    weights = [c.weight for c in spec.components]
     rng = np.random.default_rng(12)
     for trial in range(3):
         t = float(rng.uniform(0.2, 0.9))
         x = Tensor4(2.0 * rng.standard_normal(shape))
         cell = tuple(rng.integers(0, s) for s in shape)
-        means = [
-            c.mean[cell] if isinstance(c.mean, np.ndarray) else float(c.mean)
-            for c in spec.components
-        ]
-        mc, se = sample_cell_posterior_mc(weights, means, spec.components[0].var,
+        means = spec.means[(slice(None),) + cell]
+        mc, se = sample_cell_posterior_mc(spec.weights, means, spec.variances[0],
                                           float(x.data[cell]), t, n_samples=200_000,
                                           seed=100 + trial)
         analytic = float(mixture_posterior_mean(spec, x, t).data[cell])
@@ -273,23 +308,22 @@ def test_posterior_mean_against_monte_carlo_smoke():
 
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(DomainError):
-        GaussianMixtureSpec((1, 2, 2, 1), (MixtureComponent(0.6, 0.0, 1.0),))
+        GaussianMixtureSpec((1, 2, 2, 1), (0.6,), (1.0,), np.zeros((1, 1, 2, 2, 1)))
 
 
 def test_structured_mixture_is_seed_deterministic():
     a = structured_mixture((2, 4, 4, 2), seed=3)
     b = structured_mixture((2, 4, 4, 2), seed=3)
     c = structured_mixture((2, 4, 4, 2), seed=4)
-    for ca, cb in zip(a.components, b.components):
-        assert np.array_equal(ca.mean, cb.mean)
-    assert not all(np.array_equal(ca.mean, cc.mean) for ca, cc in zip(a.components, c.components))
+    assert a.means.tobytes() == b.means.tobytes()
+    assert not np.array_equal(a.means, c.means)
 
 
 def test_structured_mixture_detail_is_frame_paired():
     """Adjacent frame pairs share the detail field that separates paired components."""
     spec = structured_mixture((4, 8, 8, 2), seed=7, components=2)
-    a, b = spec.components
-    detail = (a.mean - b.mean) / 2.0
+    a, b = spec.means
+    detail = (a - b) / 2.0
     assert np.allclose(detail[0], detail[1], atol=1e-12)
     assert np.allclose(detail[2], detail[3], atol=1e-12)
     assert np.max(np.abs(detail[1] - detail[2])) > 0.1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowcache.errors import ConfigError, DimensionError, ScheduleError, StateError
-from flowcache.predictors import GaussianMixtureSpec, MixtureComponent, MixturePredictor
+from flowcache.predictors import GaussianMixtureSpec, MixturePredictor
 from flowcache.sampler import TimestepSchedule, euler_step, make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
 
@@ -90,7 +90,7 @@ def test_euler_step_shape_guard():
 
 
 def _single_gaussian(shape, mean=0.0, var=2.0):
-    return GaussianMixtureSpec(shape, (MixtureComponent(1.0, mean, var),))
+    return GaussianMixtureSpec(shape, (1.0,), (var,), np.full((1,) + shape, mean))
 
 
 def test_baseline_is_deterministic_bitwise():
@@ -156,10 +156,7 @@ def test_refinement_ladder_converges_first_order():
 def test_symmetric_mixture_gives_antisymmetric_flow():
     """Negating the latent negates the trajectory when the mixture is sign-symmetric."""
     shape = (1, 4, 4, 1)
-    spec = GaussianMixtureSpec(shape, (
-        MixtureComponent(0.5, 2.0, 0.5),
-        MixtureComponent(0.5, -2.0, 0.5),
-    ))
+    spec = GaussianMixtureSpec(shape, (0.5, 0.5), (0.5, 0.5), np.stack([np.full(shape, 2.0), np.full(shape, -2.0)]))
     pred = MixturePredictor(spec)
     sched = make_schedule(40)
     z0 = seeded_normal(shape, seed=3)

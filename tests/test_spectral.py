@@ -41,8 +41,8 @@ def direct_dft2(plane: np.ndarray) -> np.ndarray:
 def band_plane(x: Tensor4, mask: FrequencyMask) -> np.ndarray:
     """band_spectrum's low and high bands scattered back onto the full (frames, H, W, channels) spectrum."""
     plane = np.zeros(x.shape, dtype=np.complex128)
-    plane[:, mask.membership, :] = band_spectrum(x, mask)
-    plane[:, ~mask.membership, :] = band_spectrum(x, mask, low=False)
+    plane[:, mask.membership, :] = band_spectrum(x.data, mask)
+    plane[:, ~mask.membership, :] = band_spectrum(x.data, mask, low=False)
     return plane
 
 
@@ -104,8 +104,8 @@ def test_circular_mask_validates():
 def test_constant_slice_has_dc_only():
     x = Tensor4(np.full((1, 8, 8, 1), 3.25))
     mask = circular_mask(8, 8, 1.6)
-    assert spectrum_norm(band_spectrum(x, mask, low=False)) ** 2 == pytest.approx(0.0, abs=1e-18)
-    assert spectrum_norm(band_spectrum(x, mask)) ** 2 == pytest.approx(l2_norm(x) ** 2, rel=1e-12)
+    assert spectrum_norm(band_spectrum(x.data, mask, low=False)) ** 2 == pytest.approx(0.0, abs=1e-18)
+    assert spectrum_norm(band_spectrum(x.data, mask)) ** 2 == pytest.approx(l2_norm(x) ** 2, rel=1e-12)
 
 
 def test_nyquist_checkerboard_has_no_low_energy():
@@ -113,15 +113,15 @@ def test_nyquist_checkerboard_has_no_low_energy():
     grid = np.indices((h, w)).sum(axis=0)
     checker = np.where(grid % 2 == 0, 1.0, -1.0)[None, :, :, None]
     x, mask = Tensor4(checker), circular_mask(h, w, 0.2 * min(h, w))
-    assert spectrum_norm(band_spectrum(x, mask)) ** 2 == pytest.approx(0.0, abs=1e-18)
-    assert spectrum_norm(band_spectrum(x, mask, low=False)) ** 2 == pytest.approx(float(h * w), rel=1e-12)
+    assert spectrum_norm(band_spectrum(x.data, mask)) ** 2 == pytest.approx(0.0, abs=1e-18)
+    assert spectrum_norm(band_spectrum(x.data, mask, low=False)) ** 2 == pytest.approx(float(h * w), rel=1e-12)
 
 
 def test_split_shape_guard():
     x = Tensor4(np.zeros((1, 8, 8, 1)))
     for low in (True, False):
         with pytest.raises(DimensionError):
-            band_spectrum(x, circular_mask(4, 4, 0.8), low)
+            band_spectrum(x.data, circular_mask(4, 4, 0.8), low)
 
 
 def test_diff_of_identical_tensors_is_zero():
@@ -207,7 +207,7 @@ def test_band_spectrum_is_bitwise_the_cut_fft2(case):
     """The high band is fft2's cut bit for bit; the low band, from two DFT matrices, matches it to rounding."""
     x, mask = case
     spec = np.fft.fft2(x.data, axes=(1, 2), norm="ortho")
-    low = band_spectrum(x, mask)
+    low = band_spectrum(x.data, mask)
     assert low.shape == spec[:, mask.membership, :].shape
     assert np.max(np.abs(low - spec[:, mask.membership, :]), initial=0.0) <= 1e-12 * np.max(np.abs(spec))
-    assert band_spectrum(x, mask, low=False).tobytes() == spec[:, ~mask.membership, :].tobytes()
+    assert band_spectrum(x.data, mask, low=False).tobytes() == spec[:, ~mask.membership, :].tobytes()

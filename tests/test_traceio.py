@@ -271,3 +271,21 @@ def test_read_holds_one_copy_plus_one_record(tmp_path):
     peak, parsed = traced_peak(lambda: read_trace(path))
     assert peak < STREAM_STEPS * STREAM_RECORD + 2 * STREAM_RECORD + STREAM_SLACK
     assert_same_archive(parsed, archive)
+
+
+@pytest.mark.parametrize("fmt, offset, value, message", [
+    ("<I", 0, 7, "record 0 has step index 7, expected 39"),
+    ("<d", 4, 0.5, "record 0 has t=0.5, schedule says 1.0"),
+])
+def test_misplaced_record_is_rejected_at_its_prefix(tmp_path, fmt, offset, value, message):
+    """A wrong step index or t fails before the record's payload, or any later one, is allocated."""
+    first_record = 32 + (STREAM_STEPS + 1) * 8
+    archive = make_archive(n=STREAM_STEPS, seed=1, shape=STREAM_SHAPE)
+    path = corrupted(tmp_path, lambda data: struct.pack_into(fmt, data, first_record + offset, value), archive)
+
+    def read_rejected():
+        with pytest.raises(TraceError, match=message):
+            read_trace(path)
+
+    peak, _ = traced_peak(read_rejected)
+    assert peak < STREAM_RECORD + STREAM_SLACK
