@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .config import (RunConfig, build_predictor, build_schedule, format_downsample, parse_config, parse_downsample,
-                     require_divisible, require_seeds, serialize_config)
+                     parse_float, require_divisible, require_seeds, serialize_config)
 from .engine import recorded_increments, relative_threshold, replay_decisions, sample_cached
 from .errors import ConfigError, FlowCacheError, StateError
 from .harness import (
@@ -211,22 +211,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _parse_floats(what: str, tokens: Sequence[str]) -> tuple[float, ...]:
-    values = []
-    for tok in tokens:
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ConfigError(f"{what} value {tok!r} is not a number") from None
-    return tuple(values)
-
-
 def _parse_sweep_values(axis: str, tokens: Optional[Sequence[str]]):
     if axis == "downsample":
         return tuple(parse_downsample("--values", tok) for tok in tokens) if tokens else DEFAULT_RESOLUTION_FACTORS
     defaults = {"alpha": DEFAULT_SWEEP_ALPHAS, "cache_rate": DEFAULT_SWEEP_CACHE_RATES,
                 "mask_scale": DEFAULT_SWEEP_MASK_SCALES}[axis]
-    return _parse_floats(axis, tokens) if tokens else defaults
+    return tuple(parse_float(f"sweep --axis {axis} --values", tok) for tok in tokens) if tokens else defaults
 
 
 def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
@@ -274,6 +264,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_analyze_trace(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args)
+    alphas = tuple(parse_float("--alphas", tok) for tok in args.alphas) if args.alphas else DEFAULT_SWEEP_ALPHAS
     archive = read_trace(args.trace)
     cache = cfg.cache
     shape = archive.records[0].prediction.shape
@@ -287,7 +278,6 @@ def _cmd_analyze_trace(args) -> int:
     full_cells = float(shape[0] * shape[1] * shape[2])
     trial_cells = full_cells / cache.downsample.volume
 
-    alphas = _parse_floats("alpha", args.alphas) if args.alphas else DEFAULT_SWEEP_ALPHAS
     analyses = []
     for alpha in alphas:
         threshold = relative_threshold(warmup_increments, alpha)

@@ -117,7 +117,7 @@ def _parse_int(where: str, raw: str) -> int:
         raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
 
 
-def _parse_float(where: str, raw: str) -> float:
+def parse_float(where: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -166,20 +166,20 @@ _KEYS = (
     ("predictor.kind", "predictor", "kind", _parse_text, str),
     ("predictor.seed", "predictor", "seed", _parse_int, str),
     ("predictor.components", "predictor", "components", _parse_int, str),
-    ("predictor.smooth_amp", "predictor", "smooth_amp", _parse_float, repr),
-    ("predictor.rough_amp", "predictor", "rough_amp", _parse_float, repr),
-    ("predictor.var", "predictor", "var", _parse_float, repr),
+    ("predictor.smooth_amp", "predictor", "smooth_amp", parse_float, repr),
+    ("predictor.rough_amp", "predictor", "rough_amp", parse_float, repr),
+    ("predictor.var", "predictor", "var", parse_float, repr),
     ("predictor.blocks", "predictor", "blocks", _parse_int, str),
     ("schedule.n", "schedule", "n", _parse_int, str),
     ("schedule.kind", "schedule", "kind", _parse_text, str),
-    ("schedule.shift", "schedule", "shift", _parse_float, repr),
-    ("schedule.terminal", "schedule", "terminal", _parse_float, repr),
-    ("cache.alpha", "cache", "alpha", _parse_float, repr),
+    ("schedule.shift", "schedule", "shift", parse_float, repr),
+    ("schedule.terminal", "schedule", "terminal", parse_float, repr),
+    ("cache.alpha", "cache", "alpha", parse_float, repr),
     ("cache.warmup", "cache", "warmup_steps", _parse_int, str),
     ("cache.downsample", "cache", "downsample", parse_downsample, format_downsample),
     ("cache.reuse", "cache", "reuse", _parse_text, str),
-    ("cache.mask_scale", "cache", "mask_scale", _parse_float, repr),
-    ("block.cache_rate", "block", "cache_rate", _parse_float, repr),
+    ("cache.mask_scale", "cache", "mask_scale", parse_float, repr),
+    ("block.cache_rate", "block", "cache_rate", parse_float, repr),
     ("block.interval", "block", "interval", _parse_int, str),
     *((f"output.{name}", "output", name, _parse_text, str) for name in ("report", "trace", "table", "figures")),
 )

@@ -25,11 +25,13 @@ every full-resolution tensor is pooled at most once: z_0, and each new
 prediction when the next trial first reads it, which is also when its band
 is cut. The mask and its DFT tables are built once per run.
 
-The trial step runs on arrays the policy owns, not on Tensor4s: the pooled
-latent is advanced in place in a buffer, and trial_lowfreq_diff takes the
-velocity from the predictor's evaluate_array where it has one, cuts its band
-with spectral.band_spectrum and takes the drift. trial_lowfreq_diff is
-also where the trial checks finiteness.
+Predictors work on bare arrays. The trial step runs on arrays the policy
+owns: the pooled latent is advanced in place in a buffer, trial_lowfreq_diff
+evaluates the predictor on it, cuts the velocity's band with
+spectral.band_spectrum and takes the drift, and is also where the trial
+checks finiteness. The block cache runs the blocks on arrays too. A full
+evaluation's prediction becomes a Tensor4, and so is checked for
+finiteness, once, when the policy wraps it.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -49,7 +51,7 @@ from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, St
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
 # lowfreq_diff is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .spectral import FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
-from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, pooled_shape
+from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, pooled_shape
 
 REUSE_PREDICTION = "prediction"
 REUSE_RESIDUAL = "residual"
@@ -160,20 +162,13 @@ def trial_lowfreq_diff(
     from the same linear transform, so cutting before subtracting selects the
     same bins as lowfreq_diff on the two pooled tensors, up to rounding.
 
-    A predictor with an evaluate_array method gives the trial velocity as an
-    array; any other is evaluated on a Tensor4 copy of the latent (Tensor4
-    marks the array it wraps read-only, which would freeze the caller's
-    buffer). The velocity is scanned for finiteness only when the drift is
-    not finite: a circular band keeps the DC bin, which every cell reaches
-    with weight 1/sqrt(H W), so a non-finite cell always makes the drift
+    The velocity is scanned for finiteness only when the drift is not
+    finite: a circular band keeps the DC bin, which every cell reaches with
+    weight 1/sqrt(H W), so a non-finite cell always makes the drift
     non-finite. So the trial raises Tensor4's DomainError exactly when its
     velocity holds a non-finite value.
     """
-    evaluate_array = getattr(pred, "evaluate_array", None)
-    if evaluate_array is not None:
-        velocity = evaluate_array(latent, t)
-    else:
-        velocity = pred.evaluate(Tensor4(latent.copy()), t).data
+    velocity = pred.evaluate(latent, t)
     if velocity.shape != latent.shape:
         raise DimensionError(f"trial evaluation returned shape {velocity.shape} for input shape {latent.shape}")
     drift = _drift(band_spectrum(velocity, mask), reference)
@@ -228,14 +223,14 @@ class BlockCacheState:
 
     deltas has one slot per block; only the replayed blocks' slots hold a
     delta. norms are the block importances: the last refresh's ||F_j - F_{j-1}||,
-    F_0 the input. age counts partial steps since that refresh, at most interval.
+    F_0 the input. age counts partial steps since that refresh, at most
+    interval, so a call was partial exactly when age > 0 after it.
     """
 
-    deltas: Optional[list[Optional[Tensor4]]] = None
+    deltas: Optional[list[Optional[np.ndarray]]] = None
     norms: Optional[tuple[float, ...]] = None
     pivotal: Optional[tuple[int, ...]] = None
     age: int = 0
-    last_partial: bool = False
 
 
 def select_pivotal(importances: Sequence[float], cache_rate: float) -> tuple[int, ...]:
@@ -257,11 +252,11 @@ def select_pivotal(importances: Sequence[float], cache_rate: float) -> tuple[int
 
 def block_cached_forward(
     net: BlockPredictor,
-    z: Tensor4,
+    z: np.ndarray,
     t: float,
     cfg: BlockCacheConfig,
     state: BlockCacheState,
-) -> Tensor4:
+) -> np.ndarray:
     """Evaluate a block-decomposed predictor, replaying cached deltas when allowed.
 
     A full-block step drops the cached deltas, runs every block, records
@@ -272,11 +267,12 @@ def block_cached_forward(
     the new one. The dropped blocks are the pivotal set (select_pivotal's).
     While age < interval, subsequent calls compute only pivotal blocks
     exactly and add the cached delta for the rest. With interval 0 or
-    cache_rate 0 every call reproduces the plain forward pass.
+    cache_rate 0 every call reproduces the plain forward pass. z is only
+    read; a delta is nxt - features and its norm sqrt(sum(d * d)), axpy's
+    and l2_norm's expressions, so the result is bitwise theirs.
     """
     m = net.num_blocks
     if m == 0:
-        state.last_partial = False
         return z
     if state.deltas is not None and len(state.deltas) != m:
         raise StateError(f"cached {len(state.deltas)} block deltas but the predictor has {m} blocks")
@@ -284,12 +280,12 @@ def block_cached_forward(
     if state.deltas is None or state.age >= cfg.interval:
         state.deltas = None
         replay_count = round(cfg.cache_rate * m)
-        kept: dict[int, Tensor4] = {}
+        kept: dict[int, np.ndarray] = {}
         norms: list[float] = []
         for j in range(m):
             nxt = net.apply_block(j, features, t)
-            kept[j] = axpy(nxt, -1.0, features)
-            norms.append(l2_norm(kept[j]))
+            kept[j] = nxt - features
+            norms.append(float(np.sqrt(np.sum(kept[j] * kept[j]))))
             if len(kept) > replay_count:
                 del kept[max(kept, key=lambda i: (norms[i], -i))]
             features = nxt
@@ -297,16 +293,14 @@ def block_cached_forward(
         state.pivotal = tuple(j for j in range(m) if j not in kept)
         state.deltas = [kept.get(j) for j in range(m)]
         state.age = 0
-        state.last_partial = False
         return features
     pivotal = set(state.pivotal)
     for j in range(m):
         if j in pivotal:
             features = net.apply_block(j, features, t)
         else:
-            features = axpy(features, 1.0, state.deltas[j])
+            features = features + state.deltas[j]
     state.age += 1
-    state.last_partial = True
     return features
 
 
@@ -390,10 +384,10 @@ class StepCachePolicy:
     def _evaluate(self, z: Tensor4, t: float) -> tuple[Tensor4, float, Optional[int], Optional[bool]]:
         """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
         if self.block_cfg is None:
-            return self.pred.evaluate(z, t), self.full_cells, None, None
-        f = block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state)
+            return Tensor4(self.pred.evaluate(z.data, t)), self.full_cells, None, None
+        f = Tensor4(block_cached_forward(self.pred, z.data, t, self.block_cfg, self.block_state))
         pivotal = self.block_state.pivotal
-        if self.block_state.last_partial:
+        if self.block_state.age > 0:
             return f, self.full_cells * (len(pivotal) / self.pred.num_blocks), len(pivotal), True
         return f, self.full_cells, None if pivotal is None else len(pivotal), False
 

@@ -81,9 +81,9 @@ class _Substituted:
         self.pred = pred
         self.fixed = fixed
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         f = self.fixed.get(t)
-        return self.pred.evaluate(z, t) if f is None else f
+        return self.pred.evaluate(x, t) if f is None else f.data
 
 
 def single_step_skip_influence(
@@ -245,7 +245,7 @@ def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps:
     importances = []
     for p in probes:
         state = BlockCacheState()
-        block_cached_forward(net, traj.latents[p], schedule.values[p], BlockCacheConfig(), state)
+        block_cached_forward(net, traj.latents[p].data, schedule.values[p], BlockCacheConfig(), state)
         importances.append(state.norms)
     return BlockProfile(tuple(probes), tuple(schedule.values[p] for p in probes), tuple(importances))
 

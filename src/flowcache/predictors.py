@@ -20,7 +20,7 @@ from .sampler import TimestepSchedule
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, pooled_shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixtureSpec:
     """Cellwise-independent scalar Gaussian mixture over a fixed latent shape.
 
@@ -28,14 +28,16 @@ class GaussianMixtureSpec:
     means[k]: means is one read-only (K, *shape) float64 stack, the only copy
     of the component means. mean_stack pools it to coarser evaluation shapes
     and memoises one stack per shape for the life of the spec; the memo takes
-    no part in equality or repr.
+    no part in equality or repr. Two specs are equal when shape, weights,
+    variances and every mean value match. A spec is not hashable: hash()
+    raises TypeError, as it does for the mean array it holds.
     """
 
     shape: tuple[int, int, int, int]
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     means: np.ndarray
-    _mean_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _mean_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.shape) != 4 or any(int(s) < 1 for s in self.shape):
@@ -67,6 +69,12 @@ class GaussianMixtureSpec:
         object.__setattr__(self, "variances", variances)
         object.__setattr__(self, "means", means)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GaussianMixtureSpec):
+            return NotImplemented
+        return ((self.shape, self.weights, self.variances) == (other.shape, other.weights, other.variances)
+                and np.array_equal(self.means, other.means))
+
     def mean_stack(self, shape: tuple[int, int, int, int]) -> np.ndarray:
         """Every component mean at an evaluation shape as one read-only (K, *shape) array.
 
@@ -95,8 +103,8 @@ def _check_time(t: float) -> None:
         raise DomainError(f"time must lie in (0, 1], got {t}")
 
 
-def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.ndarray:
-    """E[x0 | x_t = x] per cell as a fresh writable array; t must already be checked.
+def mixture_posterior_mean(spec: GaussianMixtureSpec, x: np.ndarray, t: float) -> np.ndarray:
+    """E[x0 | x_t = x] per cell under the linear interpolation path, as a fresh writable array; x is only read.
 
     One pass over the stacked means in two (K, *shape) buffers and the
     output. The first buffer holds the residual x - (1 - t) * mu_k; the
@@ -108,7 +116,8 @@ def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.n
     expression keeps the association of the per-component loop in
     tests/test_predictors.py, so the result is bitwise that loop's.
     """
-    mu = spec.mean_stack(xd.shape)
+    _check_time(t)
+    mu = spec.mean_stack(x.shape)
     one_minus_t = 1.0 - t
     log_norm, two_s2, gain = [], [], []
     for weight, var in zip(spec.weights, spec.variances):
@@ -116,14 +125,14 @@ def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.n
         log_norm.append(np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2))
         two_s2.append(2.0 * s2)
         gain.append(one_minus_t * var / s2)
-    per_component = (3, len(spec.weights)) + (1,) * xd.ndim
+    per_component = (3, len(spec.weights)) + (1,) * x.ndim
     log_norm, two_s2, gain = np.array((log_norm, two_s2, gain)).reshape(per_component)
     resid = np.multiply(mu, one_minus_t)
-    np.subtract(xd, resid, out=resid)
+    np.subtract(x, resid, out=resid)
     resp = np.multiply(resid, resid)
     resp /= two_s2
     np.subtract(log_norm, resp, out=resp)
-    out = np.empty_like(xd)
+    out = np.empty_like(x)
     resp -= np.maximum.reduce(resp, 0, None, out)
     np.exp(resp, out=resp)
     resp /= np.add.reduce(resp, 0, None, out)
@@ -138,42 +147,18 @@ def _posterior_mean(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.n
     return out
 
 
-def mixture_posterior_mean(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> Tensor4:
-    """E[x0 | x_t = x] per cell under the linear interpolation path."""
-    _check_time(t)
-    return Tensor4(_posterior_mean(spec, x.data, t))
-
-
-def _velocity(spec: GaussianMixtureSpec, xd: np.ndarray, t: float) -> np.ndarray:
-    """(xd - E[x0 | x_t = xd]) / t as a fresh writable array; xd is only read."""
-    _check_time(t)
-    out = _posterior_mean(spec, xd, t)
-    np.subtract(xd, out, out=out)
-    out /= t
-    return out
-
-
-def mixture_velocity(spec: GaussianMixtureSpec, x: Tensor4, t: float) -> Tensor4:
-    """Flow velocity (x - E[x0 | x_t = x]) / t; exact for the mixture."""
-    return Tensor4(_velocity(spec, x.data, t))
-
-
 class MixturePredictor:
-    """Sampler-facing wrapper around the analytic mixture velocity.
-
-    evaluate_array is the same velocity on a bare (T, H, W, C) float64
-    array, returned as a fresh writable array with no finiteness check;
-    the step cache's trial calls it on a latent buffer it owns.
-    """
+    """Sampler-facing wrapper around the analytic mixture velocity."""
 
     def __init__(self, spec: GaussianMixtureSpec):
         self.spec = spec
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        return mixture_velocity(self.spec, z, t)
-
-    def evaluate_array(self, x: np.ndarray, t: float) -> np.ndarray:
-        return _velocity(self.spec, x, t)
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Flow velocity (x - E[x0 | x_t = x]) / t, exact for the mixture, as a fresh writable array."""
+        out = mixture_posterior_mean(self.spec, x, t)
+        np.subtract(x, out, out=out)
+        out /= t
+        return out
 
 
 def _smooth_field(shape: tuple[int, int, int, int], rng: np.random.Generator, amplitude: float) -> np.ndarray:
@@ -276,21 +261,21 @@ class ToyBlockNet:
     def _gain(self, index: int, t: float) -> float:
         return self._scales[index] * (0.75 + 0.25 * np.sin(2.0 * np.pi * (self._gain_freq[index] * t + self._gain_phase[index])))
 
-    def apply_block(self, index: int, features: Tensor4, t: float) -> Tensor4:
+    def apply_block(self, index: int, features: np.ndarray, t: float) -> np.ndarray:
         if not 0 <= index < self._num_blocks:
             raise DomainError(f"block index {index} outside [0, {self._num_blocks})")
-        if features.channels != self.channels:
-            raise DimensionError(f"axis channels mismatch: net has {self.channels}, input has {features.channels}")
-        pre = features.data @ self._weights[index] + self._biases[index]
-        return Tensor4(features.data + self._gain(index, t) * np.tanh(pre))
+        if features.shape[-1] != self.channels:
+            raise DimensionError(f"axis channels mismatch: net has {self.channels}, input has {features.shape[-1]}")
+        pre = features @ self._weights[index] + self._biases[index]
+        return features + self._gain(index, t) * np.tanh(pre)
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        return toy_block_forward(self, z, t)
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        return toy_block_forward(self, x, t)
 
 
-def toy_block_forward(net, z: Tensor4, t: float) -> Tensor4:
-    """Fold the block stack over z: the plain forward pass."""
-    features = z
+def toy_block_forward(net, x: np.ndarray, t: float) -> np.ndarray:
+    """Fold the block stack over x: the plain forward pass."""
+    features = x
     for j in range(net.num_blocks):
         features = net.apply_block(j, features, t)
     return features
@@ -358,8 +343,8 @@ class TraceReplayPredictor:
         self.archive = archive
         self._by_t = {rec.t: rec for rec in archive.records}
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         rec = self._by_t.get(t)
         if rec is None:
             raise TraceError(f"no recorded prediction for t={t!r}")
-        return rec.prediction
+        return rec.prediction.data

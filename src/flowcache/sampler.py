@@ -11,6 +11,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
 
+import numpy as np
+
 from .errors import ConfigError, DimensionError, ScheduleError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 from .tensor import Tensor4, axpy
@@ -26,9 +28,13 @@ StepPolicy = Callable[[int, float, Tensor4], tuple[Tensor4, StepRecord]]
 
 @runtime_checkable
 class Predictor(Protocol):
-    """Deterministic, shape-preserving velocity model."""
+    """Deterministic, shape-preserving velocity model on bare (T, H, W, C) float64 arrays.
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4: ...
+    evaluate reads x and never writes or freezes it. The samplers wrap a
+    full-resolution prediction in a Tensor4, which is its finiteness check.
+    """
+
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray: ...
 
 
 @runtime_checkable
@@ -38,7 +44,7 @@ class BlockPredictor(Predictor, Protocol):
     @property
     def num_blocks(self) -> int: ...
 
-    def apply_block(self, index: int, features: Tensor4, t: float) -> Tensor4: ...
+    def apply_block(self, index: int, features: np.ndarray, t: float) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ def sample_baseline(
     full_cells = float(z_init.cells)
 
     def always_full(k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
-        return pred.evaluate(z, t), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
-                                               err_before=None, err_after=None, cost_units=full_cells)
+        return Tensor4(pred.evaluate(z.data, t)), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
+                                                             err_before=None, err_after=None, cost_units=full_cells)
 
     return run_steps(always_full, pred, z_init, schedule, observer)

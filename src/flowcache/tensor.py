@@ -44,10 +44,6 @@ class Tensor4:
         return self._data.shape  # type: ignore[return-value]
 
     @property
-    def channels(self) -> int:
-        return self._data.shape[3]
-
-    @property
     def cells(self) -> int:
         """Token count T*H*W (channels are features, not tokens)."""
         t, h, w, _ = self.shape

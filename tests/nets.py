@@ -2,6 +2,8 @@
 
 from typing import Sequence
 
+import numpy as np
+
 from flowcache.errors import DimensionError, DomainError
 from flowcache.predictors import toy_block_forward
 from flowcache.tensor import Tensor4
@@ -23,10 +25,10 @@ class ConstantDeltaNet:
     def num_blocks(self) -> int:
         return len(self._deltas)
 
-    def apply_block(self, index: int, features: Tensor4, t: float) -> Tensor4:
+    def apply_block(self, index: int, features: np.ndarray, t: float) -> np.ndarray:
         if not 0 <= index < len(self._deltas):
             raise DomainError(f"block index {index} outside [0, {len(self._deltas)})")
-        return Tensor4(features.data + self._deltas[index].data)
+        return features + self._deltas[index].data
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        return toy_block_forward(self, z, t)
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        return toy_block_forward(self, x, t)

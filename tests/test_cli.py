@@ -226,6 +226,25 @@ def test_analyze_trace_projects_thresholds(tmp_path, config_path):
     assert rows[0]["threshold"] < rows[2]["threshold"]
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_number_flags_reject_what_the_config_rejects(tmp_path, config_path, capsys, bad):
+    """--values and --alphas take config's finite-number parser: a non-finite value exits 1 and is named.
+
+    analyze-trace checks --alphas before it opens the trace, which here does not exist.
+    """
+    for axis in ("alpha", "cache_rate", "mask_scale"):
+        out = tmp_path / "sweep.csv"
+        assert run_command(["sweep", "--config", str(config_path), "--axis", axis,
+                            "--values", "0.5", bad, "--out", str(out)]) == 1
+        assert f"sweep --axis {axis} --values: expected a finite number, got {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
+    out = tmp_path / "analysis.json"
+    assert run_command(["analyze-trace", "--config", str(config_path), str(tmp_path / "missing.trace"),
+                        "--alphas", "0.5", bad, "--out", str(out)]) == 1
+    assert f"--alphas: expected a finite number, got {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_trace_downsample_not_dividing_the_trace_latent_fails_first(tmp_path, capsys, monkeypatch):
     """The config's own 8x8 latent takes 1x8x8 pooling; the 12x12 trace it analyzes does not."""
     recorder = tmp_path / "record.cfg"

@@ -35,7 +35,6 @@ from flowcache.predictors import (
     GaussianMixtureSpec,
     MixturePredictor,
     ToyBlockNet,
-    mixture_velocity,
     structured_mixture,
     toy_block_forward,
 )
@@ -149,8 +148,8 @@ def test_block_refresh_norms_hand_example():
     shape = (1, 2, 2, 1)
     net = ConstantDeltaNet([Tensor4(np.full(shape, 1.0)), Tensor4(np.zeros(shape)), Tensor4(np.full(shape, 3.0))])
     state = BlockCacheState()
-    out = block_cached_forward(net, Tensor4(np.zeros(shape)), 1.0, BlockCacheConfig(), state)
-    assert np.all(out.data == 4.0)
+    out = block_cached_forward(net, np.zeros(shape), 1.0, BlockCacheConfig(), state)
+    assert np.all(out == 4.0)
     assert state.norms == (2.0, 0.0, 6.0)
     assert state.pivotal == (0, 2)
 
@@ -159,23 +158,23 @@ def test_block_cache_rate_zero_is_bitwise_plain():
     net = ToyBlockNet(6, channels=2, seed=5)
     cfg = BlockCacheConfig(cache_rate=0.0, interval=3)
     state = BlockCacheState()
-    z = seeded_normal((2, 4, 4, 2), seed=6)
+    z = seeded_normal((2, 4, 4, 2), seed=6).data
     for t in (1.0, 0.8, 0.6, 0.4):
         cached = block_cached_forward(net, z, t, cfg, state)
         plain = toy_block_forward(net, z, t)
-        assert np.array_equal(cached.data, plain.data)
+        assert np.array_equal(cached, plain)
 
 
 def test_block_interval_zero_is_bitwise_plain():
     net = ToyBlockNet(5, channels=2, seed=7)
     cfg = BlockCacheConfig(cache_rate=0.4, interval=0)
     state = BlockCacheState()
-    z = seeded_normal((2, 4, 4, 2), seed=8)
+    z = seeded_normal((2, 4, 4, 2), seed=8).data
     for t in (1.0, 0.7, 0.4):
         cached = block_cached_forward(net, z, t, cfg, state)
         plain = toy_block_forward(net, z, t)
-        assert np.array_equal(cached.data, plain.data)
-        assert not state.last_partial
+        assert np.array_equal(cached, plain)
+        assert state.age == 0
 
 
 def _dyadic(shape, seed):
@@ -194,39 +193,39 @@ def test_constant_delta_net_partial_is_exact():
     shape = (1, 2, 2, 2)
     deltas = [_dyadic(shape, 30 + j) for j in range(4)]
     net = ConstantDeltaNet(deltas)
-    z0 = _dyadic(shape, 10)
-    z1 = _dyadic(shape, 11)
+    z0 = _dyadic(shape, 10).data
+    z1 = _dyadic(shape, 11).data
     for rate in (0.25, 0.5, 0.75, 1.0):
         state = BlockCacheState()
         cfg = BlockCacheConfig(cache_rate=rate, interval=5)
         first = block_cached_forward(net, z0, 1.0, cfg, state)
-        assert np.array_equal(first.data, net.evaluate(z0, 1.0).data)
+        assert np.array_equal(first, net.evaluate(z0, 1.0))
         second = block_cached_forward(net, z1, 0.9, cfg, state)
-        assert state.last_partial or rate == 0.0
-        assert np.array_equal(second.data, net.evaluate(z1, 0.9).data)
+        assert state.age > 0 or rate == 0.0
+        assert np.array_equal(second, net.evaluate(z1, 0.9))
 
 
 def test_pivotal_size_invariant_on_partial_steps():
     net = ToyBlockNet(8, channels=2, seed=12)
     cfg = BlockCacheConfig(cache_rate=0.4, interval=2)
     state = BlockCacheState()
-    z = seeded_normal((1, 4, 4, 2), seed=13)
+    z = seeded_normal((1, 4, 4, 2), seed=13).data
     block_cached_forward(net, z, 1.0, cfg, state)
     expected_keep = 8 - round(0.4 * 8)
     for t in (0.9, 0.8):
         block_cached_forward(net, z, t, cfg, state)
-        assert state.last_partial
+        assert state.age > 0
         assert len(state.pivotal) == expected_keep
         assert len(state.pivotal) + (8 - len(state.pivotal)) == net.num_blocks
     block_cached_forward(net, z, 0.7, cfg, state)
-    assert not state.last_partial
+    assert state.age == 0
 
 
 def test_block_state_shape_guard():
     net = ToyBlockNet(3, channels=2, seed=1)
-    state = BlockCacheState(deltas=[Tensor4(np.zeros((1, 2, 2, 2)))] * 4)
+    state = BlockCacheState(deltas=[np.zeros((1, 2, 2, 2))] * 4)
     with pytest.raises(StateError):
-        block_cached_forward(net, Tensor4(np.zeros((1, 2, 2, 2))), 1.0, BlockCacheConfig(), state)
+        block_cached_forward(net, np.zeros((1, 2, 2, 2)), 1.0, BlockCacheConfig(), state)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.2, 0.4, 0.5, 0.8, 1.0])
@@ -234,7 +233,7 @@ def test_refresh_keeps_only_the_replayed_deltas(rate):
     net = ToyBlockNet(7, channels=2, seed=14)
     state = BlockCacheState()
     cfg = BlockCacheConfig(cache_rate=rate, interval=1)
-    z = seeded_normal((1, 4, 4, 2), seed=15)
+    z = seeded_normal((1, 4, 4, 2), seed=15).data
     for t in (1.0, 0.9, 0.8):
         block_cached_forward(net, z, t, cfg, state)
         kept = [j for j, d in enumerate(state.deltas) if d is not None]
@@ -267,19 +266,13 @@ def test_refresh_drops_the_old_deltas_before_running_the_blocks():
     state = BlockCacheState()
     spy = DeltaSpy(ToyBlockNet(5, channels=2, seed=16), state)
     cfg = BlockCacheConfig(cache_rate=0.4, interval=1)
-    z = seeded_normal((1, 4, 4, 2), seed=17)
+    z = seeded_normal((1, 4, 4, 2), seed=17).data
     for t in (1.0, 0.9, 0.8):
         block_cached_forward(spy, z, t, cfg, state)
     refresh_calls = [dropped for t, dropped in spy.seen if t != 0.9]
     partial_calls = [dropped for t, dropped in spy.seen if t == 0.9]
     assert len(refresh_calls) == 10 and all(refresh_calls)
     assert partial_calls and not any(partial_calls)
-
-
-class TrackedTensor(Tensor4):
-    """Tensor4 that a weak set can hold, to count the block deltas still alive."""
-
-    __slots__ = ("__weakref__",)
 
 
 @settings(max_examples=200, deadline=None)
@@ -297,29 +290,33 @@ def test_streaming_refresh_keeps_what_select_pivotal_replays_and_at_most_r_delta
     those of a plain forward ranked by select_pivotal.
     """
     shape = (1, 2, 2, 1)
-    live = weakref.WeakSet()
+    deltas = []
     alive_before_block = []
+
+    def alive():
+        return sum(ref() is not None for ref in deltas)
+
+    class BlockOutput(np.ndarray):
+        """A block's output; its difference with the block input is a block delta, which a weak reference tracks."""
+
+        def __sub__(self, other):
+            delta = np.asarray(self) - np.asarray(other)
+            deltas.append(weakref.ref(delta))
+            return delta
 
     class Spy(ConstantDeltaNet):
         def apply_block(self, index, features, t):
-            alive_before_block.append(len(live))
-            return super().apply_block(index, features, t)
-
-    def tracked_axpy(x, a, y):
-        out = TrackedTensor(axpy(x, a, y).data)
-        live.add(out)
-        return out
+            alive_before_block.append(alive())
+            return super().apply_block(index, features, t).view(BlockOutput)
 
     net = Spy([Tensor4(np.full(shape, float(v))) for v in levels])
-    z = Tensor4(np.zeros(shape))
+    z = np.zeros(shape)
     state = BlockCacheState()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(engine, "axpy", tracked_axpy)
-        out = block_cached_forward(net, z, 1.0, BlockCacheConfig(cache_rate=rate, interval=2), state)
+    out = block_cached_forward(net, z, 1.0, BlockCacheConfig(cache_rate=rate, interval=2), state)
     features = [z]
     for j in range(len(levels)):
         features.append(ConstantDeltaNet.apply_block(net, j, features[-1], 1.0))
-    true_deltas = [axpy(features[j + 1], -1.0, features[j]) for j in range(len(levels))]
+    true_deltas = [features[j + 1] - features[j] for j in range(len(levels))]
     replayed = round(rate * len(levels))
     assert out.tobytes() == features[-1].tobytes()
     assert state.norms == tuple(2.0 * v for v in levels)
@@ -328,20 +325,20 @@ def test_streaming_refresh_keeps_what_select_pivotal_replays_and_at_most_r_delta
         assert (d is None) == (j in state.pivotal)
         assert d is None or d.tobytes() == true_deltas[j].tobytes()
     assert max(alive_before_block) <= replayed
-    assert len(live) == replayed
+    assert len(deltas) == len(levels) and alive() == replayed
 
 
 def test_refresh_from_a_populated_cache_peaks_no_higher_than_the_first():
     """A refresh never holds the old delta set next to the new one (traced numpy allocations)."""
     net = ToyBlockNet(6, channels=8, seed=3)
-    z = seeded_normal((2, 16, 16, 8), seed=4)
+    z = seeded_normal((2, 16, 16, 8), seed=4).data
     cfg = BlockCacheConfig(cache_rate=0.4, interval=1)
     state = BlockCacheState()
 
     def refresh_peak(t):
         tracemalloc.reset_peak()
         block_cached_forward(net, z, t, cfg, state)
-        assert not state.last_partial
+        assert state.age == 0
         return tracemalloc.get_traced_memory()[1]
 
     tracemalloc.start()
@@ -351,7 +348,7 @@ def test_refresh_from_a_populated_cache_peaks_no_higher_than_the_first():
         again = refresh_peak(0.8)
     finally:
         tracemalloc.stop()
-    assert again <= first + 0.5 * z.data.nbytes
+    assert again <= first + 0.5 * z.nbytes
 
 
 def run_pair(alpha, seed=0, n=30, reuse=REUSE_PREDICTION, warmup=5):
@@ -462,8 +459,8 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     """If the trial equals the pooled cached prediction the drift is zero."""
 
     class Constant:
-        def evaluate(self, z, t):
-            return Tensor4(np.full(z.shape, 1.25))
+        def evaluate(self, x, t):
+            return np.full(x.shape, 1.25)
 
     cfg = StepCacheConfig()
     mask = trial_mask(SHAPE, cfg)
@@ -582,9 +579,9 @@ class FreshMeansMixture:
     def __init__(self, spec):
         self.spec = spec
 
-    def evaluate(self, z, t):
+    def evaluate(self, x, t):
         spec = self.spec
-        return mixture_velocity(GaussianMixtureSpec(spec.shape, spec.weights, spec.variances, spec.means), z, t)
+        return MixturePredictor(GaussianMixtureSpec(spec.shape, spec.weights, spec.variances, spec.means)).evaluate(x, t)
 
 
 class PerTrialPolicy:
@@ -608,11 +605,11 @@ class PerTrialPolicy:
         delta, cost, decision = None, 0.0, DECISION_WARMUP
         if k > 0:
             z_small = six_axis_pool(z, cfg.downsample)
-            trial = self.pred.evaluate(z_small, t)
+            trial = self.pred.evaluate(z_small.data, t)
             _, height, width, _ = z_small.shape
             mask = circular_mask(height, width, cfg.mask_scale * min(height, width))
             cached_small = six_axis_pool(state.cached_prediction, cfg.downsample)
-            d = np.fft.fft2(trial.data, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small.data, axes=(1, 2), norm="ortho")
+            d = np.fft.fft2(trial, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small.data, axes=(1, 2), norm="ortho")
             low = d[:, mask.membership, :]
             delta = float(np.sqrt(np.sum(low.real ** 2 + low.imag ** 2)))
             cost += self.trial_cells
@@ -629,10 +626,10 @@ class PerTrialPolicy:
             f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else axpy(z, 1.0, state.cached_residual)
         else:
             if self.block_cfg is None:
-                f, eval_cost = self.pred.evaluate(z, t), self.full_cells
+                f, eval_cost = Tensor4(self.pred.evaluate(z.data, t)), self.full_cells
             else:
-                f = block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state)
-                pivotal_size, partial = len(self.block_state.pivotal), self.block_state.last_partial
+                f = Tensor4(block_cached_forward(self.pred, z.data, t, self.block_cfg, self.block_state))
+                pivotal_size, partial = len(self.block_state.pivotal), self.block_state.age > 0
                 eval_cost = self.full_cells * (pivotal_size / self.pred.num_blocks if partial else 1.0)
             cost += eval_cost
             state.error = 0.0
@@ -785,25 +782,29 @@ def test_policy_rejects_a_step_that_does_not_follow_the_previous_one():
     policy(1, 0.9, z1)
 
 
-def test_cached_mixture_trials_take_the_array_entry_point_and_never_evaluate(monkeypatch):
-    """MixturePredictor.evaluate runs only for the warmup and full rows; every trial calls evaluate_array."""
-    calls = {"evaluate": [], "evaluate_array": []}
+@pytest.mark.parametrize("kind", ["mixture", "block"])
+def test_every_trial_calls_evaluate_at_the_trial_shape(monkeypatch, kind):
+    """One entry point: a step's trial, then its full evaluation unless the block cache runs it, call evaluate."""
+    if kind == "mixture":
+        cls, pred, z0, block_cfg = MixturePredictor, make_pred(2), seeded_normal(SHAPE, seed=3), None
+    else:
+        cls, pred, z0 = ToyBlockNet, ToyBlockNet(6, channels=2, seed=8), seeded_normal(SHAPE, seed=3)
+        block_cfg = BlockCacheConfig(cache_rate=0.4, interval=2)
+    calls = []
+    original = cls.evaluate
 
-    def spied(name):
-        original = getattr(MixturePredictor, name)
+    def spied(self, x, t):
+        calls.append(x.shape)
+        return original(self, x, t)
 
-        def wrapper(self, z, t):
-            calls[name].append(z.shape)
-            return original(self, z, t)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(MixturePredictor, name, spied(name))
-    _, report = sample_cached(make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(40),
-                              StepCacheConfig(alpha=0.9, warmup_steps=3))
-    assert report.skip_count > 0
-    assert calls["evaluate"] == [SHAPE] * (report.warmup_full_count + report.full_eval_count)
-    assert calls["evaluate_array"] == [(2, 4, 4, 2)] * report.trial_eval_count
+    monkeypatch.setattr(cls, "evaluate", spied)
+    _, report = sample_cached(pred, z0, make_schedule(40), StepCacheConfig(alpha=0.9, warmup_steps=3), block_cfg)
+    expected = []
+    for row in report.steps:
+        expected += [(2, 4, 4, 2)] * (row.trial_delta is not None)
+        expected += [SHAPE] * (block_cfg is None and row.decision != DECISION_SKIP)
+    assert report.skip_count > 0 and report.trial_eval_count == len(report.steps) - 1
+    assert calls == expected
 
 
 def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
@@ -817,12 +818,67 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
             policy(1, 0.9, axpy(z0, -0.1, f))
 
 
-def test_a_non_finite_trial_evaluation_on_the_fallback_path_raises_tensor4s_error():
-    """A predictor without evaluate_array that returns inf at the trial shape fails as it always has."""
+def test_a_non_finite_trial_evaluation_at_the_trial_shape_raises_tensor4s_error():
+    """A predictor that returns inf at the trial shape fails in the trial.
+
+    Cutting the band of an inf velocity computes inf - inf; numpy's
+    invalid-value warning is silenced so the trial's own check is what fails.
+    """
 
     class InfAtTrialShape:
-        def evaluate(self, z, t):
-            return Tensor4(np.full(z.shape, 0.5 if z.shape == SHAPE else np.inf))
+        def evaluate(self, x, t):
+            return np.full(x.shape, 0.5 if x.shape == SHAPE else np.inf)
 
-    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="^tensor contains non-finite values$"):
         sample_cached(InfAtTrialShape(), seeded_normal(SHAPE, seed=3), make_schedule(10), StepCacheConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_non_finite_full_evaluation_raises_at_the_wrap(bad, cached):
+    """The Tensor4 a sampler wraps a full-shape prediction in is its finiteness check."""
+
+    class BadAtFullShape:
+        def evaluate(self, x, t):
+            return np.full(x.shape, bad if x.shape == SHAPE else 0.5)
+
+    z0, sched = seeded_normal(SHAPE, seed=3), make_schedule(10)
+    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+        if cached:
+            sample_cached(BadAtFullShape(), z0, sched, StepCacheConfig())
+        else:
+            sample_baseline(BadAtFullShape(), z0, sched)
+
+
+@pytest.mark.parametrize("bad_step", [0, 1])
+def test_a_block_that_emits_inf_mid_stack_raises_at_the_wrap(bad_step):
+    """Block 1 of 3 emits inf at full shape on a refresh (step 0) or a partial step (step 1).
+
+    Block 0 adds the smallest constant, so it is the one replayed and block 1
+    stays pivotal. The trials run at the trial shape and stay finite, so the
+    error comes from the wrap of the full evaluation. On the refresh block
+    2's delta is inf - inf; numpy's invalid-value warning is silenced for it.
+    """
+    shape = (2, 8, 8, 2)
+    sched = make_schedule(10)
+
+    class InfMidStack:
+        num_blocks = 3
+        bad_t = None
+
+        def apply_block(self, index, features, t):
+            bad = (index, features.shape, t) == (1, shape, self.bad_t)
+            return features + (np.inf if bad else (0.01, 1.0, 2.0)[index])
+
+        def evaluate(self, x, t):
+            return toy_block_forward(self, x, t)
+
+    net, z0 = InfMidStack(), seeded_normal(shape, seed=1)
+    cfg = StepCacheConfig(warmup_steps=20, downsample=DownsampleFactors(1, 4, 4))
+    block_cfg = BlockCacheConfig(cache_rate=1 / 3, interval=3)
+    _, report = sample_cached(net, z0, sched, cfg, block_cfg)
+    assert [r.block_partial for r in report.steps[:2]] == [False, True]
+    assert report.steps[1].pivotal_size == 2
+    net.bad_t = sched.values[bad_step]
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+        sample_cached(net, z0, sched, cfg, block_cfg)

@@ -39,14 +39,14 @@ def make_predictor(seed=11):
 
 
 class FixedPredictor:
-    """Returns the same tensor at every step, so adjacent predictions never move."""
+    """Returns the same array at every step, so adjacent predictions never move."""
 
     def __init__(self, value: Tensor4):
-        self._value = value
+        self._value = value.data
 
-    def evaluate(self, z: Tensor4, t: float) -> Tensor4:
-        if z.shape != self._value.shape:
-            raise DimensionError(f"latent shape {z.shape} does not match {self._value.shape}")
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        if x.shape != self._value.shape:
+            raise DimensionError(f"latent shape {x.shape} does not match {self._value.shape}")
         return self._value
 
 

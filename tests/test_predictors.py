@@ -17,7 +17,6 @@ from flowcache.predictors import (
     TraceRecord,
     TraceReplayPredictor,
     mixture_posterior_mean,
-    mixture_velocity,
     structured_mixture,
     toy_block_forward,
 )
@@ -113,13 +112,13 @@ def _oracle_grid_specs():
                 yield GaussianMixtureSpec(shape, tuple(weights), tuple(variances), means)
 
 
-def assert_array_velocity_is_mixture_velocity(spec, x, t):
-    """MixturePredictor.evaluate_array: mixture_velocity's bytes, as a fresh writable array, its input unchanged."""
+def assert_velocity_is_the_posterior_velocity(spec, x, t, posterior):
+    """MixturePredictor.evaluate: (x - posterior) / t bitwise, as a fresh writable array, its input unchanged."""
     latent = x.data.copy()
-    velocity = MixturePredictor(spec).evaluate_array(latent, t)
-    assert velocity.tobytes() == mixture_velocity(spec, x, t).tobytes()
+    velocity = MixturePredictor(spec).evaluate(latent, t)
+    assert velocity.tobytes() == ((x.data - posterior) / t).tobytes()
     assert velocity.flags.writeable and not np.shares_memory(velocity, latent)
-    assert latent.tobytes() == x.tobytes()
+    assert latent.flags.writeable and latent.tobytes() == x.tobytes()
 
 
 def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
@@ -133,9 +132,8 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
                 x = Tensor4(scale * rng.standard_normal(eval_shape))
                 for t in (1.0, 0.5, 1e-3):
                     expected = reference_posterior_mean(spec, x, t)
-                    assert mixture_posterior_mean(spec, x, t).tobytes() == expected.tobytes()
-                    assert mixture_velocity(spec, x, t).tobytes() == ((x.data - expected) / t).tobytes()
-                    assert_array_velocity_is_mixture_velocity(spec, x, t)
+                    assert mixture_posterior_mean(spec, x.data, t).tobytes() == expected.tobytes()
+                    assert_velocity_is_the_posterior_velocity(spec, x, t, expected)
                     cases += 1
     assert cases == 2 * 4 * 4 * 2 * 2 * 3
     # With eight or more components on a one-cell latent numpy sums axis 0
@@ -145,8 +143,9 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
     spec = GaussianMixtureSpec((1, 1, 1, 1), tuple(weights), (1.0,) * 9, np.linspace(-40.0, 40.0, 9).reshape(9, 1, 1, 1, 1))
     for value in np.linspace(-50.0, 50.0, 41):
         x = Tensor4(np.full((1, 1, 1, 1), value))
-        assert mixture_posterior_mean(spec, x, 0.5).tobytes() == reference_posterior_mean(spec, x, 0.5).tobytes()
-        assert_array_velocity_is_mixture_velocity(spec, x, 0.5)
+        expected = reference_posterior_mean(spec, x, 0.5)
+        assert mixture_posterior_mean(spec, x.data, 0.5).tobytes() == expected.tobytes()
+        assert_velocity_is_the_posterior_velocity(spec, x, 0.5, expected)
 
 
 def test_mean_stack_is_memoised_and_matches_a_fresh_materialization():
@@ -198,6 +197,17 @@ def test_mean_memo_stays_out_of_equality_and_repr():
     assert "mean_memo" not in before
 
 
+def test_mixture_specs_compare_by_value_and_are_unhashable():
+    a, b = structured_mixture((2, 4, 4, 2), 3), structured_mixture((2, 4, 4, 2), 3)
+    c = structured_mixture((2, 4, 4, 2), 4)
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != GaussianMixtureSpec(a.shape, a.weights, (1.0, 1.0), a.means)
+    assert a != "spec"
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 @pytest.mark.parametrize("weights, variances, means, error, match", [
     ((), (), np.empty((0, 1, 2, 2, 1)), DomainError, "at least one component"),
     ((0.5, 0.5), (1.0,), np.zeros((2, 1, 2, 2, 1)), DimensionError, "2 component weights but 1 variances"),
@@ -228,10 +238,10 @@ def test_posterior_mean_at_t_one_is_prior_mean():
     """At t = 1 the latent carries no information about x0."""
     shape = (1, 4, 4, 2)
     spec = structured_mixture(shape, seed=5)
-    x = seeded_normal(shape, seed=6)
+    x = seeded_normal(shape, seed=6).data
     post = mixture_posterior_mean(spec, x, 1.0)
     prior_mean = sum(weight * mu for weight, mu in zip(spec.weights, spec.mean_stack(shape)))
-    assert np.allclose(post.data, prior_mean, atol=1e-12)
+    assert np.allclose(post, prior_mean, atol=1e-12)
 
 
 def test_single_component_posterior_closed_form():
@@ -239,32 +249,32 @@ def test_single_component_posterior_closed_form():
     shape = (1, 2, 2, 1)
     mu, var = 1.3, 2.5
     spec = GaussianMixtureSpec(shape, (1.0,), (var,), np.full((1,) + shape, mu))
-    x = Tensor4(np.full(shape, 0.7))
+    x = np.full(shape, 0.7)
     for t in (0.9, 0.5, 0.1):
         s2 = (1 - t) ** 2 * var + t**2
         expected = mu + (1 - t) * var / s2 * (0.7 - (1 - t) * mu)
         post = mixture_posterior_mean(spec, x, t)
-        assert np.allclose(post.data, expected, rtol=1e-12)
+        assert np.allclose(post, expected, rtol=1e-12)
 
 
 def test_velocity_definition():
     shape = (1, 2, 2, 1)
     spec = structured_mixture(shape, seed=2)
-    x = seeded_normal(shape, seed=3)
+    x = seeded_normal(shape, seed=3).data
     t = 0.4
-    v = mixture_velocity(spec, x, t)
+    v = MixturePredictor(spec).evaluate(x, t)
     post = mixture_posterior_mean(spec, x, t)
-    assert np.allclose(v.data, (x.data - post.data) / t, rtol=1e-15)
+    assert np.allclose(v, (x - post) / t, rtol=1e-15)
 
 
 def test_time_domain_is_validated():
     shape = (1, 2, 2, 1)
     spec = structured_mixture(shape, seed=0)
-    x = Tensor4(np.zeros(shape))
+    x = np.zeros(shape)
     for bad in (0.0, -0.1, 1.1):
-        for evaluate in (mixture_velocity, mixture_posterior_mean):
+        for evaluate in (MixturePredictor(spec).evaluate, lambda x, t: mixture_posterior_mean(spec, x, t)):
             with pytest.raises(DomainError, match=rf"time must lie in \(0, 1\], got {bad}"):
-                evaluate(spec, x, bad)
+                evaluate(x, bad)
 
 
 def test_one_evaluation_checks_time_once(monkeypatch):
@@ -272,20 +282,20 @@ def test_one_evaluation_checks_time_once(monkeypatch):
     check = predictors._check_time
     monkeypatch.setattr(predictors, "_check_time", lambda t: (calls.append(t), check(t)))
     shape = (1, 2, 2, 1)
-    MixturePredictor(structured_mixture(shape, seed=0)).evaluate(Tensor4(np.zeros(shape)), 0.5)
+    MixturePredictor(structured_mixture(shape, seed=0)).evaluate(np.zeros(shape), 0.5)
     assert calls == [0.5]
 
 
 def test_velocity_is_continuous_in_t():
     """|v(x, t) - v(x, t + 1e-6)| <= 1e-3 * (1 + |v|) for t >= 0.05."""
     shape = (2, 4, 4, 2)
-    spec = structured_mixture(shape, seed=8)
+    pred = MixturePredictor(structured_mixture(shape, seed=8))
     rng = np.random.default_rng(9)
     for trial in range(20):
-        x = Tensor4(2.0 * rng.standard_normal(shape))
+        x = 2.0 * rng.standard_normal(shape)
         t = float(rng.uniform(0.05, 1.0 - 1e-6))
-        v0 = mixture_velocity(spec, x, t).data
-        v1 = mixture_velocity(spec, x, t + 1e-6).data
+        v0 = pred.evaluate(x, t)
+        v1 = pred.evaluate(x, t + 1e-6)
         assert np.max(np.abs(v1 - v0)) <= 1e-3 * (1.0 + np.max(np.abs(v0)))
 
 
@@ -302,7 +312,7 @@ def test_posterior_mean_against_monte_carlo_smoke():
         mc, se = sample_cell_posterior_mc(spec.weights, means, spec.variances[0],
                                           float(x.data[cell]), t, n_samples=200_000,
                                           seed=100 + trial)
-        analytic = float(mixture_posterior_mean(spec, x, t).data[cell])
+        analytic = float(mixture_posterior_mean(spec, x.data, t)[cell])
         assert abs(analytic - mc) <= 4.0 * se
 
 
@@ -331,8 +341,8 @@ def test_structured_mixture_detail_is_frame_paired():
 
 def test_toy_block_net_zero_blocks_is_identity():
     net = ToyBlockNet(0, channels=2, seed=0)
-    z = seeded_normal((1, 4, 4, 2), seed=1)
-    assert np.array_equal(toy_block_forward(net, z, 0.5).data, z.data)
+    z = seeded_normal((1, 4, 4, 2), seed=1).data
+    assert np.array_equal(toy_block_forward(net, z, 0.5), z)
 
 
 def test_toy_block_deltas_match_golden_file():
@@ -340,11 +350,11 @@ def test_toy_block_deltas_match_golden_file():
     golden_path = GOLDEN_DIR / "toy_block_deltas.json"
     assert golden_path.exists(), f"golden file {golden_path} is missing; it is checked in, never regenerated"
     net = ToyBlockNet(6, channels=2, seed=42)
-    features = seeded_normal((2, 4, 4, 2), seed=43)
+    features = seeded_normal((2, 4, 4, 2), seed=43).data
     norms = []
     for j in range(net.num_blocks):
         nxt = net.apply_block(j, features, 0.5)
-        norms.append(float(np.sqrt(np.sum((nxt.data - features.data) ** 2))))
+        norms.append(float(np.sqrt(np.sum((nxt - features) ** 2))))
         features = nxt
     assert all(n > 0 for n in norms)
     assert norms == json.loads(golden_path.read_text())
@@ -353,16 +363,15 @@ def test_toy_block_deltas_match_golden_file():
 def test_toy_block_channel_mismatch():
     net = ToyBlockNet(2, channels=3, seed=0)
     with pytest.raises(DimensionError):
-        net.apply_block(0, Tensor4(np.zeros((1, 2, 2, 2))), 0.5)
+        net.apply_block(0, np.zeros((1, 2, 2, 2)), 0.5)
 
 
 def test_constant_delta_net_adds_fixed_tensors():
     shape = (1, 2, 2, 1)
     deltas = [Tensor4(np.full(shape, 1.0)), Tensor4(np.full(shape, -0.5))]
     net = ConstantDeltaNet(deltas)
-    z = Tensor4(np.full(shape, 2.0))
-    out = net.evaluate(z, 0.3)
-    assert np.all(out.data == 2.5)
+    out = net.evaluate(np.full(shape, 2.0), 0.3)
+    assert np.all(out == 2.5)
     assert net.num_blocks == 2
 
 
@@ -372,10 +381,10 @@ def test_trace_archive_round_trip_and_bounds():
     preds = [Tensor4(np.full(shape, float(k))) for k in range(50)]
     arch = TraceArchive.from_run(sched, preds)
     replay = TraceReplayPredictor(arch)
-    z = Tensor4(np.zeros(shape))
+    z = np.zeros(shape)
     for k in range(50):
         assert arch.records[k].step_index == 49 - k
-        assert np.array_equal(replay.evaluate(z, sched.values[k]).data, preds[k].data)
+        assert np.array_equal(replay.evaluate(z, sched.values[k]), preds[k].data)
     with pytest.raises(TraceError):
         replay.evaluate(z, sched.values[-1])
     with pytest.raises(TraceError):
@@ -421,4 +430,23 @@ def test_replay_predictor_rejects_unknown_time():
     preds = [Tensor4(np.zeros((1, 2, 2, 1)))] * 3
     replay = TraceReplayPredictor(TraceArchive.from_run(sched, preds))
     with pytest.raises(TraceError):
-        replay.evaluate(Tensor4(np.zeros((1, 2, 2, 1))), 0.123)
+        replay.evaluate(np.zeros((1, 2, 2, 1)), 0.123)
+
+
+@pytest.mark.parametrize("kind", ["mixture", "toy-block", "trace-replay"])
+def test_evaluate_reads_a_writable_input_and_returns_its_shape(kind):
+    """evaluate never writes or freezes its input, and its output has the input's shape."""
+    shape = (2, 8, 8, 2)
+    sched = make_schedule(4)
+    if kind == "mixture":
+        pred = MixturePredictor(structured_mixture(shape, seed=1))
+    elif kind == "toy-block":
+        pred = ToyBlockNet(3, channels=2, seed=1)
+    else:
+        pred = TraceReplayPredictor(TraceArchive.from_run(sched, [seeded_normal(shape, seed=k) for k in range(4)]))
+    x = seeded_normal(shape, seed=9).data.copy()
+    before = x.tobytes()
+    for t in sched.values[:-1]:
+        out = pred.evaluate(x, t)
+        assert out.shape == x.shape
+        assert x.flags.writeable and x.tobytes() == before

@@ -182,8 +182,8 @@ def test_single_gaussian_terminal_variance_matches_data():
 
 def test_predictor_shape_mismatch_is_caught():
     class WrongShape:
-        def evaluate(self, z, t):
-            return Tensor4(np.zeros((1, 2, 2, 1)))
+        def evaluate(self, x, t):
+            return np.zeros((1, 2, 2, 1))
 
     with pytest.raises(DimensionError):
         sample_baseline(WrongShape(), Tensor4(np.zeros((1, 4, 4, 1))), make_schedule(2))

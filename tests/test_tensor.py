@@ -212,7 +212,7 @@ def test_avg_downsample_sums_each_block_sequentially(case):
         assert out is x
         return
     assert out.data.tobytes() == sequential_block_mean(x.data, f).tobytes()
-    if x.channels >= 2:
+    if x.shape[3] >= 2:
         assert out.data.tobytes() == six_axis_mean(x.data, f).tobytes()
 
 
