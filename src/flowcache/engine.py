@@ -29,7 +29,7 @@ Predictors work on bare arrays. The trial step runs on arrays the policy
 owns: the pooled latent is advanced in place in a buffer, trial_lowfreq_diff
 evaluates the predictor on it, cuts the velocity's band with
 spectral.band_spectrum and takes the drift, and is also where the trial
-checks finiteness. The block cache runs the blocks on arrays too. A full
+checks finiteness. Pooling and the block cache run on arrays too. A full
 evaluation's prediction becomes a Tensor4, and so is checked for
 finiteness, once, when the policy wraps it.
 
@@ -101,7 +101,7 @@ def trial_mask(shape: tuple[int, int, int, int], cfg: StepCacheConfig) -> Freque
 
 def low_band(x: Tensor4, cfg: StepCacheConfig, mask: FrequencyMask) -> np.ndarray:
     """x pooled to the trial grid and cut to the low band: shape (frames, low bins, channels)."""
-    return band_spectrum(avg_downsample(x, cfg.downsample).data, mask)
+    return band_spectrum(avg_downsample(x.data, cfg.downsample), mask)
 
 
 def _drift(band: np.ndarray, reference: np.ndarray) -> float:
@@ -268,8 +268,10 @@ def block_cached_forward(
     While age < interval, subsequent calls compute only pivotal blocks
     exactly and add the cached delta for the rest. With interval 0 or
     cache_rate 0 every call reproduces the plain forward pass. z is only
-    read; a delta is nxt - features and its norm sqrt(sum(d * d)), axpy's
-    and l2_norm's expressions, so the result is bitwise theirs.
+    read. A delta is nxt - features, axpy's expression, so a refresh's output
+    is bitwise the plain forward's. A delta's norm is spectrum_norm's
+    sqrt(vdot(d, d)), one BLAS pass with no squared temporary; it equals
+    l2_norm's sqrt(sum(d * d)) to rounding, not bit for bit.
     """
     m = net.num_blocks
     if m == 0:
@@ -285,7 +287,7 @@ def block_cached_forward(
         for j in range(m):
             nxt = net.apply_block(j, features, t)
             kept[j] = nxt - features
-            norms.append(float(np.sqrt(np.sum(kept[j] * kept[j]))))
+            norms.append(spectrum_norm(kept[j]))
             if len(kept) > replay_count:
                 del kept[max(kept, key=lambda i: (norms[i], -i))]
             features = nxt
@@ -346,10 +348,10 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k == 0:
-            state.trial_buffer = avg_downsample(z, self.cfg.downsample).data.copy()
+            state.trial_buffer = avg_downsample(z.data, self.cfg.downsample).copy()
         else:
             if state.pooled_prediction is None:
-                state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample).data
+                state.pooled_prediction = avg_downsample(state.cached_prediction.data, self.cfg.downsample)
                 state.reference = band_spectrum(state.pooled_prediction, self.mask)
             # euler_step's axpy(latent, t - last_t, pooled) in place: a + scale * b, scale never 0.
             np.multiply(state.pooled_prediction, t - last_t, out=self._scratch)
@@ -405,11 +407,17 @@ def sample_cached(
     The step loop is the baseline sampler's; only the policy differs, so
     configurations that never skip and never replay block deltas reproduce
     the baseline sampler bitwise.
+
+    The step loop runs with numpy's invalid-value warnings off: a non-finite
+    trial velocity or block output meets inf - inf in a band cut or a block
+    delta before it reaches the trial's or the wrap's finiteness check, and
+    that check's DomainError is what the caller sees.
     """
     if block_cfg is not None and not isinstance(pred, BlockPredictor):
         raise ConfigError("block-level caching requires a block-decomposed predictor")
     policy = StepCachePolicy(pred, cfg, block_cfg, z_init.shape)
-    z, report = run_steps(policy, pred, z_init, schedule, observer, policy.trial_cells)
+    with np.errstate(invalid="ignore"):
+        z, report = run_steps(policy, pred, z_init, schedule, observer, policy.trial_cells)
     report.threshold = policy.state.threshold
     report.warmup_max_delta = max(policy.warmup_deltas) if policy.warmup_deltas else None
     return z, report

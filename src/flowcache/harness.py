@@ -208,7 +208,7 @@ def resolution_sensitivity(
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
         mask = trial_mask(z_init.shape, cfg)
-        seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k], f).data, schedule.values[k],
+        seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k].data, f), schedule.values[k],
                                   low_band(traj.predictions[k - 1], cfg, mask), mask) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))

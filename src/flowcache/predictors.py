@@ -92,7 +92,7 @@ class GaussianMixtureSpec:
                 raise DimensionError(f"latent shape {self.shape} does not pool to the evaluation shape {shape}")
             stack = np.empty((len(self.weights),) + shape, dtype=np.float64)
             for k, mu in enumerate(self.means):
-                stack[k] = avg_downsample(Tensor4(mu), factors).data
+                stack[k] = avg_downsample(mu, factors)
             stack.flags.writeable = False
             self._mean_memo[shape] = stack
         return stack

@@ -27,9 +27,9 @@ class FrequencyMask:
 
     row_dft (m, H) and column_dft (k, W) are the unitary DFT rows of the m
     frequency rows and k frequency columns holding at least one low bin, in
-    ascending order, and band_membership (m, k) is membership restricted to
-    them. All three are derived once on construction, read-only, for
-    band_spectrum.
+    ascending order, and band_index holds the flat row-major indices of the
+    low bins on that (m, k) sub-grid, ascending. All three are derived once on
+    construction, read-only, for band_spectrum.
     """
 
     height: int
@@ -38,7 +38,7 @@ class FrequencyMask:
     membership: np.ndarray = field(repr=False)
     row_dft: np.ndarray = field(init=False, repr=False, compare=False)
     column_dft: np.ndarray = field(init=False, repr=False, compare=False)
-    band_membership: np.ndarray = field(init=False, repr=False, compare=False)
+    band_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -52,7 +52,7 @@ class FrequencyMask:
         rows, columns = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
         tables = (("membership", m), ("row_dft", _dft_rows(rows, self.height)),
                   ("column_dft", _dft_rows(columns, self.width)),
-                  ("band_membership", np.ascontiguousarray(m[np.ix_(rows, columns)])))
+                  ("band_index", np.flatnonzero(m[np.ix_(rows, columns)])))
         for name, arr in tables:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -100,8 +100,9 @@ def band_spectrum(data: np.ndarray, mask: FrequencyMask, low: bool = True) -> np
     fft2's row-major plane order. The high band is cut from fft2. The low
     band is the mask's row DFT over height, then its column DFT over width,
     which yields only the (m, k) sub-grid of rows and columns the band
-    occupies; its bins are cut from that and agree with fft2's to rounding,
-    not bit for bit. data is only read, and it is not checked for finiteness.
+    occupies; its bins are taken from that at band_index and agree with
+    fft2's to rounding, not bit for bit. data is only read, and it is not
+    checked for finiteness.
     """
     _require_mask_fit(data.shape, mask)
     if not low:
@@ -109,7 +110,7 @@ def band_spectrum(data: np.ndarray, mask: FrequencyMask, low: bool = True) -> np
     frames, height, width, channels = data.shape
     rows = mask.row_dft @ data.reshape(frames, height, width * channels)
     sub = mask.column_dft @ rows.reshape(-1, width, channels)
-    return sub.reshape(frames, *mask.band_membership.shape, channels)[:, mask.band_membership, :]
+    return np.take(sub.reshape(frames, -1, channels), mask.band_index, axis=1)
 
 
 def spectrum_norm(spectrum: np.ndarray) -> float:

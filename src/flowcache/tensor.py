@@ -1,9 +1,10 @@
 """Dense 4-D latent tensors and the handful of numeric ops everything else builds on.
 
 Layout is (frames, height, width, channels), float64, row-major. Tensors are
-immutable: every operation returns a fresh instance and the backing numpy
-array is marked read-only, which is what makes bitwise reproducibility claims
-checkable at all.
+immutable: every operation on them returns a fresh instance and the backing
+numpy array is marked read-only, which is what makes bitwise reproducibility
+claims checkable at all. Pooling (avg_downsample) works on bare arrays of
+that layout.
 """
 
 from __future__ import annotations
@@ -92,11 +93,12 @@ def pooled_shape(shape: tuple[int, int, int, int], factors: DownsampleFactors) -
     return (t // factors.frames, h // factors.height, w // factors.width, c)
 
 
-def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
-    """Block-mean pooling by integer factors along frames/height/width.
+def avg_downsample(x: np.ndarray, factors: DownsampleFactors) -> np.ndarray:
+    """Block-mean pooling of a (T, H, W, C) array by integer factors along frames/height/width.
 
-    Channels are untouched. Factors of (1, 1, 1) return the input values
-    bitwise unchanged; the global mean is preserved exactly up to rounding.
+    Channels are untouched. Factors of (1, 1, 1) return x itself; any other
+    factors return a fresh writable array and only read x, which is not
+    checked for finiteness. The global mean is preserved up to rounding.
 
     Summation order is fixed: each output value is the sequential sum of its
     block's members in lexicographic (frame, row, column) offset order,
@@ -112,7 +114,7 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     pooled = pooled_shape(x.shape, factors)
     if factors.as_tuple() == (1, 1, 1):
         return x
-    blocked = x.data.reshape(
+    blocked = x.reshape(
         pooled[0], factors.frames,
         pooled[1], factors.height,
         pooled[2], factors.width,
@@ -121,7 +123,7 @@ def avg_downsample(x: Tensor4, factors: DownsampleFactors) -> Tensor4:
     rows = np.ascontiguousarray(blocked.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(factors.volume, -1)
     total = np.add.reduce(rows, 0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
     total /= factors.volume
-    return Tensor4(total.reshape(pooled))
+    return total.reshape(pooled)
 
 
 def l2_norm(x: Tensor4) -> float:

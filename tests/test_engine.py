@@ -328,6 +328,25 @@ def test_streaming_refresh_keeps_what_select_pivotal_replays_and_at_most_r_delta
     assert len(deltas) == len(levels) and alive() == replayed
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_refresh_norms_and_pivotal_set_match_the_plain_forwards_deltas(blocks, channels, seed, rate):
+    """A refresh's block importances are sqrt(sum(d * d)) of the plain forward's deltas, to rounding."""
+    net = ToyBlockNet(blocks, channels=channels, seed=seed)
+    z = np.random.default_rng(seed).standard_normal((2, 4, 4, channels))
+    state = BlockCacheState()
+    out = block_cached_forward(net, z, 0.7, BlockCacheConfig(cache_rate=rate, interval=2), state)
+    features = [z]
+    for j in range(blocks):
+        features.append(net.apply_block(j, features[-1], 0.7))
+    deltas = [features[j + 1] - features[j] for j in range(blocks)]
+    norms = [float(np.sqrt(np.sum(d * d))) for d in deltas]
+    assert out.tobytes() == features[-1].tobytes()
+    assert state.norms == pytest.approx(norms, rel=1e-12, abs=0.0)
+    assert state.pivotal == select_pivotal(norms, rate)
+
+
 def test_refresh_from_a_populated_cache_peaks_no_higher_than_the_first():
     """A refresh never holds the old delta set next to the new one (traced numpy allocations)."""
     net = ToyBlockNet(6, channels=8, seed=3)
@@ -466,7 +485,7 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     mask = trial_mask(SHAPE, cfg)
     z = seeded_normal(SHAPE, seed=3)
     cached = Tensor4(np.full(SHAPE, 1.25))
-    z_small = avg_downsample(z, cfg.downsample).data
+    z_small = avg_downsample(z.data, cfg.downsample)
     assert trial_lowfreq_diff(Constant(), z_small, 0.5, low_band(cached, cfg, mask), mask) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -569,8 +588,7 @@ def six_axis_pool(x, f):
     if f.as_tuple() == (1, 1, 1):
         return x
     t, h, w, c = x.shape
-    blocked = x.data.reshape(t // f.frames, f.frames, h // f.height, f.height, w // f.width, f.width, c)
-    return Tensor4(blocked.mean(axis=(1, 3, 5)))
+    return x.reshape(t // f.frames, f.frames, h // f.height, f.height, w // f.width, f.width, c).mean(axis=(1, 3, 5))
 
 
 class FreshMeansMixture:
@@ -604,12 +622,12 @@ class PerTrialPolicy:
         cfg, state = self.cfg, self.state
         delta, cost, decision = None, 0.0, DECISION_WARMUP
         if k > 0:
-            z_small = six_axis_pool(z, cfg.downsample)
-            trial = self.pred.evaluate(z_small.data, t)
+            z_small = six_axis_pool(z.data, cfg.downsample)
+            trial = self.pred.evaluate(z_small, t)
             _, height, width, _ = z_small.shape
             mask = circular_mask(height, width, cfg.mask_scale * min(height, width))
-            cached_small = six_axis_pool(state.cached_prediction, cfg.downsample)
-            d = np.fft.fft2(trial, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small.data, axes=(1, 2), norm="ortho")
+            cached_small = six_axis_pool(state.cached_prediction.data, cfg.downsample)
+            d = np.fft.fft2(trial, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small, axes=(1, 2), norm="ortho")
             low = d[:, mask.membership, :]
             delta = float(np.sqrt(np.sum(low.real ** 2 + low.imag ** 2)))
             cost += self.trial_cells
@@ -755,7 +773,7 @@ def test_carried_trial_latent_tracks_the_pooled_latent_over_200_steps(kind, reus
     pairs, report = carried_trial_latents(pred, z0, make_schedule(200), cfg, block_cfg)
     assert len(pairs) == 200 and report.skip_count > 0
     for z, carried in pairs:
-        exact = avg_downsample(z, cfg.downsample).data
+        exact = avg_downsample(z.data, cfg.downsample)
         assert np.max(np.abs(carried.data - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
@@ -821,15 +839,16 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
 def test_a_non_finite_trial_evaluation_at_the_trial_shape_raises_tensor4s_error():
     """A predictor that returns inf at the trial shape fails in the trial.
 
-    Cutting the band of an inf velocity computes inf - inf; numpy's
-    invalid-value warning is silenced so the trial's own check is what fails.
+    Cutting the band of an inf velocity computes inf - inf. The cached
+    sampler silences numpy's invalid-value warning for it, so under
+    -W error::RuntimeWarning the caller still sees the trial's own DomainError.
     """
 
     class InfAtTrialShape:
         def evaluate(self, x, t):
             return np.full(x.shape, 0.5 if x.shape == SHAPE else np.inf)
 
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
         sample_cached(InfAtTrialShape(), seeded_normal(SHAPE, seed=3), make_schedule(10), StepCacheConfig())
 
 
@@ -857,7 +876,8 @@ def test_a_block_that_emits_inf_mid_stack_raises_at_the_wrap(bad_step):
     Block 0 adds the smallest constant, so it is the one replayed and block 1
     stays pivotal. The trials run at the trial shape and stay finite, so the
     error comes from the wrap of the full evaluation. On the refresh block
-    2's delta is inf - inf; numpy's invalid-value warning is silenced for it.
+    2's delta is inf - inf; the cached sampler silences numpy's invalid-value
+    warning for it, so the wrap's DomainError is what the caller sees.
     """
     shape = (2, 8, 8, 2)
     sched = make_schedule(10)
@@ -880,5 +900,5 @@ def test_a_block_that_emits_inf_mid_stack_raises_at_the_wrap(bad_step):
     assert [r.block_partial for r in report.steps[:2]] == [False, True]
     assert report.steps[1].pivotal_size == 2
     net.bad_t = sched.values[bad_step]
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
         sample_cached(net, z0, sched, cfg, block_cfg)

@@ -161,7 +161,7 @@ def test_mean_stack_is_memoised_and_matches_a_fresh_materialization():
         assert stack.shape == (3,) + eval_shape and not stack.flags.writeable
         factors = DownsampleFactors(*(a // b for a, b in zip(shape[:3], eval_shape[:3])))
         for row, mu in zip(means, stack):
-            assert mu.tobytes() == avg_downsample(Tensor4(row), factors).tobytes()
+            assert mu.tobytes() == avg_downsample(row, factors).tobytes()
             assert not mu.flags.writeable
 
 

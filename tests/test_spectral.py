@@ -172,15 +172,24 @@ def test_mask_dft_tables_are_the_band_rows_and_columns_read_only():
 
     assert np.allclose(mask.row_dft, dft(rows, 6), rtol=0, atol=1e-14)
     assert np.allclose(mask.column_dft, dft(cols, 10), rtol=0, atol=1e-14)
-    assert mask.band_membership.tolist() == mask.membership[np.ix_(rows, cols)].tolist()
-    for table in (mask.row_dft, mask.column_dft, mask.band_membership):
+    assert mask.band_index.tolist() == np.flatnonzero(mask.membership[np.ix_(rows, cols)]).tolist()
+    for table in (mask.row_dft, mask.column_dft, mask.band_index):
         assert not table.flags.writeable
 
 
 def test_default_mask_dft_tables_stay_small_on_a_256_plane():
     """At the default radius 0.2 * 256 the tables are separable, O((H + W) * r); a dense (bins x H*W) basis would take about 8.6 GB."""
     mask = circular_mask(256, 256, 51.2)
-    assert mask.row_dft.nbytes + mask.column_dft.nbytes + mask.band_membership.nbytes < 2 * 2**20
+    assert mask.row_dft.nbytes + mask.column_dft.nbytes + mask.band_index.nbytes < 2 * 2**20
+
+
+def boolean_band_cut(data: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """The earlier low-band cut: the (m, k) sub-grid's membership as a boolean index."""
+    frames, height, width, channels = data.shape
+    grid_membership = mask.membership[np.ix_(mask.membership.any(axis=1), mask.membership.any(axis=0))]
+    rows = mask.row_dft @ data.reshape(frames, height, width * channels)
+    sub = mask.column_dft @ rows.reshape(-1, width, channels)
+    return sub.reshape(frames, *grid_membership.shape, channels)[:, grid_membership, :]
 
 
 @st.composite
@@ -204,10 +213,14 @@ EDGE_SLICES = Tensor4(np.random.default_rng(3).standard_normal((2, 6, 10, 2)))
 @example((EDGE_SLICES, circular_mask(6, 10, 0.0)))
 @example((EDGE_SLICES, circular_mask(6, 10, 16.0)))
 def test_band_spectrum_is_bitwise_the_cut_fft2(case):
-    """The high band is fft2's cut bit for bit; the low band, from two DFT matrices, matches it to rounding."""
+    """The high band is fft2's cut bit for bit; the low band, from two DFT matrices, matches it to rounding.
+
+    The low band's bins are bitwise those the earlier boolean cut of the DFT sub-grid took.
+    """
     x, mask = case
     spec = np.fft.fft2(x.data, axes=(1, 2), norm="ortho")
     low = band_spectrum(x.data, mask)
     assert low.shape == spec[:, mask.membership, :].shape
+    assert low.tobytes() == boolean_band_cut(x.data, mask).tobytes()
     assert np.max(np.abs(low - spec[:, mask.membership, :]), initial=0.0) <= 1e-12 * np.max(np.abs(spec))
     assert band_spectrum(x.data, mask, low=False).tobytes() == spec[:, ~mask.membership, :].tobytes()

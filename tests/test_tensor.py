@@ -139,7 +139,7 @@ def test_downsample_factors_validate():
 def test_avg_downsample_matches_block_mean_oracle():
     """Pooling equals an explicit loop over blocks."""
     rng = np.random.default_rng(3)
-    x = Tensor4(rng.standard_normal((4, 8, 6, 2)))
+    x = rng.standard_normal((4, 8, 6, 2))
     f = DownsampleFactors(2, 4, 3)
     out = avg_downsample(x, f)
     assert out.shape == (2, 2, 2, 2)
@@ -147,33 +147,41 @@ def test_avg_downsample_matches_block_mean_oracle():
         for hi in range(2):
             for wi in range(2):
                 for ci in range(2):
-                    block = x.data[2 * ti:2 * ti + 2, 4 * hi:4 * hi + 4, 3 * wi:3 * wi + 3, ci]
-                    assert out.data[ti, hi, wi, ci] == pytest.approx(block.mean(), rel=1e-12)
+                    block = x[2 * ti:2 * ti + 2, 4 * hi:4 * hi + 4, 3 * wi:3 * wi + 3, ci]
+                    assert out[ti, hi, wi, ci] == pytest.approx(block.mean(), rel=1e-12)
 
 
 def test_avg_downsample_identity_factors_bitwise():
-    x = seeded_normal((2, 4, 4, 1), seed=1)
-    out = avg_downsample(x, DownsampleFactors(1, 1, 1))
-    assert out is x
+    x = seeded_normal((2, 4, 4, 1), seed=1).data
+    assert avg_downsample(x, DownsampleFactors(1, 1, 1)) is x
+
+
+@pytest.mark.parametrize("shape,factors", [((4, 8, 8, 2), (2, 4, 4)), ((1, 3, 3, 1), (1, 3, 3)), ((2, 2, 2, 1), (2, 1, 1))])
+def test_avg_downsample_returns_a_fresh_writable_array_and_leaves_a_read_only_input_unchanged(shape, factors):
+    x = seeded_normal(shape, seed=2).data
+    before = x.tobytes()
+    assert not x.flags.writeable
+    out = avg_downsample(x, DownsampleFactors(*factors))
+    assert out.flags.writeable and not np.shares_memory(out, x)
+    out[...] = 0.0
+    assert x.tobytes() == before and not x.flags.writeable
 
 
 def test_avg_downsample_preserves_global_mean():
     rng = np.random.default_rng(11)
-    x = Tensor4(rng.standard_normal((4, 16, 16, 2)))
+    x = rng.standard_normal((4, 16, 16, 2))
     out = avg_downsample(x, DownsampleFactors(2, 4, 4))
-    assert out.data.mean() == pytest.approx(x.data.mean(), abs=1e-12)
+    assert out.mean() == pytest.approx(x.mean(), abs=1e-12)
 
 
 def test_avg_downsample_rejects_indivisible():
-    x = Tensor4(np.zeros((3, 4, 4, 1)))
     with pytest.raises(DimensionError):
-        avg_downsample(x, DownsampleFactors(2, 4, 4))
+        avg_downsample(np.zeros((3, 4, 4, 1)), DownsampleFactors(2, 4, 4))
 
 
 def test_avg_downsample_constant_is_exact():
-    x = Tensor4(np.full((2, 4, 4, 3), 2.5))
-    out = avg_downsample(x, DownsampleFactors(2, 2, 2))
-    assert np.all(out.data == 2.5)
+    out = avg_downsample(np.full((2, 4, 4, 3), 2.5), DownsampleFactors(2, 2, 2))
+    assert np.all(out == 2.5)
 
 
 def sequential_block_mean(x: np.ndarray, f: DownsampleFactors) -> np.ndarray:
@@ -199,7 +207,7 @@ def pooling_cases(draw):
     pooled = [draw(st.integers(1, 4)) for _ in range(3)]
     shape = (factors.frames * pooled[0], factors.height * pooled[1], factors.width * pooled[2], draw(st.integers(1, 3)))
     scale = 10.0 ** draw(st.integers(-3, 3))
-    return Tensor4(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape) * scale), factors
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape) * scale, factors
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,15 +219,15 @@ def test_avg_downsample_sums_each_block_sequentially(case):
     if f.as_tuple() == (1, 1, 1):
         assert out is x
         return
-    assert out.data.tobytes() == sequential_block_mean(x.data, f).tobytes()
+    assert out.tobytes() == sequential_block_mean(x, f).tobytes()
     if x.shape[3] >= 2:
-        assert out.data.tobytes() == six_axis_mean(x.data, f).tobytes()
+        assert out.tobytes() == six_axis_mean(x, f).tobytes()
 
 
 def test_avg_downsample_single_output_is_sequential():
     """One pooled value (a 1x1x1x1 grid) is still summed in order; numpy's pairwise sum differs here."""
     values = np.random.default_rng(1).standard_normal(9)
     assert values.sum() != sum(values[1:], values[0])
-    x = Tensor4(values.reshape(1, 3, 3, 1))
+    x = values.reshape(1, 3, 3, 1)
     out = avg_downsample(x, DownsampleFactors(1, 3, 3))
-    assert out.data.tobytes() == sequential_block_mean(x.data, DownsampleFactors(1, 3, 3)).tobytes()
+    assert out.tobytes() == sequential_block_mean(x, DownsampleFactors(1, 3, 3)).tobytes()
