@@ -14,24 +14,24 @@ their cached deltas for a bounded number of subsequent full steps.
 
 The low band is a function of the latent shape and the StepCacheConfig,
 stated here once: trial_mask is the mask of the pooled trial plane, with
-radius mask_scale * min(H, W) of that plane, and low_band pools a tensor and
-cuts its band. A trial costs what the cost model charges for it: it is
-evaluated on the trial grid, and its low band is cut with the mask's two
-small DFT matrices (spectral.band_spectrum), never a full transform. The
+radius mask_scale * min(H, W) of that plane. The drift between two arrays
+on that grid is one rule, the norm of the low band of their difference; the
+band is linear, so a trial cuts one band and never the cached prediction's.
+It cuts it with the mask's two small DFT matrices (spectral.band_spectrum),
+never a full transform, on the trial grid the cost model charges for. The
 policy carries the trial latent on that grid: pooling and the Euler update
 are both linear, so it pools z_0 once and then advances the pooled latent
 with the sampler's own update and the pooled prediction each step used. So
 every full-resolution tensor is pooled at most once: z_0, and each new
-prediction when the next trial first reads it, which is also when its band
-is cut. The mask and its DFT tables are built once per run.
+prediction when the next trial first reads it. circular_mask memoises the
+mask and its DFT tables, so they are built once per process.
 
 Predictors work on bare arrays. The trial step runs on arrays the policy
 owns: the pooled latent is advanced in place in a buffer, trial_lowfreq_diff
-evaluates the predictor on it, cuts the velocity's band with
-spectral.band_spectrum and takes the drift, and is also where the trial
-checks finiteness. Pooling and the block cache run on arrays too. A full
-evaluation's prediction becomes a Tensor4, and so is checked for
-finiteness, once, when the policy wraps it.
+evaluates the predictor on it, takes the drift from the pooled cached
+prediction, and is also where the trial checks finiteness. Pooling and the
+block cache run on arrays too. A full evaluation's prediction becomes a
+Tensor4, and so is checked for finiteness, once, when the policy wraps it.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -99,27 +99,21 @@ def trial_mask(shape: tuple[int, int, int, int], cfg: StepCacheConfig) -> Freque
     return circular_mask(height, width, cfg.mask_scale * min(height, width))
 
 
-def low_band(x: Tensor4, cfg: StepCacheConfig, mask: FrequencyMask) -> np.ndarray:
-    """x pooled to the trial grid and cut to the low band: shape (frames, low bins, channels)."""
-    return band_spectrum(avg_downsample(x.data, cfg.downsample), mask)
-
-
-def _drift(band: np.ndarray, reference: np.ndarray) -> float:
-    """L2 norm of band minus reference: the low-band drift."""
-    if band.shape != reference.shape:
-        raise DimensionError(f"low band of shape {band.shape} does not match the reference's {reference.shape}")
-    return spectrum_norm(band - reference)
+def _low_band_drift(current: np.ndarray, previous: np.ndarray, mask: FrequencyMask) -> float:
+    """The drift: L2 norm of the low band of current - previous, which must match in shape and are only read."""
+    if current.shape != previous.shape:
+        raise DimensionError(f"array of shape {current.shape} does not match the previous one's {previous.shape}")
+    return spectrum_norm(band_spectrum(current - previous, mask))
 
 
 @dataclass
 class CacheState:
     """Mutable step-cache state threaded through a sampling run.
 
-    cached_prediction is the prediction the previous step used;
-    pooled_prediction is its array pooled to the trial grid and reference
-    its low band, both set once a trial has needed them. trial_buffer is the
-    latent entering the current step, on the trial grid, in a writable array
-    the policy advances in place.
+    cached_prediction is the prediction the previous step used; the trial's
+    drift is measured from pooled_prediction, its array pooled to the trial
+    grid once a trial needs it. trial_buffer is the latent entering the
+    current step, on the trial grid, in a writable array advanced in place.
     cached_residual is the prediction minus the latent of the last full
     evaluation, kept only under residual reuse, the one strategy that reads
     it (None otherwise).
@@ -128,7 +122,6 @@ class CacheState:
     cached_prediction: Optional[Tensor4] = None
     cached_residual: Optional[Tensor4] = None
     pooled_prediction: Optional[np.ndarray] = None
-    reference: Optional[np.ndarray] = None
     trial_buffer: Optional[np.ndarray] = None
     error: float = 0.0
     threshold: Optional[float] = None
@@ -151,27 +144,27 @@ def trial_lowfreq_diff(
     pred: Predictor,
     latent: np.ndarray,
     t: float,
-    reference: np.ndarray,
+    pooled_prediction: np.ndarray,
     mask: FrequencyMask,
 ) -> float:
     """Low-band drift between a trial evaluation at latent and the cached prediction.
 
-    Both operands live on the trial grid: latent is the step's latent pooled
-    to it, a bare array that is only read, and reference is the cached
-    prediction's low_band under the same mask (trial_mask). Both bands come
-    from the same linear transform, so cutting before subtracting selects the
-    same bins as lowfreq_diff on the two pooled tensors, up to rounding.
+    Both operands live on the trial grid and are only read: latent is the
+    step's latent pooled to it, and pooled_prediction the cached prediction
+    pooled to it. The drift is the norm of the low band (trial_mask) of
+    velocity - pooled_prediction, one band cut per trial; the difference is
+    a new array, since a predictor may return its input or a read-only array.
 
     The velocity is scanned for finiteness only when the drift is not
     finite: a circular band keeps the DC bin, which every cell reaches with
-    weight 1/sqrt(H W), so a non-finite cell always makes the drift
-    non-finite. So the trial raises Tensor4's DomainError exactly when its
-    velocity holds a non-finite value.
+    weight 1/sqrt(H W), and the pooled prediction is finite, so a non-finite
+    velocity cell always makes the drift non-finite. So the trial raises
+    Tensor4's DomainError exactly when its velocity holds a non-finite value.
     """
     velocity = pred.evaluate(latent, t)
     if velocity.shape != latent.shape:
         raise DimensionError(f"trial evaluation returned shape {velocity.shape} for input shape {latent.shape}")
-    drift = _drift(band_spectrum(velocity, mask), reference)
+    drift = _low_band_drift(velocity, pooled_prediction, mask)
     if not math.isfinite(drift) and not np.isfinite(velocity).all():
         raise DomainError("tensor contains non-finite values")
     return drift
@@ -352,11 +345,10 @@ class StepCachePolicy:
         else:
             if state.pooled_prediction is None:
                 state.pooled_prediction = avg_downsample(state.cached_prediction.data, self.cfg.downsample)
-                state.reference = band_spectrum(state.pooled_prediction, self.mask)
             # euler_step's axpy(latent, t - last_t, pooled) in place: a + scale * b, scale never 0.
             np.multiply(state.pooled_prediction, t - last_t, out=self._scratch)
             state.trial_buffer += self._scratch
-            delta = trial_lowfreq_diff(self.pred, state.trial_buffer, t, state.reference, self.mask)
+            delta = trial_lowfreq_diff(self.pred, state.trial_buffer, t, state.pooled_prediction, self.mask)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
@@ -379,7 +371,6 @@ class StepCachePolicy:
         if f is not state.cached_prediction:
             state.cached_prediction = f
             state.pooled_prediction = None
-            state.reference = None
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
 
@@ -427,15 +418,15 @@ def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) ->
     """Per-step low-band drift between adjacent recorded predictions.
 
     Open-loop stand-in for the live trial sequence: each recorded prediction
-    is pooled to the downsampled grid and cut to its low band once, on the
-    trial mask of the first prediction's shape, and each increment is the
-    drift of one band from the previous one, the statistic trial_lowfreq_diff
-    measures. No predictor is evaluated, so the resulting increment sequence
-    is fixed and replay_decisions over it is exactly monotone in the
-    threshold.
+    is pooled to the downsampled grid once, and each increment is the norm
+    of the low band of one pooled prediction minus the previous one, on the
+    trial mask of the first prediction's shape: the statistic
+    trial_lowfreq_diff measures. No predictor is evaluated, so the resulting
+    increment sequence is fixed and replay_decisions over it is exactly
+    monotone in the threshold.
     """
     if not predictions:
         return []
     mask = trial_mask(predictions[0].shape, cfg)
-    bands = [low_band(p, cfg, mask) for p in predictions]
-    return [_drift(bands[i], bands[i - 1]) for i in range(1, len(bands))]
+    pooled = [avg_downsample(p.data, cfg.downsample) for p in predictions]
+    return [_low_band_drift(pooled[i], pooled[i - 1], mask) for i in range(1, len(pooled))]

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (DEFAULT_RADIUS_SCALE, BlockCacheConfig, BlockCacheState, StepCacheConfig, block_cached_forward,
-                     low_band, recorded_increments, trial_lowfreq_diff, trial_mask)
+                     recorded_increments, trial_lowfreq_diff, trial_mask)
 from .errors import ConfigError, DimensionError, DomainError
 from .report import RunReport
 from .sampler import Predictor, TimestepSchedule, sample_baseline
@@ -209,7 +209,7 @@ def resolution_sensitivity(
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
         mask = trial_mask(z_init.shape, cfg)
         seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k].data, f), schedule.values[k],
-                                  low_band(traj.predictions[k - 1], cfg, mask), mask) for k in indices]
+                                  avg_downsample(traj.predictions[k - 1].data, f), mask) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
         spearmans.append(spearman(seq, reference))

@@ -13,12 +13,17 @@ band of radius r and skips every bin the band leaves out.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .tensor import Tensor4
+
+#: How many (height, width, radius) masks circular_mask keeps.
+_MASK_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -68,11 +73,13 @@ def _dft_rows(freqs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * phase) / np.sqrt(n)
 
 
+@functools.lru_cache(maxsize=_MASK_MEMO_SIZE)
 def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
     """Centered circular mask: bin (u, v) is low iff its signed-index distance <= radius.
 
     Signed frequency indices follow the standard DFT convention: bins above
     the midpoint wrap to negative frequencies, so the disk is centered on DC.
+    Memoised: equal arguments return the one read-only mask and DFT tables.
     """
     if height < 1 or width < 1:
         raise DimensionError(f"mask grid must be at least 1x1, got {height}x{width}")
@@ -110,18 +117,18 @@ def band_spectrum(data: np.ndarray, mask: FrequencyMask, low: bool = True) -> np
     frames, height, width, channels = data.shape
     rows = mask.row_dft @ data.reshape(frames, height, width * channels)
     sub = mask.column_dft @ rows.reshape(-1, width, channels)
-    return np.take(sub.reshape(frames, -1, channels), mask.band_index, axis=1)
+    return sub.reshape(frames, -1, channels).take(mask.band_index, axis=1)
 
 
 def spectrum_norm(spectrum: np.ndarray) -> float:
     """L2 norm of a complex spectrum."""
-    return float(np.sqrt(np.vdot(spectrum, spectrum).real))
+    return math.sqrt(np.vdot(spectrum, spectrum).real)
 
 
 def _band_diff_norm(a: Tensor4, b: Tensor4, mask: FrequencyMask, low: bool) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return spectrum_norm(band_spectrum(a.data, mask, low) - band_spectrum(b.data, mask, low))
+    return spectrum_norm(band_spectrum(a.data - b.data, mask, low))
 
 
 def lowfreq_diff(a: Tensor4, b: Tensor4, mask: FrequencyMask) -> float:

@@ -21,7 +21,6 @@ from flowcache.engine import (
     StepCachePolicy,
     accumulate_decide,
     block_cached_forward,
-    low_band,
     recorded_increments,
     relative_threshold,
     replay_decisions,
@@ -486,7 +485,8 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     z = seeded_normal(SHAPE, seed=3)
     cached = Tensor4(np.full(SHAPE, 1.25))
     z_small = avg_downsample(z.data, cfg.downsample)
-    assert trial_lowfreq_diff(Constant(), z_small, 0.5, low_band(cached, cfg, mask), mask) == pytest.approx(0.0, abs=1e-12)
+    pooled = avg_downsample(cached.data, cfg.downsample)
+    assert trial_lowfreq_diff(Constant(), z_small, 0.5, pooled, mask) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trial_mask_radius_rule_examples():
@@ -536,31 +536,31 @@ def test_recorded_increments_match_live_adjacent_drift():
 
 
 def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
-    """One circular_mask call per call, and each band is low_band of its own prediction."""
+    """One circular_mask call per call, and each band is cut from one pooled prediction minus the previous one."""
     preds = [seeded_normal(SHAPE, seed=s) for s in range(3)]
     cfg = StepCacheConfig()
-    fresh_mask = trial_mask(SHAPE, cfg)
+    pooled = [avg_downsample(p.data, cfg.downsample) for p in preds]
     masks, bands = [], []
-    original_mask, original_band = engine.circular_mask, engine.low_band
+    original_mask, original_band = engine.circular_mask, engine.band_spectrum
 
     def counted_mask(*args):
         masks.append(original_mask(*args))
         return masks[-1]
 
-    def spied_band(x, cfg, mask):
-        bands.append((x, mask, original_band(x, cfg, mask)))
+    def spied_band(x, mask, *args):
+        bands.append((x, mask, original_band(x, mask, *args)))
         return bands[-1][2]
 
     monkeypatch.setattr(engine, "circular_mask", counted_mask)
-    monkeypatch.setattr(engine, "low_band", spied_band)
+    monkeypatch.setattr(engine, "band_spectrum", spied_band)
     incs = recorded_increments(preds, cfg)
     assert recorded_increments([], cfg) == []
     assert len(masks) == 1
-    assert [x for x, _, _ in bands] == preds
+    assert len(bands) == 2
     assert all(mask is masks[0] for _, mask, _ in bands)
-    for p, (_, _, band) in zip(preds, bands):
-        assert band.tobytes() == original_band(p, cfg, fresh_mask).tobytes()
-    assert incs == [spectrum_norm(bands[i][2] - bands[i - 1][2]) for i in (1, 2)]
+    for i, (x, _, _) in zip((1, 2), bands):
+        assert x.tobytes() == (pooled[i] - pooled[i - 1]).tobytes()
+    assert incs == [spectrum_norm(band) for _, _, band in bands]
 
 
 def test_recorded_increments_reject_predictions_whose_frame_counts_differ():
@@ -749,6 +749,103 @@ def test_trial_pools_the_latent_once_and_the_cached_prediction_once_per_refresh(
     assert report.trial_eval_count == len(decisions) - 1
     assert refreshes < report.trial_eval_count
     assert calls == {"avg_downsample": 1 + refreshes, "circular_mask": 1}
+
+
+def fft2_band_drift(current, previous, mask_scale):
+    """Oracle drift: fft2 of current - previous cut to the disk of radius mask_scale * min(H, W), built here."""
+    _, h, w, _ = current.shape
+    fu, fv = np.fft.fftfreq(h) * h, np.fft.fftfreq(w) * w
+    band = np.hypot(fu[:, None], fv[None, :]) <= mask_scale * min(h, w)
+    low = np.fft.fft2(current - previous, axes=(1, 2), norm="ortho")[:, band, :]
+    return float(np.sqrt(np.sum(low.real ** 2 + low.imag ** 2)))
+
+
+class FixedVelocity:
+    """Predictor whose velocity is one stored array, whatever the latent."""
+
+    def __init__(self, velocity):
+        self.velocity = velocity
+
+    def evaluate(self, x, t):
+        return self.velocity
+
+
+@st.composite
+def drift_cases(draw):
+    factors = DownsampleFactors(draw(st.sampled_from((1, 2))), draw(st.sampled_from((1, 2, 4))),
+                                draw(st.sampled_from((1, 2, 4))))
+    shape = (factors.frames * draw(st.integers(1, 2)), factors.height * draw(st.integers(1, 4)),
+             factors.width * draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    return shape, factors, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drift_cases())
+@example(((1, 16, 16, 1), DownsampleFactors(1, 4, 4), 0.2, 0))
+def test_trial_drift_and_recorded_increments_are_the_fft2_band_of_the_pooled_difference(case):
+    """Both drifts are the norm of fft2's low band of (current - previous) on the trial grid, to 1e-12 relative.
+
+    The example pools 16x16 to a 4x4 plane with radius 0.8: a band of the DC bin alone.
+    """
+    shape, factors, mask_scale, seed = case
+    cfg = StepCacheConfig(downsample=factors, mask_scale=mask_scale)
+    mask = trial_mask(shape, cfg)
+    preds = [seeded_normal(shape, seed=seed + i) for i in range(3)]
+    pooled = [six_axis_pool(p.data, factors) for p in preds]
+    latent = six_axis_pool(seeded_normal(shape, seed=seed + 3).data, factors)
+    drift = trial_lowfreq_diff(FixedVelocity(pooled[1]), latent, 0.5, pooled[0], mask)
+    assert drift == pytest.approx(fft2_band_drift(pooled[1], pooled[0], mask_scale), rel=1e-12)
+    incs = recorded_increments(preds, cfg)
+    assert len(incs) == 2
+    for i, inc in zip((1, 2), incs):
+        assert inc == pytest.approx(fft2_band_drift(pooled[i], pooled[i - 1], mask_scale), rel=1e-12)
+
+
+def test_a_cached_run_cuts_one_band_per_trial_and_none_on_a_full_step(monkeypatch):
+    """The cached prediction's band is never cut: each trial cuts the band of its difference, once."""
+    events = []
+    original_trial, original_band = engine.trial_lowfreq_diff, engine.band_spectrum
+
+    def trial(*args):
+        events.append("trial")
+        drift = original_trial(*args)
+        events.append("end")
+        return drift
+
+    def band(x, mask, *args):
+        events.append("cut")
+        return original_band(x, mask, *args)
+
+    monkeypatch.setattr(engine, "trial_lowfreq_diff", trial)
+    monkeypatch.setattr(engine, "band_spectrum", band)
+    _, report = sample_cached(make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(50), StepCacheConfig())
+    decisions = [r.decision for r in report.steps]
+    assert DECISION_SKIP in decisions and DECISION_FULL in decisions
+    assert report.trial_eval_count == 49
+    assert events == ["trial", "cut", "end"] * 49
+
+
+def test_a_trial_velocity_that_is_the_trial_buffer_is_never_written(monkeypatch):
+    """A 0-block net returns its input: the unpooled trial's velocity is the carried trial buffer itself.
+
+    Subtracting the cached prediction in place would write into the buffer; it must still equal each latent,
+    and every drift must equal the per-trial oracle's.
+    """
+    net, z0, sched = ToyBlockNet(0, channels=2, seed=1), seeded_normal(SHAPE, seed=4), make_schedule(30)
+    cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, downsample=DownsampleFactors(1, 1, 1), mask_scale=1.0)
+    policy = StepCachePolicy(net, cfg, None, z0.shape)
+    velocities, pairs = [], []
+    original = net.evaluate
+    monkeypatch.setattr(net, "evaluate", lambda x, t: velocities.append(original(x, t)) or velocities[-1])
+    _, report = run_steps(policy, net, z0, sched,
+                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.state.trial_buffer.tobytes())),
+                          policy.trial_cells)
+    monkeypatch.undo()
+    assert report.skip_count > 0
+    assert any(v is policy.state.trial_buffer for v in velocities)
+    assert all(z == carried for z, carried in pairs)
+    _, ref, _, _ = per_trial_run(monkeypatch, net, z0, sched, cfg)
+    assert_steps_match(report.steps, ref.steps)
 
 
 def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):

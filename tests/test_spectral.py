@@ -6,11 +6,14 @@ checks band_spectrum, the transform the step cache runs: the low and high
 bands are scattered back onto the (H, W) plane through the mask.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowcache import spectral
 from flowcache.errors import DimensionError, DomainError
 from flowcache.spectral import (
     FrequencyMask,
@@ -175,6 +178,23 @@ def test_mask_dft_tables_are_the_band_rows_and_columns_read_only():
     assert mask.band_index.tolist() == np.flatnonzero(mask.membership[np.ix_(rows, cols)]).tolist()
     for table in (mask.row_dft, mask.column_dft, mask.band_index):
         assert not table.flags.writeable
+
+
+def test_circular_mask_is_memoised_on_its_arguments_and_stays_read_only():
+    mask = circular_mask(6, 10, 2.5)
+    assert circular_mask(6, 10, 2.5) is mask
+    for table in (mask.membership, mask.row_dft, mask.column_dft, mask.band_index):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+    other = circular_mask(6, 10, 1.5)
+    assert other is not mask and other.radius == 1.5
+    assert np.count_nonzero(other.membership) < np.count_nonzero(mask.membership)
+
+
+def test_the_mask_memo_bound_is_a_small_private_constant():
+    assert list(inspect.signature(circular_mask).parameters) == ["height", "width", "radius"]
+    assert circular_mask.cache_info().maxsize == spectral._MASK_MEMO_SIZE <= 16
 
 
 def test_default_mask_dft_tables_stay_small_on_a_256_plane():
