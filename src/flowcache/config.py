@@ -50,6 +50,8 @@ class PredictorConfig:
             raise ConfigError(f"predictor.var must be > 0, got {self.var}")
         if self.blocks < 1:
             raise ConfigError(f"predictor.blocks must be >= 1, got {self.blocks}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"predictor.seed must be >= 0, got {self.seed}", ("predictor.seed",))
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,8 @@ class RunConfig:
                               f"block-decomposed predictor), got predictor.kind = {self.predictor.kind}",
                               ("mode", "predictor.kind"))
         for s in self.seeds:
-            if not isinstance(s, int):
-                raise ConfigError(f"seeds must be integers, got {s!r}")
+            if not isinstance(s, int) or s < 0:
+                raise ConfigError(f"seeds must be integers >= 0, got {s!r}", ("seeds",))
 
 
 def _parse_text(where: str, raw: str) -> str:

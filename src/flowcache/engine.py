@@ -15,10 +15,11 @@ their cached deltas for a bounded number of subsequent full steps.
 The low band is a function of the latent shape and the StepCacheConfig,
 stated here once: trial_mask is the mask of the pooled trial plane, with
 radius mask_scale * min(H, W) of that plane. The drift between two arrays
-on that grid is one rule, the norm of the low band of their difference; the
-band is linear, so a trial cuts one band and never the cached prediction's.
-It cuts it with the mask's two small DFT matrices (spectral.band_spectrum),
-never a full transform, on the trial grid the cost model charges for. The
+on that grid is spectral.lowfreq_diff, the package's one band-difference
+rule, which trial_lowfreq_diff and recorded_increments both call: the norm
+of the low band of their difference. The band is linear, so a trial cuts
+one band, never the cached prediction's, with the mask's two small DFT
+matrices on the trial grid the cost model charges for. The
 policy carries the trial latent on that grid: pooling and the Euler update
 are both linear, so it pools z_0 once and then advances the pooled latent
 with the sampler's own update and the pooled prediction each step used. So
@@ -49,8 +50,7 @@ from .errors import ConfigError, DimensionError, DomainError, StateError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 # euler_step is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
-# lowfreq_diff is unused here; it stays bound so the benchmark tracer's engine hook resolves.
-from .spectral import FrequencyMask, band_spectrum, circular_mask, lowfreq_diff, spectrum_norm
+from .spectral import FrequencyMask, circular_mask, lowfreq_diff, spectrum_norm
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, pooled_shape
 
 REUSE_PREDICTION = "prediction"
@@ -99,13 +99,6 @@ def trial_mask(shape: tuple[int, int, int, int], cfg: StepCacheConfig) -> Freque
     return circular_mask(height, width, cfg.mask_scale * min(height, width))
 
 
-def _low_band_drift(current: np.ndarray, previous: np.ndarray, mask: FrequencyMask) -> float:
-    """The drift: L2 norm of the low band of current - previous, which must match in shape and are only read."""
-    if current.shape != previous.shape:
-        raise DimensionError(f"array of shape {current.shape} does not match the previous one's {previous.shape}")
-    return spectrum_norm(band_spectrum(current - previous, mask))
-
-
 @dataclass
 class CacheState:
     """Mutable step-cache state threaded through a sampling run.
@@ -151,9 +144,9 @@ def trial_lowfreq_diff(
 
     Both operands live on the trial grid and are only read: latent is the
     step's latent pooled to it, and pooled_prediction the cached prediction
-    pooled to it. The drift is the norm of the low band (trial_mask) of
-    velocity - pooled_prediction, one band cut per trial; the difference is
-    a new array, since a predictor may return its input or a read-only array.
+    pooled to it. The drift is lowfreq_diff(velocity, pooled_prediction,
+    mask) on the trial mask, one band cut per trial; it never writes either
+    operand, since a predictor may return its input or a read-only array.
 
     The velocity is scanned for finiteness only when the drift is not
     finite: a circular band keeps the DC bin, which every cell reaches with
@@ -164,7 +157,7 @@ def trial_lowfreq_diff(
     velocity = pred.evaluate(latent, t)
     if velocity.shape != latent.shape:
         raise DimensionError(f"trial evaluation returned shape {velocity.shape} for input shape {latent.shape}")
-    drift = _low_band_drift(velocity, pooled_prediction, mask)
+    drift = lowfreq_diff(velocity, pooled_prediction, mask)
     if not math.isfinite(drift) and not np.isfinite(velocity).all():
         raise DomainError("tensor contains non-finite values")
     return drift
@@ -418,10 +411,10 @@ def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) ->
     """Per-step low-band drift between adjacent recorded predictions.
 
     Open-loop stand-in for the live trial sequence: each recorded prediction
-    is pooled to the downsampled grid once, and each increment is the norm
-    of the low band of one pooled prediction minus the previous one, on the
-    trial mask of the first prediction's shape: the statistic
-    trial_lowfreq_diff measures. No predictor is evaluated, so the resulting
+    is pooled to the downsampled grid once, and each increment is
+    lowfreq_diff of one pooled prediction and the previous one, on the trial
+    mask of the first prediction's shape: the statistic trial_lowfreq_diff
+    measures, by the same call. No predictor is evaluated, so the resulting
     increment sequence is fixed and replay_decisions over it is exactly
     monotone in the threshold.
     """
@@ -429,4 +422,4 @@ def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) ->
         return []
     mask = trial_mask(predictions[0].shape, cfg)
     pooled = [avg_downsample(p.data, cfg.downsample) for p in predictions]
-    return [_low_band_drift(pooled[i], pooled[i - 1], mask) for i in range(1, len(pooled))]
+    return [lowfreq_diff(pooled[i], pooled[i - 1], mask) for i in range(1, len(pooled))]

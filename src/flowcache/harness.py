@@ -75,15 +75,15 @@ def _full_resolution(mask_scale: float) -> StepCacheConfig:
 
 
 class _Substituted:
-    """Predictor that returns fixed predictions at some timesteps and evaluates pred at the others."""
+    """Predictor that returns fixed prediction arrays at some timesteps and evaluates pred at the others."""
 
-    def __init__(self, pred: Predictor, fixed: dict[float, Tensor4]):
+    def __init__(self, pred: Predictor, fixed: dict[float, np.ndarray]):
         self.pred = pred
         self.fixed = fixed
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         f = self.fixed.get(t)
-        return self.pred.evaluate(x, t) if f is None else f.data
+        return self.pred.evaluate(x, t) if f is None else f
 
 
 def single_step_skip_influence(
@@ -112,15 +112,15 @@ def single_step_skip_influence(
     t_values = []
     mses = []
     for k in range(1, schedule.n_steps):
-        fresh = traj.predictions[k]
-        stale = traj.predictions[k - 1]
+        fresh = traj.predictions[k].data
+        stale = traj.predictions[k - 1].data
         if variant == VARIANT_FULL:
             substituted = stale
         elif variant == VARIANT_LOW:
             substituted = splice_bands(stale, fresh, mask)
         else:
             substituted = splice_bands(fresh, stale, mask)
-        fixed = dict(zip(values[:k], traj.predictions[:k]))
+        fixed = {t: p.data for t, p in zip(values[:k], traj.predictions[:k])}
         fixed[values[k]] = substituted
         z, _ = sample_baseline(_Substituted(pred, fixed), z_init, schedule)
         indices.append(k)
@@ -159,8 +159,8 @@ def adjacent_diff_profile(
         indices.append(k)
         t_values.append(schedule.values[k])
         raw.append(l2_norm(axpy(a, -1.0, b)))
-        low.append(lowfreq_diff(a, b, mask))
-        high.append(highfreq_diff(a, b, mask))
+        low.append(lowfreq_diff(a.data, b.data, mask))
+        high.append(highfreq_diff(a.data, b.data, mask))
     return AdjacentDiffProfile(tuple(indices), tuple(t_values), tuple(raw), tuple(low), tuple(high))
 
 

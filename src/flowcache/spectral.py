@@ -1,5 +1,6 @@
-"""2-D frequency decomposition of latent tensors and band-limited difference norms.
+"""2-D frequency decomposition of latent arrays and band-limited difference norms.
 
+Latents are bare (T, H, W, C) float64 arrays, and they are only ever read.
 Each (frame, channel) slice is transformed with a unitary 2-D DFT (forward and
 inverse both scaled by 1/sqrt(H*W)), so Parseval holds with constant 1 and
 band energies partition the spatial energy exactly. The low band is a centered
@@ -8,7 +9,8 @@ band_spectrum is the one forward transform: it cuts either band, and a band's
 energy is spectrum_norm(band) ** 2. The high band is cut from fft2; the low
 band is two small matrix products with the DFT rows of the frequency rows and
 columns the mask occupies, which costs O((H + W) * r) in table memory for a
-band of radius r and skips every bin the band leaves out.
+band of radius r and skips every bin the band leaves out. lowfreq_diff is
+the one band-difference rule: the step cache and the harness both call it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Tensor4
 
 #: How many (height, width, radius) masks circular_mask keeps.
 _MASK_MEMO_SIZE = 8
@@ -125,32 +126,33 @@ def spectrum_norm(spectrum: np.ndarray) -> float:
     return math.sqrt(np.vdot(spectrum, spectrum).real)
 
 
-def _band_diff_norm(a: Tensor4, b: Tensor4, mask: FrequencyMask, low: bool) -> float:
+def _band_diff_norm(a: np.ndarray, b: np.ndarray, mask: FrequencyMask, low: bool) -> float:
     if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    return spectrum_norm(band_spectrum(a.data - b.data, mask, low))
+        raise DimensionError(f"array of shape {a.shape} does not match {b.shape}")
+    return spectrum_norm(band_spectrum(a - b, mask, low))
 
 
-def lowfreq_diff(a: Tensor4, b: Tensor4, mask: FrequencyMask) -> float:
-    """L2 norm of (spectrum(a) - spectrum(b)) restricted to the low band."""
+def lowfreq_diff(a: np.ndarray, b: np.ndarray, mask: FrequencyMask) -> float:
+    """L2 norm of the low band of a - b, arrays of one shape: the step cache's drift."""
     return _band_diff_norm(a, b, mask, low=True)
 
 
-def highfreq_diff(a: Tensor4, b: Tensor4, mask: FrequencyMask) -> float:
-    """L2 norm of (spectrum(a) - spectrum(b)) restricted to the high band."""
+def highfreq_diff(a: np.ndarray, b: np.ndarray, mask: FrequencyMask) -> float:
+    """L2 norm of the high band of a - b, arrays of one shape."""
     return _band_diff_norm(a, b, mask, low=False)
 
 
-def splice_bands(low_source: Tensor4, high_source: Tensor4, mask: FrequencyMask) -> Tensor4:
-    """Recombine the low band of one tensor with the high band of another.
+def splice_bands(low_source: np.ndarray, high_source: np.ndarray, mask: FrequencyMask) -> np.ndarray:
+    """A new array holding the low band of one array and the high band of another.
 
     The mask is symmetric under index negation, so the spliced spectrum of two
-    real tensors stays Hermitian and the inverse transform is real up to
-    rounding; the imaginary residue is discarded.
+    real arrays stays Hermitian and the inverse transform is real up to
+    rounding; the imaginary residue is discarded. The result is not checked
+    for finiteness.
     """
     if low_source.shape != high_source.shape:
-        raise DimensionError(f"shape mismatch {low_source.shape} vs {high_source.shape}")
+        raise DimensionError(f"array of shape {low_source.shape} does not match {high_source.shape}")
     _require_mask_fit(low_source.shape, mask)
     m = mask.membership[None, :, :, None]
-    spec = _unitary_spectrum(low_source.data) * m + _unitary_spectrum(high_source.data) * ~m
-    return Tensor4(np.fft.ifft2(spec, axes=(1, 2), norm="ortho").real)
+    spec = _unitary_spectrum(low_source) * m + _unitary_spectrum(high_source) * ~m
+    return np.ascontiguousarray(np.fft.ifft2(spec, axes=(1, 2), norm="ortho").real)

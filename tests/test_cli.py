@@ -102,6 +102,14 @@ def test_generate_without_seed_fails(tmp_path, capsys):
     assert "no seeds configured" in capsys.readouterr().err
 
 
+def test_a_negative_seed_fails_before_any_run(tmp_path, config_path, capsys):
+    out = tmp_path / "r.json"
+    assert run_command(["generate", "--config", str(config_path), "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seeds must be integers >= 0, got -1") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_open_loop_without_trace_fails(config_path, tmp_path, capsys):
     code = run_command(["generate", "--config", str(config_path), "--mode", "open-loop",
                         "--out", str(tmp_path / "r.json")])

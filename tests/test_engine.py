@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowcache import engine, predictors
+from flowcache import engine, predictors, spectral
 from flowcache.engine import (
     DEFAULT_RADIUS_SCALE,
     REUSE_PREDICTION,
@@ -541,7 +541,7 @@ def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
     cfg = StepCacheConfig()
     pooled = [avg_downsample(p.data, cfg.downsample) for p in preds]
     masks, bands = [], []
-    original_mask, original_band = engine.circular_mask, engine.band_spectrum
+    original_mask, original_band = engine.circular_mask, spectral.band_spectrum
 
     def counted_mask(*args):
         masks.append(original_mask(*args))
@@ -552,7 +552,7 @@ def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
         return bands[-1][2]
 
     monkeypatch.setattr(engine, "circular_mask", counted_mask)
-    monkeypatch.setattr(engine, "band_spectrum", spied_band)
+    monkeypatch.setattr(spectral, "band_spectrum", spied_band)
     incs = recorded_increments(preds, cfg)
     assert recorded_increments([], cfg) == []
     assert len(masks) == 1
@@ -804,7 +804,7 @@ def test_trial_drift_and_recorded_increments_are_the_fft2_band_of_the_pooled_dif
 def test_a_cached_run_cuts_one_band_per_trial_and_none_on_a_full_step(monkeypatch):
     """The cached prediction's band is never cut: each trial cuts the band of its difference, once."""
     events = []
-    original_trial, original_band = engine.trial_lowfreq_diff, engine.band_spectrum
+    original_trial, original_band = engine.trial_lowfreq_diff, spectral.band_spectrum
 
     def trial(*args):
         events.append("trial")
@@ -817,12 +817,45 @@ def test_a_cached_run_cuts_one_band_per_trial_and_none_on_a_full_step(monkeypatc
         return original_band(x, mask, *args)
 
     monkeypatch.setattr(engine, "trial_lowfreq_diff", trial)
-    monkeypatch.setattr(engine, "band_spectrum", band)
+    monkeypatch.setattr(spectral, "band_spectrum", band)
     _, report = sample_cached(make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(50), StepCacheConfig())
     decisions = [r.decision for r in report.steps]
     assert DECISION_SKIP in decisions and DECISION_FULL in decisions
     assert report.trial_eval_count == 49
     assert events == ["trial", "cut", "end"] * 49
+
+
+def test_every_drift_is_one_lowfreq_diff_call_on_the_pooled_difference_operands(monkeypatch):
+    """The engine computes no drift of its own: each trial calls lowfreq_diff once, by the name the tracer hooks.
+
+    Its operands are the trial velocity and the pooled cached prediction, on the trial mask, and its value is
+    the trial's drift; recorded_increments over n predictions calls it n - 1 times.
+    """
+    pred, trials, diffs = make_pred(2), [], []
+    original_trial, original_diff = engine.trial_lowfreq_diff, engine.lowfreq_diff
+
+    def trial(p, latent, t, pooled_prediction, mask):
+        trials.append((latent.copy(), t, pooled_prediction, mask))
+        return original_trial(p, latent, t, pooled_prediction, mask)
+
+    def diff(a, b, mask):
+        diffs.append((a, b, mask, original_diff(a, b, mask)))
+        return diffs[-1][3]
+
+    monkeypatch.setattr(engine, "trial_lowfreq_diff", trial)
+    monkeypatch.setattr(engine, "lowfreq_diff", diff)
+    _, report = sample_cached(pred, seeded_normal(SHAPE, seed=3), make_schedule(50), StepCacheConfig())
+    assert report.trial_eval_count == 49
+    assert len(trials) == len(diffs) == 49
+    deltas = [r.trial_delta for r in report.steps[1:]]
+    for (latent, t, pooled_prediction, mask), (a, b, diff_mask, drift), delta in zip(trials, diffs, deltas):
+        assert b is pooled_prediction and diff_mask is mask
+        assert a.tobytes() == pred.evaluate(latent, t).tobytes()
+        assert drift == delta
+    diffs.clear()
+    preds = [seeded_normal(SHAPE, seed=s) for s in range(5)]
+    assert recorded_increments(preds, StepCacheConfig()) == [d for *_, d in diffs]
+    assert len(diffs) == 4
 
 
 def test_a_trial_velocity_that_is_the_trial_buffer_is_never_written(monkeypatch):

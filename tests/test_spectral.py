@@ -79,7 +79,7 @@ def test_parseval_band_partition():
         b = Tensor4(rng.standard_normal((2, 8, 10, 2)))
         mask = circular_mask(8, 10, 1.6)
         raw = l2_norm(axpy(a, -1.0, b)) ** 2
-        split = lowfreq_diff(a, b, mask) ** 2 + highfreq_diff(a, b, mask) ** 2
+        split = lowfreq_diff(a.data, b.data, mask) ** 2 + highfreq_diff(a.data, b.data, mask) ** 2
         assert split == pytest.approx(raw, rel=1e-9)
 
 
@@ -130,15 +130,30 @@ def test_split_shape_guard():
 def test_diff_of_identical_tensors_is_zero():
     x = Tensor4(np.random.default_rng(0).standard_normal((1, 6, 6, 2)))
     mask = circular_mask(6, 6, 1.2)
-    assert lowfreq_diff(x, x, mask) == 0.0
-    assert highfreq_diff(x, x, mask) == 0.0
+    assert lowfreq_diff(x.data, x.data, mask) == 0.0
+    assert highfreq_diff(x.data, x.data, mask) == 0.0
+
+
+@pytest.mark.parametrize("rule", [lowfreq_diff, highfreq_diff, splice_bands])
+def test_band_rules_refuse_arrays_whose_frame_counts_differ_and_only_read(rule):
+    """A 1-frame array would broadcast against a 2-frame one; every two-array rule refuses it and writes neither."""
+    rng = np.random.default_rng(4)
+    one, two = rng.standard_normal((1, 16, 16, 2)), rng.standard_normal((2, 16, 16, 2))
+    saved = one.tobytes(), two.tobytes()
+    one.flags.writeable = two.flags.writeable = False
+    mask = circular_mask(16, 16, 3.2)
+    for a, b in ((one, two), (two, one)):
+        with pytest.raises(DimensionError, match="does not match"):
+            rule(a, b, mask)
+    rule(two, two[::-1], mask)
+    assert (one.tobytes(), two.tobytes()) == saved
 
 
 def test_splice_bands_identity_when_both_sources_match():
     x = Tensor4(np.random.default_rng(1).standard_normal((2, 8, 8, 1)))
     mask = circular_mask(8, 8, 1.6)
-    out = splice_bands(x, x, mask)
-    assert np.allclose(out.data, x.data, atol=1e-12)
+    out = splice_bands(x.data, x.data, mask)
+    assert np.allclose(out, x.data, atol=1e-12)
 
 
 def test_splice_bands_takes_low_from_first_high_from_second():
@@ -146,17 +161,17 @@ def test_splice_bands_takes_low_from_first_high_from_second():
     a = Tensor4(rng.standard_normal((1, 8, 8, 1)))
     b = Tensor4(rng.standard_normal((1, 8, 8, 1)))
     mask = circular_mask(8, 8, 1.6)
-    out = splice_bands(a, b, mask)
-    assert lowfreq_diff(out, a, mask) == pytest.approx(0.0, abs=1e-12)
-    assert highfreq_diff(out, b, mask) == pytest.approx(0.0, abs=1e-12)
+    out = splice_bands(a.data, b.data, mask)
+    assert lowfreq_diff(out, a.data, mask) == pytest.approx(0.0, abs=1e-12)
+    assert highfreq_diff(out, b.data, mask) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_splice_bands_output_is_real_for_real_inputs():
     rng = np.random.default_rng(3)
     a = Tensor4(rng.standard_normal((1, 7, 9, 2)))
     b = Tensor4(rng.standard_normal((1, 7, 9, 2)))
-    out = splice_bands(a, b, circular_mask(7, 9, 1.4))
-    assert np.all(np.isfinite(out.data))
+    out = splice_bands(a.data, b.data, circular_mask(7, 9, 1.4))
+    assert np.all(np.isfinite(out))
 
 
 def test_mask_membership_is_read_only():
