@@ -186,12 +186,10 @@ def _cmd_generate(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_config(args)
     seeds = require_seeds(cfg)
-    cached_mode = "lfcache+block" if cfg.mode == "lfcache+block" else "lfcache"
     header = ("variant", "seed", "alpha", "n_steps", "skip_count", "skip_fraction",
               "full_evals", "warmup_fulls", "trial_evals", "cost_units",
               "speedup_units", "mse_vs_baseline", "psnr_db")
-    variants = [(name, alpha, replace(cfg, mode=cached_mode, cache=replace(cfg.cache, alpha=alpha)))
-                for name, alpha in BENCH_VARIANTS]
+    variants = [(name, alpha, _cached_variant(cfg, "alpha", alpha)) for name, alpha in BENCH_VARIANTS]
     rows = []
     for seed in seeds:
         reference, base_report, _, _ = _run_once(cfg, "baseline", seed, collect=False)
@@ -219,17 +217,19 @@ def _parse_sweep_values(axis: str, tokens: Optional[Sequence[str]]):
     return tuple(parse_float(f"sweep --axis {axis} --values", tok) for tok in tokens) if tokens else defaults
 
 
-def _sweep_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
-    """The cached run of one sweep value; building it validates the value against the rest of the config.
+def _cached_variant(cfg: RunConfig, axis: str, value) -> RunConfig:
+    """The cached run of one bench or sweep value; building it validates the value against the rest of the config.
 
-    downsample, alpha and mask_scale name StepCacheConfig fields; cache_rate runs the block cache.
+    downsample, alpha and mask_scale name StepCacheConfig fields and keep the configured cached mode, the
+    block cache included; cache_rate runs the block cache.
     """
     if axis == "cache_rate":
         if cfg.predictor.kind != "toy-block":
             raise ConfigError(f"sweep --axis cache_rate needs predictor.kind = toy-block (the block cache needs a "
                               f"block-decomposed predictor), got predictor.kind = {cfg.predictor.kind}")
         return replace(cfg, mode="lfcache+block", block=replace(cfg.block, cache_rate=value))
-    return replace(cfg, mode="lfcache", cache=replace(cfg.cache, **{axis: value}))
+    mode = "lfcache+block" if cfg.mode == "lfcache+block" else "lfcache"
+    return replace(cfg, mode=mode, cache=replace(cfg.cache, **{axis: value}))
 
 
 def _sweep_label(axis: str, value) -> str:
@@ -243,7 +243,7 @@ def _cmd_sweep(args) -> int:
     seeds = require_seeds(cfg)
     axis = args.axis
     values = _parse_sweep_values(axis, args.values)
-    variants = [(_sweep_label(axis, value), _sweep_variant(cfg, axis, value)) for value in values]
+    variants = [(_sweep_label(axis, value), _cached_variant(cfg, axis, value)) for value in values]
     header = ("run_id", "axis", "value", "seed", "skip_count", "skip_fraction",
               "speedup_units", "cost_units", "mse_vs_baseline", "psnr_db")
     rows = []
@@ -359,6 +359,9 @@ def _cmd_figures(args) -> int:
     seed = require_seeds(cfg)[0]
     for factors in DEFAULT_RESOLUTION_FACTORS:
         require_divisible(cfg.latent, factors, "resolution")
+    if cfg.schedule.n < 3:
+        raise ConfigError(f"figures needs schedule.n >= 3 (the resolution correlations need drift at two or more "
+                          f"steps), got schedule.n = {cfg.schedule.n}")
     schedule = build_schedule(cfg)
     pred = build_predictor(cfg)
     z0 = seeded_normal(cfg.latent, seed)
@@ -457,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: Sequence[str]) -> int:
-    """Parse argv, run the subcommand, map package errors to exit status 1."""
+    """Parse argv, run the subcommand, map package, OS and allocation errors to exit status 1."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -466,11 +469,8 @@ def run_command(argv: Sequence[str]) -> int:
         return int(code) if isinstance(code, int) else 0 if code is None else 2
     try:
         return args.func(args)
-    except FlowCacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FlowCacheError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -19,20 +19,20 @@ on that grid is spectral.lowfreq_diff, the package's one band-difference
 rule, which trial_lowfreq_diff and recorded_increments both call: the norm
 of the low band of their difference. The band is linear, so a trial cuts
 one band, never the cached prediction's, with the mask's two small DFT
-matrices on the trial grid the cost model charges for. The
-policy carries the trial latent on that grid: pooling and the Euler update
-are both linear, so it pools z_0 once and then advances the pooled latent
-with the sampler's own update and the pooled prediction each step used. So
-every full-resolution tensor is pooled at most once: z_0, and each new
+matrices on the trial grid the cost model charges for. The policy carries
+the trial latent on that grid: pooling and the Euler update are both
+linear, so it pools z_0 once and then advances the pooled latent with the
+sampler's own update rule, axpy, and the pooled prediction each step used.
+So every full-resolution tensor is pooled at most once: z_0, and each new
 prediction when the next trial first reads it. circular_mask memoises the
 mask and its DFT tables, so they are built once per process.
 
-Predictors work on bare arrays. The trial step runs on arrays the policy
-owns: the pooled latent is advanced in place in a buffer, trial_lowfreq_diff
-evaluates the predictor on it, takes the drift from the pooled cached
-prediction, and is also where the trial checks finiteness. Pooling and the
-block cache run on arrays too. A full evaluation's prediction becomes a
-Tensor4, and so is checked for finiteness, once, when the policy wraps it.
+Predictors work on bare arrays, and so do the trial, pooling, the residual
+and the block cache. Every update among them (trial latent, residual, block
+delta, replayed delta) is an axpy call that returns a new array, so the
+engine writes no array in place. trial_lowfreq_diff is where the trial
+checks finiteness; a full evaluation's prediction becomes a Tensor4, and so
+is checked for finiteness, once, when the policy wraps it.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -105,17 +105,17 @@ class CacheState:
 
     cached_prediction is the prediction the previous step used; the trial's
     drift is measured from pooled_prediction, its array pooled to the trial
-    grid once a trial needs it. trial_buffer is the latent entering the
-    current step, on the trial grid, in a writable array advanced in place.
-    cached_residual is the prediction minus the latent of the last full
-    evaluation, kept only under residual reuse, the one strategy that reads
-    it (None otherwise).
+    grid once a trial needs it. trial_latent is the latent entering the
+    current step on the trial grid, a new array each step. cached_residual
+    is the prediction minus the latent of the last full evaluation, kept
+    only under residual reuse, the one strategy that reads it (None
+    otherwise).
     """
 
     cached_prediction: Optional[Tensor4] = None
-    cached_residual: Optional[Tensor4] = None
+    cached_residual: Optional[np.ndarray] = None
     pooled_prediction: Optional[np.ndarray] = None
-    trial_buffer: Optional[np.ndarray] = None
+    trial_latent: Optional[np.ndarray] = None
     error: float = 0.0
     threshold: Optional[float] = None
 
@@ -145,8 +145,7 @@ def trial_lowfreq_diff(
     Both operands live on the trial grid and are only read: latent is the
     step's latent pooled to it, and pooled_prediction the cached prediction
     pooled to it. The drift is lowfreq_diff(velocity, pooled_prediction,
-    mask) on the trial mask, one band cut per trial; it never writes either
-    operand, since a predictor may return its input or a read-only array.
+    mask) on the trial mask, one band cut per trial.
 
     The velocity is scanned for finiteness only when the drift is not
     finite: a circular band keeps the DC bin, which every cell reaches with
@@ -254,10 +253,10 @@ def block_cached_forward(
     While age < interval, subsequent calls compute only pivotal blocks
     exactly and add the cached delta for the rest. With interval 0 or
     cache_rate 0 every call reproduces the plain forward pass. z is only
-    read. A delta is nxt - features, axpy's expression, so a refresh's output
-    is bitwise the plain forward's. A delta's norm is spectrum_norm's
-    sqrt(vdot(d, d)), one BLAS pass with no squared temporary; it equals
-    l2_norm's sqrt(sum(d * d)) to rounding, not bit for bit.
+    read. Deltas are axpy(nxt, -1.0, features) and replays axpy(features,
+    1.0, delta), so a refresh's output is bitwise the plain forward's. A
+    delta's norm is spectrum_norm's sqrt(vdot(d, d)), one BLAS pass with no
+    squared temporary; it equals l2_norm's to rounding, not bit for bit.
     """
     m = net.num_blocks
     if m == 0:
@@ -272,7 +271,7 @@ def block_cached_forward(
         norms: list[float] = []
         for j in range(m):
             nxt = net.apply_block(j, features, t)
-            kept[j] = nxt - features
+            kept[j] = axpy(nxt, -1.0, features)
             norms.append(spectrum_norm(kept[j]))
             if len(kept) > replay_count:
                 del kept[max(kept, key=lambda i: (norms[i], -i))]
@@ -287,7 +286,7 @@ def block_cached_forward(
         if j in pivotal:
             features = net.apply_block(j, features, t)
         else:
-            features = features + state.deltas[j]
+            features = axpy(features, 1.0, state.deltas[j])
     state.age += 1
     return features
 
@@ -315,7 +314,6 @@ class StepCachePolicy:
         self.cfg = cfg
         self.block_cfg = block_cfg
         self.mask = trial_mask(shape, cfg)
-        self._scratch = np.empty(pooled_shape(shape, cfg.downsample))
         cells = shape[0] * shape[1] * shape[2]
         self.full_cells = float(cells)
         self.trial_cells = float(cells // cfg.downsample.volume)
@@ -334,14 +332,12 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k == 0:
-            state.trial_buffer = avg_downsample(z.data, self.cfg.downsample).copy()
+            state.trial_latent = avg_downsample(z.data, self.cfg.downsample)
         else:
             if state.pooled_prediction is None:
                 state.pooled_prediction = avg_downsample(state.cached_prediction.data, self.cfg.downsample)
-            # euler_step's axpy(latent, t - last_t, pooled) in place: a + scale * b, scale never 0.
-            np.multiply(state.pooled_prediction, t - last_t, out=self._scratch)
-            state.trial_buffer += self._scratch
-            delta = trial_lowfreq_diff(self.pred, state.trial_buffer, t, state.pooled_prediction, self.mask)
+            state.trial_latent = axpy(state.trial_latent, t - last_t, state.pooled_prediction)
+            delta = trial_lowfreq_diff(self.pred, state.trial_latent, t, state.pooled_prediction, self.mask)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
@@ -354,13 +350,13 @@ class StepCachePolicy:
         pivotal_size: Optional[int] = None
         partial: Optional[bool] = None
         if decision == DECISION_SKIP:
-            f = state.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else axpy(z, 1.0, state.cached_residual)
+            f = state.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else Tensor4(axpy(z.data, 1.0, state.cached_residual))
         else:
             f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
             cost += eval_cost
             state.error = 0.0
             if self.cfg.reuse == REUSE_RESIDUAL:
-                state.cached_residual = axpy(f, -1.0, z)
+                state.cached_residual = axpy(f.data, -1.0, z.data)
         if f is not state.cached_prediction:
             state.cached_prediction = f
             state.pooled_prediction = None

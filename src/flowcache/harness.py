@@ -158,7 +158,7 @@ def adjacent_diff_profile(
         a, b = traj.predictions[k], traj.predictions[k - 1]
         indices.append(k)
         t_values.append(schedule.values[k])
-        raw.append(l2_norm(axpy(a, -1.0, b)))
+        raw.append(l2_norm(axpy(a.data, -1.0, b.data)))
         low.append(lowfreq_diff(a.data, b.data, mask))
         high.append(highfreq_diff(a.data, b.data, mask))
     return AdjacentDiffProfile(tuple(indices), tuple(t_values), tuple(raw), tuple(low), tuple(high))

@@ -103,12 +103,10 @@ def make_schedule(n: int, kind: str = "uniform", shift: float = 1.0, terminal: f
 
 
 def euler_step(z: Tensor4, f: Tensor4, t_cur: float, t_next: float) -> Tensor4:
-    """One explicit Euler update z + (t_next - t_cur) * f; requires t_next < t_cur."""
-    if z.shape != f.shape:
-        raise DimensionError(f"latent shape {z.shape} does not match prediction shape {f.shape}")
+    """One explicit Euler update z + (t_next - t_cur) * f by axpy; requires t_next < t_cur."""
     if not t_next < t_cur:
         raise ScheduleError(f"euler step requires t_next < t_cur, got {t_next} >= {t_cur}")
-    return axpy(z, t_next - t_cur, f)
+    return Tensor4(axpy(z.data, t_next - t_cur, f.data))
 
 
 def run_steps(

@@ -3,8 +3,8 @@
 Layout is (frames, height, width, channels), float64, row-major. Tensors are
 immutable: every operation on them returns a fresh instance and the backing
 numpy array is marked read-only, which is what makes bitwise reproducibility
-claims checkable at all. Pooling (avg_downsample) works on bare arrays of
-that layout.
+claims checkable at all. Pooling (avg_downsample), the update rule (axpy)
+and l2_norm work on bare arrays of that layout and only read their inputs.
 """
 
 from __future__ import annotations
@@ -126,10 +126,9 @@ def avg_downsample(x: np.ndarray, factors: DownsampleFactors) -> np.ndarray:
     return total.reshape(pooled)
 
 
-def l2_norm(x: Tensor4) -> float:
+def l2_norm(x: np.ndarray) -> float:
     """Euclidean norm over all cells, fixed summation order."""
-    d = x.data
-    return float(np.sqrt(np.sum(d * d)))
+    return float(np.sqrt(np.sum(x * x)))
 
 
 def mse(a: Tensor4, b: Tensor4) -> float:
@@ -140,19 +139,18 @@ def mse(a: Tensor4, b: Tensor4) -> float:
     return float(np.mean(diff * diff))
 
 
-def axpy(a: Tensor4, scale: float, b: Tensor4) -> Tensor4:
-    """a + scale * b. scale == 0 returns a unchanged (bitwise).
+def axpy(a: np.ndarray, scale: float, b: np.ndarray) -> np.ndarray:
+    """a + scale * b as a fresh array; a and b are only read and must match in shape.
 
-    scale == 1 and scale == -1 add or subtract b directly, with no scaled
-    temporary; in IEEE 754 1 * b is b and a + (-b) is a - b, so the result
-    is bitwise that of the general form.
+    This is the package's one update rule: every Euler step, trial update,
+    residual and block delta goes through it. scale == 1 and scale == -1 add
+    or subtract b directly, with no scaled temporary; in IEEE 754 1 * b is b
+    and a + (-b) is a - b, so the result is bitwise that of the general form.
     """
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    if scale == 0.0:
-        return a
     if scale == 1.0:
-        return Tensor4(a.data + b.data)
+        return a + b
     if scale == -1.0:
-        return Tensor4(a.data - b.data)
-    return Tensor4(a.data + scale * b.data)
+        return a - b
+    return a + scale * b

@@ -198,11 +198,11 @@ def test_criterion_3_spectral_correctness():
 
     worst_parseval = 0.0
     for _ in range(100):
-        a = Tensor4(rng.standard_normal((2, 12, 10, 2)))
-        b = Tensor4(rng.standard_normal((2, 12, 10, 2)))
+        a = rng.standard_normal((2, 12, 10, 2))
+        b = rng.standard_normal((2, 12, 10, 2))
         mask = circular_mask(12, 10, 2.0)
         raw = l2_norm(axpy(a, -1.0, b)) ** 2
-        split = lowfreq_diff(a.data, b.data, mask) ** 2 + highfreq_diff(a.data, b.data, mask) ** 2
+        split = lowfreq_diff(a, b, mask) ** 2 + highfreq_diff(a, b, mask) ** 2
         worst_parseval = max(worst_parseval, abs(split - raw) / raw)
 
     ok = worst_split <= 1e-9 and worst_parseval <= 1e-9

@@ -213,6 +213,25 @@ def test_sweep_cache_rate_needs_block_predictor(tmp_path, config_path, capsys):
     assert "mode" not in err, "the config never set a mode"
 
 
+def test_sweep_keeps_the_configured_block_cache(tmp_path):
+    """On an lfcache+block config, sweep's alpha rows are bench's base and turbo rows, block replays included."""
+    config = tmp_path / "block.cfg"
+    config.write_text("mode = lfcache+block\nseeds = 0\npredictor.kind = toy-block\npredictor.seed = 7\n",
+                      encoding="utf-8")
+    bench_out, sweep_out = tmp_path / "bench.csv", tmp_path / "sweep.csv"
+    assert run_command(["bench", "--config", str(config), "--out", str(bench_out)]) == 0
+    assert run_command(["sweep", "--config", str(config), "--axis", "alpha", "--values", "0.5", "0.7",
+                        "--out", str(sweep_out)]) == 0
+    _, bench_rows = read_csv(bench_out)
+    _, sweep_rows = read_csv(sweep_out)
+    assert [r["variant"] for r in bench_rows[1:]] == ["base", "turbo"]
+    assert [r["value"] for r in sweep_rows] == [r["alpha"] for r in bench_rows[1:]] == ["0.5", "0.7"]
+    for swept, benched in zip(sweep_rows, bench_rows[1:]):
+        for column in ("cost_units", "mse_vs_baseline", "psnr_db"):
+            assert swept[column] == benched[column], column
+    assert float(sweep_rows[0]["cost_units"]) < float(bench_rows[0]["cost_units"]), "the block cache saves at alpha 0.5"
+
+
 def test_analyze_trace_projects_thresholds(tmp_path, config_path):
     trace = tmp_path / "run.trace"
     assert run_command(["generate", "--config", str(config_path), "--mode", "baseline",
@@ -317,6 +336,36 @@ def test_figures_resolution_factor_not_dividing_the_latent_fails_before_any_outp
     err = capsys.readouterr().err
     assert "latent.height = 12" in err and "factor 8" in err
     assert not out_dir.exists()
+
+
+def test_figures_with_fewer_than_three_steps_fails_before_any_output(tmp_path, capsys, monkeypatch):
+    """The resolution correlations need drift at two or more steps, so schedule.n = 2 fails before any run."""
+    from flowcache import engine, sampler
+
+    runs = []
+    monkeypatch.setattr(sampler, "run_steps", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(engine, "run_steps", lambda *args, **kwargs: runs.append(args))
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("schedule.n = 16", "schedule.n = 2"), encoding="utf-8")
+    out_dir = tmp_path / "figs"
+    assert run_command(["figures", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert "schedule.n" in capsys.readouterr().err
+    assert runs == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("message, shown", [("Unable to allocate 1.49 TiB for an array", "Unable to allocate 1.49 TiB"),
+                                            ("", "MemoryError")])
+def test_a_failed_allocation_exits_1_with_an_error_line(tmp_path, config_path, capsys, monkeypatch, message, shown):
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_predictor", exhausted)
+    out = tmp_path / "r.json"
+    assert run_command(["generate", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_fails_loudly(tmp_path, capsys):

@@ -641,7 +641,7 @@ class PerTrialPolicy:
         err_before = state.error
         pivotal_size = partial = None
         if decision == DECISION_SKIP:
-            f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else axpy(z, 1.0, state.cached_residual)
+            f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else Tensor4(z.data + state.cached_residual)
         else:
             if self.block_cfg is None:
                 f, eval_cost = Tensor4(self.pred.evaluate(z.data, t)), self.full_cells
@@ -651,7 +651,7 @@ class PerTrialPolicy:
                 eval_cost = self.full_cells * (pivotal_size / self.pred.num_blocks if partial else 1.0)
             cost += eval_cost
             state.error = 0.0
-            state.cached_residual = axpy(f, -1.0, z)
+            state.cached_residual = f.data - z.data
         state.cached_prediction = f
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
@@ -858,10 +858,10 @@ def test_every_drift_is_one_lowfreq_diff_call_on_the_pooled_difference_operands(
     assert len(diffs) == 4
 
 
-def test_a_trial_velocity_that_is_the_trial_buffer_is_never_written(monkeypatch):
-    """A 0-block net returns its input: the unpooled trial's velocity is the carried trial buffer itself.
+def test_a_trial_velocity_that_is_the_trial_latent_is_never_written(monkeypatch):
+    """A 0-block net returns its input: the unpooled trial's velocity is the carried trial latent itself.
 
-    Subtracting the cached prediction in place would write into the buffer; it must still equal each latent,
+    Subtracting the cached prediction in place would write into the latent; it must still equal each latent,
     and every drift must equal the per-trial oracle's.
     """
     net, z0, sched = ToyBlockNet(0, channels=2, seed=1), seeded_normal(SHAPE, seed=4), make_schedule(30)
@@ -871,14 +871,116 @@ def test_a_trial_velocity_that_is_the_trial_buffer_is_never_written(monkeypatch)
     original = net.evaluate
     monkeypatch.setattr(net, "evaluate", lambda x, t: velocities.append(original(x, t)) or velocities[-1])
     _, report = run_steps(policy, net, z0, sched,
-                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.state.trial_buffer.tobytes())),
+                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.state.trial_latent.tobytes())),
                           policy.trial_cells)
     monkeypatch.undo()
     assert report.skip_count > 0
-    assert any(v is policy.state.trial_buffer for v in velocities)
+    assert any(v is policy.state.trial_latent for v in velocities)
     assert all(z == carried for z, carried in pairs)
     _, ref, _, _ = per_trial_run(monkeypatch, net, z0, sched, cfg)
     assert_steps_match(report.steps, ref.steps)
+
+
+def spy_axpy(monkeypatch):
+    """Record every engine.axpy call as (a, scale, b, result), through the name the tracer wraps."""
+    calls, original = [], engine.axpy
+
+    def spied(a, scale, b):
+        calls.append((a, scale, b, original(a, scale, b)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(engine, "axpy", spied)
+    return calls
+
+
+def test_every_trial_update_is_one_axpy_call_with_the_step_and_the_pooled_prediction(monkeypatch):
+    """A 50-step cached mixture run advances its trial latent by exactly 49 engine.axpy calls.
+
+    Call k - 1 takes the trial latent the previous call returned (z_0 pooled for the first), the step
+    t_k - t_{k-1} and the pooled prediction step k - 1 used; its result is the latent step k's trial evaluates.
+    """
+    calls = spy_axpy(monkeypatch)
+    pred, z0, sched, cfg = make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(50), StepCacheConfig()
+    used, evaluated = [], []
+    original = pred.evaluate
+    monkeypatch.setattr(pred, "evaluate", lambda x, t: evaluated.append(x) or original(x, t))
+    _, report = sample_cached(pred, z0, sched, cfg, observer=lambda k, t, z, f: used.append(f))
+    assert report.skip_count > 0 and report.trial_eval_count == 49
+    assert len(calls) == 49
+    trial_latents = [x for x in evaluated if x.shape != SHAPE]
+    assert calls[0][0].tobytes() == avg_downsample(z0.data, cfg.downsample).tobytes()
+    for k, (a, scale, b, result) in enumerate(calls, start=1):
+        assert k == 1 or a is calls[k - 2][3]
+        assert scale == sched.values[k] - sched.values[k - 1]
+        assert b.tobytes() == avg_downsample(used[k - 1].data, cfg.downsample).tobytes()
+        assert result is trial_latents[k - 1]
+
+
+def test_every_block_delta_and_replay_is_one_axpy_call(monkeypatch):
+    """A block-cached toy run sends each refresh delta and each replayed delta through engine.axpy.
+
+    A refresh makes one axpy(next, -1, features) per block; a partial step makes one axpy(features, 1, delta)
+    per replayed block, with a delta a refresh's axpy returned. The other calls are the 49 trial updates.
+    """
+    calls = spy_axpy(monkeypatch)
+    net, z0 = ToyBlockNet(6, channels=4, seed=8), seeded_normal((4, 16, 16, 4), seed=9)
+    _, report = sample_cached(net, z0, make_schedule(50), StepCacheConfig(alpha=0.9, warmup_steps=3),
+                              BlockCacheConfig(cache_rate=0.4, interval=2))
+    rows = [r for r in report.steps if r.decision != DECISION_SKIP]
+    refreshes = sum(not r.block_partial for r in rows)
+    replays = sum(net.num_blocks - r.pivotal_size for r in rows if r.block_partial)
+    assert report.skip_count > 0 and refreshes > 0 and replays > 0
+    trial = [c for c in calls if c[0].shape != z0.shape]
+    deltas = [c for c in calls if c[0].shape == z0.shape and c[1] == -1.0]
+    replayed = [c for c in calls if c[0].shape == z0.shape and c[1] == 1.0]
+    assert (len(trial), len(deltas), len(replayed)) == (49, net.num_blocks * refreshes, replays)
+    assert len(calls) == 49 + net.num_blocks * refreshes + replays
+    delta_ids = {id(result) for *_, result in deltas}
+    assert all(id(b) in delta_ids for _, _, b, _ in replayed)
+
+
+class ReadOnlyVelocity:
+    """A mixture whose every velocity comes back read-only, as a trace record's does."""
+
+    def __init__(self, pred):
+        self.pred = pred
+
+    def evaluate(self, x, t):
+        v = self.pred.evaluate(x, t)
+        v.flags.writeable = False
+        return v
+
+
+@pytest.mark.parametrize("downsample", [DownsampleFactors(1, 1, 1), DownsampleFactors(2, 4, 4)])
+@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("kind", ["read-only", "identity"])
+def test_a_cached_run_writes_no_array_it_has_handed_out_or_received(kind, reuse, downsample):
+    """Every array a predictor received or returned, and every state array, stays bitwise as it was first seen.
+
+    A read-only velocity cannot be written at all; ToyBlockNet(0, ...) returns its input, so its velocity is
+    the trial latent itself, and an update in place would change it after the drift was taken.
+    """
+    pred = ReadOnlyVelocity(make_pred(8)) if kind == "read-only" else ToyBlockNet(0, channels=2, seed=1)
+    cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse, downsample=downsample, mask_scale=1.0)
+    seen = []
+    original = pred.evaluate
+
+    def watched(x, t):
+        v = original(x, t)
+        seen.extend((a, a.tobytes()) for a in (x, v))
+        return v
+
+    pred.evaluate = watched
+    policy = StepCachePolicy(pred, cfg, None, SHAPE)
+    state = policy.state
+
+    def observe(k, t, z, f):
+        arrays = (state.trial_latent, state.pooled_prediction, state.cached_residual, z.data, f.data)
+        seen.extend((a, a.tobytes()) for a in arrays if a is not None)
+
+    _, report = run_steps(policy, pred, seeded_normal(SHAPE, seed=4), make_schedule(30), observe, policy.trial_cells)
+    assert report.skip_count > 0
+    assert all(a.tobytes() == first for a, first in seen)
 
 
 def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
@@ -886,7 +988,7 @@ def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
     policy = StepCachePolicy(pred, cfg, block_cfg, z0.shape)
     pairs = []
     _, report = run_steps(policy, pred, z0, sched,
-                          lambda k, t, z, f: pairs.append((z, Tensor4(policy.state.trial_buffer.copy()))),
+                          lambda k, t, z, f: pairs.append((z, policy.state.trial_latent)),
                           policy.trial_cells)
     return pairs, report
 
@@ -904,7 +1006,7 @@ def test_carried_trial_latent_tracks_the_pooled_latent_over_200_steps(kind, reus
     assert len(pairs) == 200 and report.skip_count > 0
     for z, carried in pairs:
         exact = avg_downsample(z.data, cfg.downsample)
-        assert np.max(np.abs(carried.data - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert np.max(np.abs(carried - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
@@ -922,7 +1024,7 @@ def test_policy_rejects_a_step_that_does_not_follow_the_previous_one():
     with pytest.raises(StateError, match="step 1"):
         policy(1, 0.9, z0)
     f, _ = policy(0, 1.0, z0)
-    z1 = axpy(z0, -0.1, f)
+    z1 = Tensor4(axpy(z0.data, -0.1, f.data))
     with pytest.raises(StateError, match="step 0"):
         policy(0, 1.0, z0)
     with pytest.raises(StateError, match="step 2"):
@@ -960,10 +1062,12 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
     z0 = seeded_normal(SHAPE, seed=3)
     policy = StepCachePolicy(make_pred(2), StepCacheConfig(), None, z0.shape)
     f, _ = policy(0, 1.0, z0)
-    policy.state.trial_buffer[0, 0, 0, 0] = 1e200
+    bad = policy.state.trial_latent.copy()
+    bad[0, 0, 0, 0] = 1e200
+    policy.state.trial_latent = bad
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
-            policy(1, 0.9, axpy(z0, -0.1, f))
+            policy(1, 0.9, Tensor4(axpy(z0.data, -0.1, f.data)))
 
 
 def test_a_non_finite_trial_evaluation_at_the_trial_shape_raises_tensor4s_error():

@@ -72,14 +72,14 @@ def test_seeded_normal_is_reproducible():
 
 def test_axpy_matches_numpy():
     rng = np.random.default_rng(0)
-    a = Tensor4(rng.standard_normal((2, 3, 4, 2)))
-    b = Tensor4(rng.standard_normal((2, 3, 4, 2)))
+    a = rng.standard_normal((2, 3, 4, 2))
+    b = rng.standard_normal((2, 3, 4, 2))
     out = axpy(a, -0.25, b)
-    assert np.allclose(out.data, a.data - 0.25 * b.data)
+    assert np.allclose(out, a - 0.25 * b)
 
 
 #: Signed zeros, the smallest subnormal, the smallest normal and magnitudes near
-#: the float64 maximum, where a + b overflows and Tensor4 must reject it.
+#: the float64 maximum, where a + b overflows to an infinity.
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308, -1e308, 1.7e308, -1.7e308)
 
 
@@ -94,31 +94,27 @@ def axpy_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(axpy_cases())
 def test_axpy_matches_the_scaled_form_bitwise(case):
-    """scale +-1 skips the scaled temporary; results and overflow errors are the general form's."""
+    """scale +-1 skips the scaled temporary; results, overflows included, are the general form's.
+
+    The inputs are read-only, so axpy only reads them, and the result is a fresh array.
+    """
     a, scale, b = case
+    a.flags.writeable = False
+    b.flags.writeable = False
     with np.errstate(over="ignore"):
         expected = a + scale * b
-        if np.all(np.isfinite(expected)):
-            assert axpy(Tensor4(a), scale, Tensor4(b)).data.tobytes() == expected.tobytes()
-        else:
-            with pytest.raises(DomainError):
-                axpy(Tensor4(a), scale, Tensor4(b))
-
-
-def test_axpy_zero_scale_returns_input_object():
-    a = Tensor4(np.zeros((1, 2, 2, 1)))
-    b = Tensor4(np.full((1, 2, 2, 1), 3.0))
-    assert axpy(a, 0.0, b) is a
+        out = axpy(a, scale, b)
+    assert out.tobytes() == expected.tobytes()
+    assert out is not a and out is not b
 
 
 def test_axpy_shape_mismatch():
     with pytest.raises(DimensionError):
-        axpy(Tensor4(np.zeros((1, 2, 2, 1))), 1.0, Tensor4(np.zeros((1, 2, 4, 1))))
+        axpy(np.zeros((1, 2, 2, 1)), 1.0, np.zeros((1, 2, 4, 1)))
 
 
 def test_l2_norm_known_value():
-    t = Tensor4(np.array([3.0, 4.0, 0.0, 0.0]).reshape(1, 1, 2, 2))
-    assert l2_norm(t) == 5.0
+    assert l2_norm(np.array([3.0, 4.0, 0.0, 0.0]).reshape(1, 1, 2, 2)) == 5.0
 
 
 def test_mse_known_value():
