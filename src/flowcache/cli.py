@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from .config import (RunConfig, build_predictor, build_schedule, format_downsample, parse_config, parse_downsample,
                      parse_float, require_divisible, require_seeds, serialize_config)
 from .engine import recorded_increments, relative_threshold, replay_decisions, sample_cached
-from .errors import ConfigError, FlowCacheError, StateError
+from .errors import ConfigError, FlowCacheError
 from .harness import (
     DEFAULT_RESOLUTION_FACTORS,
     VARIANT_FULL,
@@ -55,7 +55,7 @@ from .harness import (
 )
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
 from .report import DECISION_FULL, DECISION_SKIP
-from .sampler import sample_baseline
+from .sampler import StepObserver, sample_baseline
 from .tensor import Tensor4, mse, seeded_normal
 from .traceio import read_trace, write_trace
 
@@ -120,32 +120,32 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _run_once(cfg: RunConfig, mode: str, seed: int, collect: bool):
-    """One sampling run; returns (terminal, report, schedule, used predictions)."""
-    preds: Optional[list[Tensor4]] = [] if collect else None
-    observer = None
-    if preds is not None:
-        observer = lambda k, t, z, f: preds.append(f)
-    if mode == "open-loop":
+def _sample(cfg: RunConfig, seed: int, observer: Optional[StepObserver] = None):
+    """One run of cfg.mode from seed; returns (terminal, report, schedule)."""
+    if cfg.mode == "open-loop":
         if cfg.input_trace is None:
             raise ConfigError("open-loop mode needs a recorded trace; set input.trace or --input-trace")
         archive = read_trace(cfg.input_trace)
-        shape = archive.records[0].prediction.shape
-        z0 = seeded_normal(shape, seed)
-        terminal, report = sample_baseline(TraceReplayPredictor(archive), z0, archive.schedule, observer=observer)
-        return terminal, report, archive.schedule, preds
+        z0 = seeded_normal(archive.records[0].prediction.shape, seed)
+        terminal, report = sample_baseline(TraceReplayPredictor(archive), z0, archive.schedule, observer)
+        return terminal, report, archive.schedule
     schedule = build_schedule(cfg)
     pred = build_predictor(cfg)
     z0 = seeded_normal(cfg.latent, seed)
-    if mode == "baseline":
-        terminal, report = sample_baseline(pred, z0, schedule, observer=observer)
-    elif mode == "lfcache":
-        terminal, report = sample_cached(pred, z0, schedule, cfg.cache, observer=observer)
-    elif mode == "lfcache+block":
-        terminal, report = sample_cached(pred, z0, schedule, cfg.cache, cfg.block, observer=observer)
+    if cfg.mode == "baseline":
+        terminal, report = sample_baseline(pred, z0, schedule, observer)
     else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    return terminal, report, schedule, preds
+        block = cfg.block if cfg.mode == "lfcache+block" else None
+        terminal, report = sample_cached(pred, z0, schedule, cfg.cache, block, observer)
+    return terminal, report, schedule
+
+
+def _compared_runs(cfg: RunConfig, seed: int, variants: Sequence[RunConfig]) -> list:
+    """The seed's baseline run, then each variant: (report, cost, mse, psnr) against the baseline's terminal."""
+    reference, base_report, _ = _sample(replace(cfg, mode="baseline"), seed)
+    runs = [(reference, base_report)] + [_sample(variant, seed)[:2] for variant in variants]
+    return [(report, cost_accounting(report), mse(terminal, reference), psnr(terminal, reference))
+            for terminal, report in runs]
 
 
 def _cmd_generate(args) -> int:
@@ -153,16 +153,16 @@ def _cmd_generate(args) -> int:
     cfg = _load_config(args)
     seed = require_seeds(cfg)[0]
     trace_path = args.trace or cfg.output.trace
-    terminal, report, schedule, preds = _run_once(cfg, cfg.mode, seed, collect=trace_path is not None)
+    preds: list[Tensor4] = []
+    observer = (lambda k, t, z, f: preds.append(f)) if trace_path is not None else None
+    terminal, report, schedule = _sample(cfg, seed, observer)
 
     quality = None
     if cfg.mode in ("lfcache", "lfcache+block"):
-        reference, _, _, _ = _run_once(cfg, "baseline", seed, collect=False)
+        reference = _sample(replace(cfg, mode="baseline"), seed)[0]
         quality = {"mse": mse(terminal, reference), "psnr_db": psnr(terminal, reference)}
 
     if trace_path is not None:
-        if preds is None:
-            raise StateError("the run collected no predictions to record")
         write_trace(trace_path, TraceArchive.from_run(schedule, preds))
 
     out = args.out or cfg.output.report or "report.json"
@@ -189,20 +189,14 @@ def _cmd_bench(args) -> int:
     header = ("variant", "seed", "alpha", "n_steps", "skip_count", "skip_fraction",
               "full_evals", "warmup_fulls", "trial_evals", "cost_units",
               "speedup_units", "mse_vs_baseline", "psnr_db")
-    variants = [(name, alpha, _cached_variant(cfg, "alpha", alpha)) for name, alpha in BENCH_VARIANTS]
+    variants = [_cached_variant(cfg, "alpha", alpha) for _, alpha in BENCH_VARIANTS]
     rows = []
     for seed in seeds:
-        reference, base_report, _, _ = _run_once(cfg, "baseline", seed, collect=False)
-        rows.append(("baseline", seed, None, base_report.n_steps, 0, 0.0,
-                     base_report.full_eval_count, 0, 0, base_report.cost_units,
-                     1.0, 0.0, psnr(reference, reference)))
-        for name, alpha, variant in variants:
-            terminal, report, _, _ = _run_once(variant, variant.mode, seed, collect=False)
-            cost = cost_accounting(report)
+        runs = _compared_runs(cfg, seed, variants)
+        for (name, alpha), (report, cost, err, db) in zip((("baseline", None), *BENCH_VARIANTS), runs):
             rows.append((name, seed, alpha, report.n_steps, report.skip_count,
                          cost.skip_fraction, report.full_eval_count, report.warmup_full_count,
-                         report.trial_eval_count, report.cost_units, cost.speedup_units,
-                         mse(terminal, reference), psnr(terminal, reference)))
+                         report.trial_eval_count, report.cost_units, cost.speedup_units, err, db))
     out = args.out or cfg.output.table or "bench.csv"
     _write_csv(out, header, rows)
     print(f"wrote {out}")
@@ -243,18 +237,15 @@ def _cmd_sweep(args) -> int:
     seeds = require_seeds(cfg)
     axis = args.axis
     values = _parse_sweep_values(axis, args.values)
-    variants = [(_sweep_label(axis, value), _cached_variant(cfg, axis, value)) for value in values]
+    labels = [_sweep_label(axis, value) for value in values]
+    variants = [_cached_variant(cfg, axis, value) for value in values]
     header = ("run_id", "axis", "value", "seed", "skip_count", "skip_fraction",
               "speedup_units", "cost_units", "mse_vs_baseline", "psnr_db")
     rows = []
     for seed in seeds:
-        reference, _, _, _ = _run_once(cfg, "baseline", seed, collect=False)
-        for label, variant in variants:
-            terminal, report, _, _ = _run_once(variant, variant.mode, seed, collect=False)
-            cost = cost_accounting(report)
-            rows.append((f"{axis}={label}:seed={seed}", axis, label, seed,
-                         report.skip_count, cost.skip_fraction, cost.speedup_units,
-                         report.cost_units, mse(terminal, reference), psnr(terminal, reference)))
+        for label, (report, cost, err, db) in zip(labels, _compared_runs(cfg, seed, variants)[1:]):
+            rows.append((f"{axis}={label}:seed={seed}", axis, label, seed, report.skip_count,
+                         cost.skip_fraction, cost.speedup_units, report.cost_units, err, db))
     out = args.out or cfg.output.table or "sweep.csv"
     _write_csv(out, header, rows)
     print(f"wrote {out}")
@@ -476,3 +467,7 @@ def run_command(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -397,7 +397,8 @@ def sample_cached(
         raise ConfigError("block-level caching requires a block-decomposed predictor")
     policy = StepCachePolicy(pred, cfg, block_cfg, z_init.shape)
     with np.errstate(invalid="ignore"):
-        z, report = run_steps(policy, pred, z_init, schedule, observer, policy.trial_cells)
+        z, report = run_steps(policy, z_init, schedule, observer)
+    report.trial_cost_units = policy.trial_cells * report.trial_eval_count
     report.threshold = policy.state.threshold
     report.warmup_max_delta = max(policy.warmup_deltas) if policy.warmup_deltas else None
     return z, report

@@ -111,17 +111,15 @@ def euler_step(z: Tensor4, f: Tensor4, t_cur: float, t_next: float) -> Tensor4:
 
 def run_steps(
     policy: StepPolicy,
-    pred: Predictor,
     z_init: Tensor4,
     schedule: TimestepSchedule,
     observer: Optional[StepObserver] = None,
-    trial_cells: float = 0.0,
 ) -> tuple[Tensor4, RunReport]:
     """The Euler step loop: the policy picks each step's prediction, the loop advances z.
 
-    Report counts and cost units come from the policy's rows; trial_cells is
-    the price of one trial evaluation, charged once per row that carries a
-    trial drift.
+    Report counts and cost units come from the policy's rows. The loop knows
+    nothing of the predictor or the cache, so its callers set the fields that
+    do: sample_baseline open_loop, sample_cached trial_cost_units.
     """
     start = time.perf_counter()
     rows: list[StepRecord] = []
@@ -135,19 +133,16 @@ def run_steps(
         z = euler_step(z, f, t, t_next)
         rows.append(row)
     decisions = [r.decision for r in rows]
-    trial_count = sum(r.trial_delta is not None for r in rows)
     n = schedule.n_steps
     report = RunReport(
         steps=rows,
         full_eval_count=decisions.count(DECISION_FULL),
         skip_count=decisions.count(DECISION_SKIP),
         warmup_full_count=decisions.count(DECISION_WARMUP),
-        trial_eval_count=trial_count,
+        trial_eval_count=sum(r.trial_delta is not None for r in rows),
         cost_units=float(sum(r.cost_units for r in rows)),
         baseline_cost_units=float(z_init.cells) * n,
-        trial_cost_units=trial_cells * trial_count,
         wall_time=time.perf_counter() - start,
-        open_loop=bool(getattr(pred, "open_loop", False)),
         latent_shape=z_init.shape,
         n_steps=n,
     )
@@ -168,4 +163,6 @@ def sample_baseline(
         return Tensor4(pred.evaluate(z.data, t)), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
                                                              err_before=None, err_after=None, cost_units=full_cells)
 
-    return run_steps(always_full, pred, z_init, schedule, observer)
+    z, report = run_steps(always_full, z_init, schedule, observer)
+    report.open_loop = bool(getattr(pred, "open_loop", False))
+    return z, report

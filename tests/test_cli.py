@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface, driven through run_command."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,26 @@ def test_sweep_keeps_the_configured_block_cache(tmp_path):
     assert float(sweep_rows[0]["cost_units"]) < float(bench_rows[0]["cost_units"]), "the block cache saves at alpha 0.5"
 
 
+def test_sweep_cache_rate_rows_against_the_plain_cached_run(tmp_path):
+    """At cache_rate 0 the block cache is bitwise the plain forward, so its row is the alpha 0.5 row; 0.4 saves."""
+    config = tmp_path / "block.cfg"
+    config.write_text("seeds = 0\npredictor.kind = toy-block\npredictor.seed = 7\nlatent.frames = 4\n"
+                      "latent.height = 8\nlatent.width = 8\nlatent.channels = 4\nschedule.n = 12\n"
+                      "cache.warmup = 3\ncache.downsample = 1x2x2\n", encoding="utf-8")
+    rate_out, alpha_out = tmp_path / "rate.csv", tmp_path / "alpha.csv"
+    assert run_command(["sweep", "--config", str(config), "--axis", "cache_rate", "--values", "0.0", "0.4",
+                        "--out", str(rate_out)]) == 0
+    assert run_command(["sweep", "--config", str(config), "--axis", "alpha", "--values", "0.5",
+                        "--out", str(alpha_out)]) == 0
+    header, rate_rows = read_csv(rate_out)
+    _, alpha_rows = read_csv(alpha_out)
+    assert [r["value"] for r in rate_rows] == ["0.0", "0.4"]
+    assert rate_rows[0]["run_id"] == "cache_rate=0.0:seed=0"
+    for column in header[header.index("skip_count"):]:
+        assert rate_rows[0][column] == alpha_rows[0][column], column
+    assert [float(r["cost_units"]) for r in rate_rows] == pytest.approx([2752.0, 2240.0])
+
+
 def test_analyze_trace_projects_thresholds(tmp_path, config_path):
     trace = tmp_path / "run.trace"
     assert run_command(["generate", "--config", str(config_path), "--mode", "baseline",
@@ -390,3 +414,13 @@ def test_missing_trace_file_fails_loudly(tmp_path, config_path, capsys):
 
 def test_missing_subcommand_is_usage_error():
     assert run_command([]) == 2
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path, config_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "m.json"
+    done = subprocess.run([sys.executable, "-m", "flowcache.cli", "generate", "--config", str(config_path),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["command"] == "generate"
+    assert subprocess.run([sys.executable, "-m", "flowcache.cli"], env=env, capture_output=True).returncode == 2

@@ -171,6 +171,10 @@ def test_sub_config_rejections_name_the_key_and_its_line():
         ("mode = baseline\ncache.warmup = 1\n", "line 2: key 'cache.warmup': warmup_steps must be"),
         ("seeds = 1\n\ncache.downsample = 0x4x4\n", "line 3: key 'cache.downsample': downsample factor for axis frames"),
         ("predictor.kind = toy-block\npredictor.seed = -1\n", "line 2: key 'predictor.seed': predictor.seed must be >= 0"),
+        ("seeds = 1\npredictor.components = 0\n", "line 2: key 'predictor.components': predictor.components must be >= 1"),
+        ("seeds = 1\npredictor.var = 0\n", "line 2: key 'predictor.var': predictor.var must be > 0"),
+        ("predictor.kind = toy-block\npredictor.blocks = 0\n", "line 2: key 'predictor.blocks': predictor.blocks must be >= 1"),
+        ("seeds = ,\n", "line 1: key 'seeds': expected at least one integer"),
     )
     for text, message in cases:
         with pytest.raises(ConfigError) as err:

@@ -450,7 +450,7 @@ def test_residual_reuse_differs_from_prediction_reuse_on_skips():
 def test_only_residual_reuse_keeps_a_residual(reuse):
     z0 = seeded_normal(SHAPE, seed=106)
     policy = StepCachePolicy(make_pred(6), StepCacheConfig(alpha=0.9, reuse=reuse), None, z0.shape)
-    _, report = run_steps(policy, policy.pred, z0, make_schedule(30), None, policy.trial_cells)
+    _, report = run_steps(policy, z0, make_schedule(30))
     assert report.skip_count > 0
     assert (policy.state.cached_residual is None) == (reuse == REUSE_PREDICTION)
 
@@ -507,6 +507,35 @@ def test_block_cache_requires_block_predictor():
     z0 = seeded_normal(SHAPE, seed=2)
     with pytest.raises(ConfigError):
         sample_cached(pred, z0, make_schedule(10), StepCacheConfig(), BlockCacheConfig())
+
+
+class ChannelDroppingTrial:
+    """A mixture that drops the last channel of every velocity on the trial grid."""
+
+    def __init__(self, pred):
+        self.pred = pred
+
+    def evaluate(self, x, t):
+        v = self.pred.evaluate(x, t)
+        return v if x.shape == SHAPE else v[..., :-1]
+
+
+def test_a_trial_velocity_of_the_wrong_shape_is_a_dimension_error():
+    message = r"trial evaluation returned shape \(2, 4, 4, 1\) for input shape \(2, 4, 4, 2\)"
+    with pytest.raises(DimensionError, match=message):
+        sample_cached(ChannelDroppingTrial(make_pred(1)), seeded_normal(SHAPE, seed=2), make_schedule(10),
+                      StepCacheConfig())
+
+
+def test_a_zero_block_net_under_the_block_cache_is_the_plain_cached_run():
+    """block_cached_forward returns the input of a 0-block net at once: no refresh, no pivotal set."""
+    net, z0, sched = ToyBlockNet(0, channels=2, seed=1), seeded_normal(SHAPE, seed=4), make_schedule(30)
+    cfg = StepCacheConfig(alpha=0.9, warmup_steps=3)
+    plain, plain_report = sample_cached(net, z0, sched, cfg)
+    blocked, report = sample_cached(net, z0, sched, cfg, BlockCacheConfig())
+    assert blocked.tobytes() == plain.tobytes()
+    assert [r.decision for r in report.steps] == [r.decision for r in plain_report.steps]
+    assert all(r.pivotal_size is None for r in report.steps)
 
 
 def test_combined_step_and_block_cache_runs_and_saves():
@@ -682,7 +711,8 @@ def per_trial_run(monkeypatch, pred, z0, sched, cfg, block_cfg=None):
     with monkeypatch.context() as m:
         m.setattr(predictors, "avg_downsample", six_axis_pool)
         policy = PerTrialPolicy(pred, cfg, block_cfg, z0.cells)
-        z, report = run_steps(policy, pred, z0, sched, None, policy.trial_cells)
+        z, report = run_steps(policy, z0, sched)
+    report.trial_cost_units = policy.trial_cells * report.trial_eval_count
     return z, report, policy.state.threshold, max(policy.warmup_deltas)
 
 
@@ -870,9 +900,8 @@ def test_a_trial_velocity_that_is_the_trial_latent_is_never_written(monkeypatch)
     velocities, pairs = [], []
     original = net.evaluate
     monkeypatch.setattr(net, "evaluate", lambda x, t: velocities.append(original(x, t)) or velocities[-1])
-    _, report = run_steps(policy, net, z0, sched,
-                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.state.trial_latent.tobytes())),
-                          policy.trial_cells)
+    _, report = run_steps(policy, z0, sched,
+                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.state.trial_latent.tobytes())))
     monkeypatch.undo()
     assert report.skip_count > 0
     assert any(v is policy.state.trial_latent for v in velocities)
@@ -978,7 +1007,7 @@ def test_a_cached_run_writes_no_array_it_has_handed_out_or_received(kind, reuse,
         arrays = (state.trial_latent, state.pooled_prediction, state.cached_residual, z.data, f.data)
         seen.extend((a, a.tobytes()) for a in arrays if a is not None)
 
-    _, report = run_steps(policy, pred, seeded_normal(SHAPE, seed=4), make_schedule(30), observe, policy.trial_cells)
+    _, report = run_steps(policy, seeded_normal(SHAPE, seed=4), make_schedule(30), observe)
     assert report.skip_count > 0
     assert all(a.tobytes() == first for a, first in seen)
 
@@ -987,9 +1016,7 @@ def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
     """(z_k, trial latent of step k) for every step of one cached run, and the run's report."""
     policy = StepCachePolicy(pred, cfg, block_cfg, z0.shape)
     pairs = []
-    _, report = run_steps(policy, pred, z0, sched,
-                          lambda k, t, z, f: pairs.append((z, policy.state.trial_latent)),
-                          policy.trial_cells)
+    _, report = run_steps(policy, z0, sched, lambda k, t, z, f: pairs.append((z, policy.state.trial_latent)))
     return pairs, report
 
 

@@ -124,6 +124,10 @@ def test_report_validate_rejects_counts_that_do_not_add_up():
     _, report = sample_baseline(MixturePredictor(_single_gaussian(shape)), seeded_normal(shape, seed=0), make_schedule(4))
     with pytest.raises(StateError):
         replace(report, skip_count=1).validate()
+    with pytest.raises(StateError, match="report has 3 step rows for 4 steps"):
+        replace(report, steps=report.steps[:-1]).validate()
+    with pytest.raises(StateError, match="report counts 0 full steps but its rows hold 4"):
+        replace(report, full_eval_count=report.skip_count, skip_count=report.full_eval_count).validate()
 
 
 def test_observer_sees_steps_in_order():
