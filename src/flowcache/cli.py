@@ -56,7 +56,7 @@ from .harness import (
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
 from .report import DECISION_FULL, DECISION_SKIP
 from .sampler import StepObserver, sample_baseline
-from .tensor import Tensor4, mse, seeded_normal
+from .tensor import mse, seeded_normal
 from .traceio import read_trace, write_trace
 
 SCHEMA_VERSION = 1
@@ -100,10 +100,6 @@ def _timing(started: float) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - started,
     }
-
-
-def _checksum(tensor: Tensor4) -> str:
-    return hashlib.sha256(tensor.data.tobytes()).hexdigest()
 
 
 def _load_config(args) -> RunConfig:
@@ -153,7 +149,7 @@ def _cmd_generate(args) -> int:
     cfg = _load_config(args)
     seed = require_seeds(cfg)[0]
     trace_path = args.trace or cfg.output.trace
-    preds: list[Tensor4] = []
+    preds: list = []
     observer = (lambda k, t, z, f: preds.append(f)) if trace_path is not None else None
     terminal, report, schedule = _sample(cfg, seed, observer)
 
@@ -175,7 +171,7 @@ def _cmd_generate(args) -> int:
         "report": {name: value for name, value in asdict(report).items() if name != "wall_time"},
         "cost": asdict(cost_accounting(report)),
         "quality": quality,
-        "terminal_checksum": _checksum(terminal),
+        "terminal_checksum": hashlib.sha256(terminal.tobytes()).hexdigest(),
         "timing": _timing(started),
     }
     _write_json(out, payload)

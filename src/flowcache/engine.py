@@ -27,12 +27,10 @@ So every full-resolution tensor is pooled at most once: z_0, and each new
 prediction when the next trial first reads it. circular_mask memoises the
 mask and its DFT tables, so they are built once per process.
 
-Predictors work on bare arrays, and so do the trial, pooling, the residual
-and the block cache. Every update among them (trial latent, residual, block
-delta, replayed delta) is an axpy call that returns a new array, so the
-engine writes no array in place. trial_lowfreq_diff is where the trial
-checks finiteness; a full evaluation's prediction becomes a Tensor4, and so
-is checked for finiteness, once, when the policy wraps it.
+The policy, like the sampler, works on bare arrays. Every update (trial
+latent, residual, block delta, replayed delta) is an axpy call that returns
+a new array, so the engine writes no array in place. Every prediction the
+policy hands the sampler, fresh or reused, has passed require_finite once.
 
 The latent itself is always advanced by a real Euler update; only the
 prediction feeding that update is ever reused.
@@ -51,7 +49,7 @@ from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, St
 # euler_step is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
 from .spectral import FrequencyMask, circular_mask, lowfreq_diff, spectrum_norm
-from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, pooled_shape
+from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, pooled_shape, require_finite
 
 REUSE_PREDICTION = "prediction"
 REUSE_RESIDUAL = "residual"
@@ -112,7 +110,7 @@ class CacheState:
     otherwise).
     """
 
-    cached_prediction: Optional[Tensor4] = None
+    cached_prediction: Optional[np.ndarray] = None
     cached_residual: Optional[np.ndarray] = None
     pooled_prediction: Optional[np.ndarray] = None
     trial_latent: Optional[np.ndarray] = None
@@ -147,18 +145,18 @@ def trial_lowfreq_diff(
     pooled to it. The drift is lowfreq_diff(velocity, pooled_prediction,
     mask) on the trial mask, one band cut per trial.
 
-    The velocity is scanned for finiteness only when the drift is not
+    The velocity goes through require_finite only when the drift is not
     finite: a circular band keeps the DC bin, which every cell reaches with
     weight 1/sqrt(H W), and the pooled prediction is finite, so a non-finite
-    velocity cell always makes the drift non-finite. So the trial raises
-    Tensor4's DomainError exactly when its velocity holds a non-finite value.
+    velocity cell always makes the drift non-finite, and the trial raises
+    DomainError exactly when its velocity holds a non-finite value.
     """
     velocity = pred.evaluate(latent, t)
     if velocity.shape != latent.shape:
         raise DimensionError(f"trial evaluation returned shape {velocity.shape} for input shape {latent.shape}")
     drift = lowfreq_diff(velocity, pooled_prediction, mask)
-    if not math.isfinite(drift) and not np.isfinite(velocity).all():
-        raise DomainError("tensor contains non-finite values")
+    if not math.isfinite(drift):
+        require_finite(velocity)
     return drift
 
 
@@ -322,7 +320,7 @@ class StepCachePolicy:
         self.warmup_deltas: list[float] = []
         self.last_step = (-1, 0.0)
 
-    def __call__(self, k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
+    def __call__(self, k: int, t: float, z: np.ndarray) -> tuple[np.ndarray, StepRecord]:
         state = self.state
         last_k, last_t = self.last_step
         if k != last_k + 1:
@@ -332,10 +330,10 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k == 0:
-            state.trial_latent = avg_downsample(z.data, self.cfg.downsample)
+            state.trial_latent = avg_downsample(z, self.cfg.downsample)
         else:
             if state.pooled_prediction is None:
-                state.pooled_prediction = avg_downsample(state.cached_prediction.data, self.cfg.downsample)
+                state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample)
             state.trial_latent = axpy(state.trial_latent, t - last_t, state.pooled_prediction)
             delta = trial_lowfreq_diff(self.pred, state.trial_latent, t, state.pooled_prediction, self.mask)
             cost += self.trial_cells
@@ -350,24 +348,24 @@ class StepCachePolicy:
         pivotal_size: Optional[int] = None
         partial: Optional[bool] = None
         if decision == DECISION_SKIP:
-            f = state.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else Tensor4(axpy(z.data, 1.0, state.cached_residual))
+            f = state.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else require_finite(axpy(z, 1.0, state.cached_residual))
         else:
             f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
             cost += eval_cost
             state.error = 0.0
             if self.cfg.reuse == REUSE_RESIDUAL:
-                state.cached_residual = axpy(f.data, -1.0, z.data)
+                state.cached_residual = axpy(f, -1.0, z)
         if f is not state.cached_prediction:
             state.cached_prediction = f
             state.pooled_prediction = None
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
 
-    def _evaluate(self, z: Tensor4, t: float) -> tuple[Tensor4, float, Optional[int], Optional[bool]]:
+    def _evaluate(self, z: np.ndarray, t: float) -> tuple[np.ndarray, float, Optional[int], Optional[bool]]:
         """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
         if self.block_cfg is None:
-            return Tensor4(self.pred.evaluate(z.data, t)), self.full_cells, None, None
-        f = Tensor4(block_cached_forward(self.pred, z.data, t, self.block_cfg, self.block_state))
+            return require_finite(self.pred.evaluate(z, t)), self.full_cells, None, None
+        f = require_finite(block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state))
         pivotal = self.block_state.pivotal
         if self.block_state.age > 0:
             return f, self.full_cells * (len(pivotal) / self.pred.num_blocks), len(pivotal), True
@@ -390,8 +388,8 @@ def sample_cached(
 
     The step loop runs with numpy's invalid-value warnings off: a non-finite
     trial velocity or block output meets inf - inf in a band cut or a block
-    delta before it reaches the trial's or the wrap's finiteness check, and
-    that check's DomainError is what the caller sees.
+    delta before it reaches require_finite, and that check's DomainError is
+    what the caller sees.
     """
     if block_cfg is not None and not isinstance(pred, BlockPredictor):
         raise ConfigError("block-level caching requires a block-decomposed predictor")
@@ -404,7 +402,7 @@ def sample_cached(
     return z, report
 
 
-def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) -> list[float]:
+def recorded_increments(predictions: Sequence[np.ndarray], cfg: StepCacheConfig) -> list[float]:
     """Per-step low-band drift between adjacent recorded predictions.
 
     Open-loop stand-in for the live trial sequence: each recorded prediction
@@ -418,5 +416,5 @@ def recorded_increments(predictions: Sequence[Tensor4], cfg: StepCacheConfig) ->
     if not predictions:
         return []
     mask = trial_mask(predictions[0].shape, cfg)
-    pooled = [avg_downsample(p.data, cfg.downsample) for p in predictions]
+    pooled = [avg_downsample(p, cfg.downsample) for p in predictions]
     return [lowfreq_diff(pooled[i], pooled[i - 1], mask) for i in range(1, len(pooled))]

@@ -51,22 +51,17 @@ class Trajectory:
     """Latents entering each step and the predictions evaluated there."""
 
     schedule: TimestepSchedule
-    latents: tuple[Tensor4, ...]
-    predictions: tuple[Tensor4, ...]
+    latents: tuple[np.ndarray, ...]
+    predictions: tuple[np.ndarray, ...]
     terminal: Tensor4
 
 
 def run_trajectory(pred: Predictor, z_init: Tensor4, schedule: TimestepSchedule) -> Trajectory:
     """No-cache run that records the latent and prediction at every step."""
-    latents: list[Tensor4] = []
-    predictions: list[Tensor4] = []
-
-    def observer(step: int, t: float, z: Tensor4, f: Tensor4) -> None:
-        latents.append(z)
-        predictions.append(f)
-
-    terminal, _ = sample_baseline(pred, z_init, schedule, observer=observer)
-    return Trajectory(schedule, tuple(latents), tuple(predictions), terminal)
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    terminal, _ = sample_baseline(pred, z_init, schedule, observer=lambda k, t, z, f: steps.append((z, f)))
+    latents, predictions = zip(*steps)
+    return Trajectory(schedule, latents, predictions, terminal)
 
 
 def _full_resolution(mask_scale: float) -> StepCacheConfig:
@@ -112,15 +107,15 @@ def single_step_skip_influence(
     t_values = []
     mses = []
     for k in range(1, schedule.n_steps):
-        fresh = traj.predictions[k].data
-        stale = traj.predictions[k - 1].data
+        fresh = traj.predictions[k]
+        stale = traj.predictions[k - 1]
         if variant == VARIANT_FULL:
             substituted = stale
         elif variant == VARIANT_LOW:
             substituted = splice_bands(stale, fresh, mask)
         else:
             substituted = splice_bands(fresh, stale, mask)
-        fixed = {t: p.data for t, p in zip(values[:k], traj.predictions[:k])}
+        fixed = dict(zip(values[:k], traj.predictions[:k]))
         fixed[values[k]] = substituted
         z, _ = sample_baseline(_Substituted(pred, fixed), z_init, schedule)
         indices.append(k)
@@ -158,9 +153,9 @@ def adjacent_diff_profile(
         a, b = traj.predictions[k], traj.predictions[k - 1]
         indices.append(k)
         t_values.append(schedule.values[k])
-        raw.append(l2_norm(axpy(a.data, -1.0, b.data)))
-        low.append(lowfreq_diff(a.data, b.data, mask))
-        high.append(highfreq_diff(a.data, b.data, mask))
+        raw.append(l2_norm(axpy(a, -1.0, b)))
+        low.append(lowfreq_diff(a, b, mask))
+        high.append(highfreq_diff(a, b, mask))
     return AdjacentDiffProfile(tuple(indices), tuple(t_values), tuple(raw), tuple(low), tuple(high))
 
 
@@ -208,8 +203,8 @@ def resolution_sensitivity(
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
         mask = trial_mask(z_init.shape, cfg)
-        seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k].data, f), schedule.values[k],
-                                  avg_downsample(traj.predictions[k - 1].data, f), mask) for k in indices]
+        seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k], f), schedule.values[k],
+                                  avg_downsample(traj.predictions[k - 1], f), mask) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
         spearmans.append(spearman(seq, reference))
@@ -245,7 +240,7 @@ def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps:
     importances = []
     for p in probes:
         state = BlockCacheState()
-        block_cached_forward(net, traj.latents[p].data, schedule.values[p], BlockCacheConfig(), state)
+        block_cached_forward(net, traj.latents[p], schedule.values[p], BlockCacheConfig(), state)
         importances.append(state.norms)
     return BlockProfile(tuple(probes), tuple(schedule.values[p] for p in probes), tuple(importances))
 

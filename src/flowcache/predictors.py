@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, TraceError
 from .sampler import TimestepSchedule
-from .tensor import DownsampleFactors, Tensor4, avg_downsample, pooled_shape
+from .tensor import DownsampleFactors, avg_downsample, pooled_shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,13 +281,13 @@ def toy_block_forward(net, x: np.ndarray, t: float) -> np.ndarray:
     return features
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceRecord:
-    """One recorded prediction: decreasing step index, its t, the tensor used."""
+    """One recorded prediction: decreasing step index, its t, the read-only array used."""
 
     step_index: int
     t: float
-    prediction: Tensor4
+    prediction: np.ndarray
 
 
 def check_record_position(schedule: TimestepSchedule, pos: int, step_index: int, t: float) -> None:
@@ -322,7 +322,7 @@ class TraceArchive:
                 raise TraceError(f"record {pos} shape {rec.prediction.shape} differs from {shape}")
 
     @staticmethod
-    def from_run(schedule: TimestepSchedule, predictions: Sequence[Tensor4]) -> "TraceArchive":
+    def from_run(schedule: TimestepSchedule, predictions: Sequence[np.ndarray]) -> "TraceArchive":
         """Package per-step predictions (traversal order) into an archive."""
         n = schedule.n_steps
         if len(predictions) != n:
@@ -347,4 +347,4 @@ class TraceReplayPredictor:
         rec = self._by_t.get(t)
         if rec is None:
             raise TraceError(f"no recorded prediction for t={t!r}")
-        return rec.prediction.data
+        return rec.prediction

@@ -15,23 +15,23 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, ScheduleError
 from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
-from .tensor import Tensor4, axpy
+from .tensor import Tensor4, axpy, require_finite
 
 SCHEDULE_KINDS = ("uniform", "shifted")
 
 #: Observer callback: (step index, t, latent entering the step, prediction used).
-StepObserver = Callable[[int, float, Tensor4, Tensor4], None]
+StepObserver = Callable[[int, float, np.ndarray, np.ndarray], None]
 
 #: Step policy: (step index, t, latent entering the step) -> (prediction to use, decision row).
-StepPolicy = Callable[[int, float, Tensor4], tuple[Tensor4, StepRecord]]
+StepPolicy = Callable[[int, float, np.ndarray], tuple[np.ndarray, StepRecord]]
 
 
 @runtime_checkable
 class Predictor(Protocol):
     """Deterministic, shape-preserving velocity model on bare (T, H, W, C) float64 arrays.
 
-    evaluate reads x and never writes or freezes it. The samplers wrap a
-    full-resolution prediction in a Tensor4, which is its finiteness check.
+    evaluate reads x and never writes or freezes it. The samplers pass each
+    full-resolution prediction through require_finite, its finiteness check.
     """
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray: ...
@@ -102,11 +102,11 @@ def make_schedule(n: int, kind: str = "uniform", shift: float = 1.0, terminal: f
     return TimestepSchedule(tuple(values))
 
 
-def euler_step(z: Tensor4, f: Tensor4, t_cur: float, t_next: float) -> Tensor4:
-    """One explicit Euler update z + (t_next - t_cur) * f by axpy; requires t_next < t_cur."""
+def euler_step(z: np.ndarray, f: np.ndarray, t_cur: float, t_next: float) -> np.ndarray:
+    """One explicit Euler update z + (t_next - t_cur) * f by axpy, through require_finite; needs t_next < t_cur."""
     if not t_next < t_cur:
         raise ScheduleError(f"euler step requires t_next < t_cur, got {t_next} >= {t_cur}")
-    return Tensor4(axpy(z.data, t_next - t_cur, f.data))
+    return require_finite(axpy(z, t_next - t_cur, f))
 
 
 def run_steps(
@@ -117,13 +117,15 @@ def run_steps(
 ) -> tuple[Tensor4, RunReport]:
     """The Euler step loop: the policy picks each step's prediction, the loop advances z.
 
+    The loop, its policy and its observer work on bare arrays: only z_init and
+    the terminal are Tensor4s, and euler_step checks every latent in between.
     Report counts and cost units come from the policy's rows. The loop knows
     nothing of the predictor or the cache, so its callers set the fields that
     do: sample_baseline open_loop, sample_cached trial_cost_units.
     """
     start = time.perf_counter()
     rows: list[StepRecord] = []
-    z = z_init
+    z = z_init.data
     for k, t, t_next in schedule.pairs():
         f, row = policy(k, t, z)
         if f.shape != z.shape:
@@ -147,7 +149,7 @@ def run_steps(
         n_steps=n,
     )
     report.validate()
-    return z, report
+    return Tensor4(z), report
 
 
 def sample_baseline(
@@ -159,9 +161,9 @@ def sample_baseline(
     """Run the sampler with a full evaluation at every step (no caching)."""
     full_cells = float(z_init.cells)
 
-    def always_full(k: int, t: float, z: Tensor4) -> tuple[Tensor4, StepRecord]:
-        return Tensor4(pred.evaluate(z.data, t)), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
-                                                             err_before=None, err_after=None, cost_units=full_cells)
+    def always_full(k: int, t: float, z: np.ndarray) -> tuple[np.ndarray, StepRecord]:
+        return require_finite(pred.evaluate(z, t)), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
+                                                               err_before=None, err_after=None, cost_units=full_cells)
 
     z, report = run_steps(always_full, z_init, schedule, observer)
     report.open_loop = bool(getattr(pred, "open_loop", False))

@@ -1,10 +1,10 @@
-"""Dense 4-D latent tensors and the handful of numeric ops everything else builds on.
+"""Latent arrays, their one finiteness rule, and the handful of numeric ops on them.
 
-Layout is (frames, height, width, channels), float64, row-major. Tensors are
-immutable: every operation on them returns a fresh instance and the backing
-numpy array is marked read-only, which is what makes bitwise reproducibility
-claims checkable at all. Pooling (avg_downsample), the update rule (axpy)
-and l2_norm work on bare arrays of that layout and only read their inputs.
+Layout is (frames, height, width, channels), float64, row-major. The run path
+passes bare arrays of that layout. require_finite rejects non-finite values and
+marks an array read-only, which is what makes bitwise reproducibility claims
+checkable at all; Tensor4, such an array wrapped, is what a run starts from
+(seeded_normal) and ends with. avg_downsample, axpy and l2_norm only read x.
 """
 
 from __future__ import annotations
@@ -16,6 +16,14 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 _AXIS_NAMES = ("frames", "height", "width", "channels")
+
+
+def require_finite(x: np.ndarray) -> np.ndarray:
+    """Raise DomainError if x holds a non-finite value; otherwise mark x read-only and return it."""
+    if not np.all(np.isfinite(x)):
+        raise DomainError("tensor contains non-finite values")
+    x.flags.writeable = False
+    return x
 
 
 class Tensor4:
@@ -30,11 +38,7 @@ class Tensor4:
         for name, extent in zip(_AXIS_NAMES, arr.shape):
             if extent < 1:
                 raise DimensionError(f"axis {name} must have extent >= 1, got {extent}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("tensor contains non-finite values")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        self._data = arr
+        self._data = require_finite(np.ascontiguousarray(arr))
 
     @property
     def data(self) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, ScheduleError, TraceError
 from .predictors import TraceArchive, TraceRecord, check_record_position
 from .sampler import TimestepSchedule
-from .tensor import Tensor4
+from .tensor import require_finite
 
 TRACE_MAGIC = b"PCTR"
 TRACE_VERSION = 1
@@ -76,7 +76,7 @@ def write_trace(path, archive: TraceArchive) -> None:
         handle.write(np.asarray(archive.schedule.values, dtype="<f8"))
         for rec in archive.records:
             handle.write(_PREFIX.pack(rec.step_index, rec.t))
-            handle.write(np.ascontiguousarray(rec.prediction.data, dtype="<f8"))
+            handle.write(np.ascontiguousarray(rec.prediction, dtype="<f8"))
 
 
 def read_trace(path) -> TraceArchive:
@@ -130,7 +130,7 @@ def read_trace(path) -> TraceArchive:
             values = np.empty(shape, dtype="<f8")
             payload_offset = fill(values)
             try:
-                prediction = Tensor4(values)
+                prediction = require_finite(values)
             except DomainError as exc:
                 raise TraceError(f"record {pos} payload at byte offset {payload_offset} is invalid: {exc}") from exc
             records.append(TraceRecord(step_index=step_index, t=t_value, prediction=prediction))

@@ -174,6 +174,8 @@ def test_sub_config_rejections_name_the_key_and_its_line():
         ("seeds = 1\npredictor.components = 0\n", "line 2: key 'predictor.components': predictor.components must be >= 1"),
         ("seeds = 1\npredictor.var = 0\n", "line 2: key 'predictor.var': predictor.var must be > 0"),
         ("predictor.kind = toy-block\npredictor.blocks = 0\n", "line 2: key 'predictor.blocks': predictor.blocks must be >= 1"),
+        ("seeds = 1\nblock.cache_rate = 1.5\n", "line 2: key 'block.cache_rate': cache_rate must lie in [0, 1], got 1.5"),
+        ("seeds = 1\nblock.interval = -1\n", "line 2: key 'block.interval': interval must be an integer >= 0, got -1"),
         ("seeds = ,\n", "line 1: key 'seeds': expected at least one integer"),
     )
     for text, message in cases:

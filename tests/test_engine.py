@@ -483,9 +483,9 @@ def test_trial_lowfreq_diff_zero_when_prediction_repeats():
     cfg = StepCacheConfig()
     mask = trial_mask(SHAPE, cfg)
     z = seeded_normal(SHAPE, seed=3)
-    cached = Tensor4(np.full(SHAPE, 1.25))
+    cached = np.full(SHAPE, 1.25)
     z_small = avg_downsample(z.data, cfg.downsample)
-    pooled = avg_downsample(cached.data, cfg.downsample)
+    pooled = avg_downsample(cached, cfg.downsample)
     assert trial_lowfreq_diff(Constant(), z_small, 0.5, pooled, mask) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -566,9 +566,9 @@ def test_recorded_increments_match_live_adjacent_drift():
 
 def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
     """One circular_mask call per call, and each band is cut from one pooled prediction minus the previous one."""
-    preds = [seeded_normal(SHAPE, seed=s) for s in range(3)]
+    preds = [seeded_normal(SHAPE, seed=s).data for s in range(3)]
     cfg = StepCacheConfig()
-    pooled = [avg_downsample(p.data, cfg.downsample) for p in preds]
+    pooled = [avg_downsample(p, cfg.downsample) for p in preds]
     masks, bands = [], []
     original_mask, original_band = engine.circular_mask, spectral.band_spectrum
 
@@ -595,7 +595,7 @@ def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
 def test_recorded_increments_reject_predictions_whose_frame_counts_differ():
     """A 1-frame band would broadcast against a 2-frame one; the drift refuses it."""
     cfg = StepCacheConfig(downsample=DownsampleFactors(1, 4, 4))
-    preds = [seeded_normal((2, 16, 16, 2), seed=1), seeded_normal((1, 16, 16, 2), seed=2)]
+    preds = [seeded_normal((2, 16, 16, 2), seed=1).data, seeded_normal((1, 16, 16, 2), seed=2).data]
     with pytest.raises(DimensionError, match="does not match"):
         recorded_increments(preds, cfg)
 
@@ -651,11 +651,11 @@ class PerTrialPolicy:
         cfg, state = self.cfg, self.state
         delta, cost, decision = None, 0.0, DECISION_WARMUP
         if k > 0:
-            z_small = six_axis_pool(z.data, cfg.downsample)
+            z_small = six_axis_pool(z, cfg.downsample)
             trial = self.pred.evaluate(z_small, t)
             _, height, width, _ = z_small.shape
             mask = circular_mask(height, width, cfg.mask_scale * min(height, width))
-            cached_small = six_axis_pool(state.cached_prediction.data, cfg.downsample)
+            cached_small = six_axis_pool(state.cached_prediction, cfg.downsample)
             d = np.fft.fft2(trial, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small, axes=(1, 2), norm="ortho")
             low = d[:, mask.membership, :]
             delta = float(np.sqrt(np.sum(low.real ** 2 + low.imag ** 2)))
@@ -670,17 +670,17 @@ class PerTrialPolicy:
         err_before = state.error
         pivotal_size = partial = None
         if decision == DECISION_SKIP:
-            f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else Tensor4(z.data + state.cached_residual)
+            f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else z + state.cached_residual
         else:
             if self.block_cfg is None:
-                f, eval_cost = Tensor4(self.pred.evaluate(z.data, t)), self.full_cells
+                f, eval_cost = self.pred.evaluate(z, t), self.full_cells
             else:
-                f = Tensor4(block_cached_forward(self.pred, z.data, t, self.block_cfg, self.block_state))
+                f = block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state)
                 pivotal_size, partial = len(self.block_state.pivotal), self.block_state.age > 0
                 eval_cost = self.full_cells * (pivotal_size / self.pred.num_blocks if partial else 1.0)
             cost += eval_cost
             state.error = 0.0
-            state.cached_residual = f.data - z.data
+            state.cached_residual = f - z
         state.cached_prediction = f
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
@@ -820,8 +820,8 @@ def test_trial_drift_and_recorded_increments_are_the_fft2_band_of_the_pooled_dif
     shape, factors, mask_scale, seed = case
     cfg = StepCacheConfig(downsample=factors, mask_scale=mask_scale)
     mask = trial_mask(shape, cfg)
-    preds = [seeded_normal(shape, seed=seed + i) for i in range(3)]
-    pooled = [six_axis_pool(p.data, factors) for p in preds]
+    preds = [seeded_normal(shape, seed=seed + i).data for i in range(3)]
+    pooled = [six_axis_pool(p, factors) for p in preds]
     latent = six_axis_pool(seeded_normal(shape, seed=seed + 3).data, factors)
     drift = trial_lowfreq_diff(FixedVelocity(pooled[1]), latent, 0.5, pooled[0], mask)
     assert drift == pytest.approx(fft2_band_drift(pooled[1], pooled[0], mask_scale), rel=1e-12)
@@ -883,7 +883,7 @@ def test_every_drift_is_one_lowfreq_diff_call_on_the_pooled_difference_operands(
         assert a.tobytes() == pred.evaluate(latent, t).tobytes()
         assert drift == delta
     diffs.clear()
-    preds = [seeded_normal(SHAPE, seed=s) for s in range(5)]
+    preds = [seeded_normal(SHAPE, seed=s).data for s in range(5)]
     assert recorded_increments(preds, StepCacheConfig()) == [d for *_, d in diffs]
     assert len(diffs) == 4
 
@@ -941,7 +941,7 @@ def test_every_trial_update_is_one_axpy_call_with_the_step_and_the_pooled_predic
     for k, (a, scale, b, result) in enumerate(calls, start=1):
         assert k == 1 or a is calls[k - 2][3]
         assert scale == sched.values[k] - sched.values[k - 1]
-        assert b.tobytes() == avg_downsample(used[k - 1].data, cfg.downsample).tobytes()
+        assert b.tobytes() == avg_downsample(used[k - 1], cfg.downsample).tobytes()
         assert result is trial_latents[k - 1]
 
 
@@ -1004,12 +1004,34 @@ def test_a_cached_run_writes_no_array_it_has_handed_out_or_received(kind, reuse,
     state = policy.state
 
     def observe(k, t, z, f):
-        arrays = (state.trial_latent, state.pooled_prediction, state.cached_residual, z.data, f.data)
+        arrays = (state.trial_latent, state.pooled_prediction, state.cached_residual, z, f)
         seen.extend((a, a.tobytes()) for a in arrays if a is not None)
 
     _, report = run_steps(policy, seeded_normal(SHAPE, seed=4), make_schedule(30), observe)
     assert report.skip_count > 0
     assert all(a.tobytes() == first for a, first in seen)
+
+
+@pytest.mark.parametrize("run", ["baseline", "prediction", "residual", "block"])
+def test_observers_get_read_only_arrays_from_both_samplers(run):
+    """Every latent and prediction a step hands its observer, fresh, reused or block-cached, is a read-only array."""
+    seen = []
+
+    def observe(k, t, z, f):
+        seen.extend((z, f))
+
+    z0, sched = seeded_normal(SHAPE, seed=4), make_schedule(30)
+    if run == "baseline":
+        sample_baseline(make_pred(8), z0, sched, observe)
+    else:
+        reuse = REUSE_RESIDUAL if run == "residual" else REUSE_PREDICTION
+        pred, block_cfg = (ToyBlockNet(6, 2, seed=8), BlockCacheConfig()) if run == "block" else (make_pred(8), None)
+        cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse)
+        _, report = sample_cached(pred, z0, sched, cfg, block_cfg, observe)
+        assert report.skip_count > 0
+        assert block_cfg is None or any(r.block_partial for r in report.steps)
+    assert len(seen) == 60
+    assert all(type(a) is np.ndarray and not a.flags.writeable for a in seen)
 
 
 def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
@@ -1032,7 +1054,7 @@ def test_carried_trial_latent_tracks_the_pooled_latent_over_200_steps(kind, reus
     pairs, report = carried_trial_latents(pred, z0, make_schedule(200), cfg, block_cfg)
     assert len(pairs) == 200 and report.skip_count > 0
     for z, carried in pairs:
-        exact = avg_downsample(z.data, cfg.downsample)
+        exact = avg_downsample(z, cfg.downsample)
         assert np.max(np.abs(carried - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
@@ -1046,12 +1068,12 @@ def test_unpooled_carried_trial_latent_is_the_latent_bitwise(reuse):
 
 
 def test_policy_rejects_a_step_that_does_not_follow_the_previous_one():
-    z0 = seeded_normal(SHAPE, seed=3)
+    z0 = seeded_normal(SHAPE, seed=3).data
     policy = StepCachePolicy(make_pred(2), StepCacheConfig(), None, z0.shape)
     with pytest.raises(StateError, match="step 1"):
         policy(1, 0.9, z0)
     f, _ = policy(0, 1.0, z0)
-    z1 = Tensor4(axpy(z0.data, -0.1, f.data))
+    z1 = axpy(z0, -0.1, f)
     with pytest.raises(StateError, match="step 0"):
         policy(0, 1.0, z0)
     with pytest.raises(StateError, match="step 2"):
@@ -1085,8 +1107,12 @@ def test_every_trial_calls_evaluate_at_the_trial_shape(monkeypatch, kind):
 
 
 def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
-    """One trial-latent cell at 1e200 overflows the mixture's log-densities, so its velocity is NaN."""
-    z0 = seeded_normal(SHAPE, seed=3)
+    """One trial-latent cell at 1e200 overflows the mixture's log-densities, so its velocity is NaN.
+
+    A residual-reuse skip is checked the same way: a cached residual that overflowed to inf makes the
+    skip's prediction non-finite, and the policy raises require_finite's error instead of returning it.
+    """
+    z0 = seeded_normal(SHAPE, seed=3).data
     policy = StepCachePolicy(make_pred(2), StepCacheConfig(), None, z0.shape)
     f, _ = policy(0, 1.0, z0)
     bad = policy.state.trial_latent.copy()
@@ -1094,7 +1120,15 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
     policy.state.trial_latent = bad
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
-            policy(1, 0.9, Tensor4(axpy(z0.data, -0.1, f.data)))
+            policy(1, 0.9, axpy(z0, -0.1, f))
+
+    policy = StepCachePolicy(make_pred(2), StepCacheConfig(warmup_steps=2, reuse=REUSE_RESIDUAL), None, z0.shape)
+    z1 = axpy(z0, -0.1, policy(0, 1.0, z0)[0])
+    z2 = axpy(z1, -0.1, policy(1, 0.9, z1)[0])
+    policy.state.cached_residual = np.full(SHAPE, np.inf)
+    policy.state.threshold = np.inf
+    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+        policy(2, 0.8, z2)
 
 
 def test_a_non_finite_trial_evaluation_at_the_trial_shape_raises_tensor4s_error():
@@ -1116,18 +1150,28 @@ def test_a_non_finite_trial_evaluation_at_the_trial_shape_raises_tensor4s_error(
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cached", [False, True])
 def test_a_non_finite_full_evaluation_raises_at_the_wrap(bad, cached):
-    """The Tensor4 a sampler wraps a full-shape prediction in is its finiteness check."""
+    """require_finite on a full-shape prediction is its finiteness check, on the block cache's output too.
+
+    It raises before the observer sees the prediction, not only at the Euler step that would follow.
+    """
 
     class BadAtFullShape:
+        num_blocks = 2
+
+        def apply_block(self, index, features, t):
+            return features + (bad if features.shape == SHAPE else 0.5)
+
         def evaluate(self, x, t):
             return np.full(x.shape, bad if x.shape == SHAPE else 0.5)
 
-    z0, sched = seeded_normal(SHAPE, seed=3), make_schedule(10)
-    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
-        if cached:
-            sample_cached(BadAtFullShape(), z0, sched, StepCacheConfig())
-        else:
-            sample_baseline(BadAtFullShape(), z0, sched)
+    z0, sched, observed = seeded_normal(SHAPE, seed=3), make_schedule(10), []
+    observe = lambda k, t, z, f: observed.append(k)
+    runs = [lambda: sample_cached(BadAtFullShape(), z0, sched, StepCacheConfig(), observer=observe),
+            lambda: sample_cached(BadAtFullShape(), z0, sched, StepCacheConfig(), BlockCacheConfig(), observe)]
+    for run in runs if cached else [lambda: sample_baseline(BadAtFullShape(), z0, sched, observe)]:
+        with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+            run()
+    assert observed == []
 
 
 @pytest.mark.parametrize("bad_step", [0, 1])
@@ -1136,9 +1180,10 @@ def test_a_block_that_emits_inf_mid_stack_raises_at_the_wrap(bad_step):
 
     Block 0 adds the smallest constant, so it is the one replayed and block 1
     stays pivotal. The trials run at the trial shape and stay finite, so the
-    error comes from the wrap of the full evaluation. On the refresh block
-    2's delta is inf - inf; the cached sampler silences numpy's invalid-value
-    warning for it, so the wrap's DomainError is what the caller sees.
+    error comes from require_finite on the block cache's output. On the
+    refresh block 2's delta is inf - inf; the cached sampler silences numpy's
+    invalid-value warning for it, so require_finite's DomainError is what the
+    caller sees.
     """
     shape = (2, 8, 8, 2)
     sched = make_schedule(10)

@@ -166,10 +166,10 @@ def test_run_trajectory_records_every_step():
     traj = run_trajectory(pred, z0, sched)
     assert len(traj.latents) == 12
     assert len(traj.predictions) == 12
-    assert traj.latents[0] is z0
+    assert traj.latents[0] is z0.data
     # the terminal state is one Euler step past the last recorded pair
     z_last = euler_step(traj.latents[-1], traj.predictions[-1], sched.values[-2], sched.values[-1])
-    assert np.array_equal(z_last.data, traj.terminal.data)
+    assert np.array_equal(z_last, traj.terminal.data)
 
 
 # ------------------------------------------------------------------- influence

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from flowcache import predictors
+from flowcache.cli import run_command
 from flowcache.errors import DimensionError, DomainError, TraceError
 from flowcache.predictors import (
     GaussianMixtureSpec,
@@ -319,6 +320,10 @@ def test_posterior_mean_against_monte_carlo_smoke():
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(DomainError):
         GaussianMixtureSpec((1, 2, 2, 1), (0.6,), (1.0,), np.zeros((1, 1, 2, 2, 1)))
+    with pytest.raises(DimensionError, match=r"latent shape must be four positive extents, got \(2, 2, 1\)"):
+        GaussianMixtureSpec((2, 2, 1), (1.0,), (1.0,), np.zeros((1, 2, 2, 1)))
+    with pytest.raises(DomainError, match="need at least one component, got 0"):
+        structured_mixture((1, 2, 2, 1), seed=0, components=0)
 
 
 def test_structured_mixture_is_seed_deterministic():
@@ -360,10 +365,30 @@ def test_toy_block_deltas_match_golden_file():
     assert norms == json.loads(golden_path.read_text())
 
 
+RUN_CHECKSUMS = json.loads((GOLDEN_DIR / "run_checksums.json").read_text())
+
+
+@pytest.mark.parametrize("case", RUN_CHECKSUMS, ids=[case["name"] for case in RUN_CHECKSUMS])
+def test_generate_matches_golden_run_checksums(tmp_path, case):
+    """generate's terminal checksum and decision sequence were recorded once per config and must never move."""
+    config, out = tmp_path / "run.cfg", tmp_path / "report.json"
+    config.write_text("\n".join(case["config"]) + "\n", encoding="utf-8")
+    assert run_command(["generate", "--config", str(config), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["terminal_checksum"] == case["terminal_checksum"]
+    assert [row["decision"] for row in payload["report"]["steps"]] == case["decisions"]
+
+
 def test_toy_block_channel_mismatch():
     net = ToyBlockNet(2, channels=3, seed=0)
     with pytest.raises(DimensionError):
         net.apply_block(0, np.zeros((1, 2, 2, 2)), 0.5)
+    with pytest.raises(DomainError, match=r"block index 2 outside \[0, 2\)"):
+        net.apply_block(2, np.zeros((1, 2, 2, 3)), 0.5)
+    with pytest.raises(DomainError, match="block count must be >= 0, got -1"):
+        ToyBlockNet(-1, 2, 0)
+    with pytest.raises(DimensionError, match="axis channels must have extent >= 1, got 0"):
+        ToyBlockNet(2, 0, 0)
 
 
 def test_constant_delta_net_adds_fixed_tensors():
@@ -378,13 +403,13 @@ def test_constant_delta_net_adds_fixed_tensors():
 def test_trace_archive_round_trip_and_bounds():
     shape = (1, 2, 2, 1)
     sched = make_schedule(50)
-    preds = [Tensor4(np.full(shape, float(k))) for k in range(50)]
+    preds = [np.full(shape, float(k)) for k in range(50)]
     arch = TraceArchive.from_run(sched, preds)
     replay = TraceReplayPredictor(arch)
     z = np.zeros(shape)
     for k in range(50):
         assert arch.records[k].step_index == 49 - k
-        assert np.array_equal(replay.evaluate(z, sched.values[k]), preds[k].data)
+        assert replay.evaluate(z, sched.values[k]) is arch.records[k].prediction is preds[k]
     with pytest.raises(TraceError):
         replay.evaluate(z, sched.values[-1])
     with pytest.raises(TraceError):
@@ -393,19 +418,28 @@ def test_trace_archive_round_trip_and_bounds():
 
 def test_trace_archive_validates_record_count():
     sched = make_schedule(3)
-    preds = [Tensor4(np.zeros((1, 2, 2, 1)))] * 2
+    preds = [np.zeros((1, 2, 2, 1))] * 2
     with pytest.raises(TraceError):
         TraceArchive.from_run(sched, preds)
+    records = tuple(TraceRecord(2 - k, sched.values[k], preds[0]) for k in range(2))
+    with pytest.raises(TraceError, match="archive holds 2 records but schedule has 3 steps"):
+        TraceArchive(sched, records)
 
 
 def test_trace_archive_validates_index_order():
     sched = make_schedule(2)
     shape = (1, 2, 2, 1)
     records = (
-        TraceRecord(0, sched.values[0], Tensor4(np.zeros(shape))),
-        TraceRecord(1, sched.values[1], Tensor4(np.zeros(shape))),
+        TraceRecord(0, sched.values[0], np.zeros(shape)),
+        TraceRecord(1, sched.values[1], np.zeros(shape)),
     )
     with pytest.raises(TraceError):
+        TraceArchive(sched, records)
+    records = (
+        TraceRecord(1, sched.values[0], np.zeros(shape)),
+        TraceRecord(0, sched.values[1], np.zeros((1, 2, 4, 1))),
+    )
+    with pytest.raises(TraceError, match=r"record 1 shape \(1, 2, 4, 1\) differs from \(1, 2, 2, 1\)"):
         TraceArchive(sched, records)
 
 
@@ -427,7 +461,7 @@ def test_replay_predictor_marks_run_open_loop():
 
 def test_replay_predictor_rejects_unknown_time():
     sched = make_schedule(3)
-    preds = [Tensor4(np.zeros((1, 2, 2, 1)))] * 3
+    preds = [np.zeros((1, 2, 2, 1))] * 3
     replay = TraceReplayPredictor(TraceArchive.from_run(sched, preds))
     with pytest.raises(TraceError):
         replay.evaluate(np.zeros((1, 2, 2, 1)), 0.123)
@@ -443,7 +477,7 @@ def test_evaluate_reads_a_writable_input_and_returns_its_shape(kind):
     elif kind == "toy-block":
         pred = ToyBlockNet(3, channels=2, seed=1)
     else:
-        pred = TraceReplayPredictor(TraceArchive.from_run(sched, [seeded_normal(shape, seed=k) for k in range(4)]))
+        pred = TraceReplayPredictor(TraceArchive.from_run(sched, [seeded_normal(shape, seed=k).data for k in range(4)]))
     x = seeded_normal(shape, seed=9).data.copy()
     before = x.tobytes()
     for t in sched.values[:-1]:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowcache.errors import ConfigError, DimensionError, ScheduleError, StateError
+from flowcache.errors import ConfigError, DimensionError, DomainError, ScheduleError, StateError
 from flowcache.predictors import GaussianMixtureSpec, MixturePredictor
 from flowcache.sampler import TimestepSchedule, euler_step, make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
@@ -45,6 +45,8 @@ def test_schedule_validation():
         TimestepSchedule((0.9, 0.5, 0.0))
     with pytest.raises(ScheduleError):
         TimestepSchedule((1.0,))
+    with pytest.raises(ScheduleError, match=r"terminal value must lie in \[0, 1\), got -0.5"):
+        TimestepSchedule((1.0, -0.5))
     with pytest.raises(ConfigError):
         make_schedule(1)
     with pytest.raises(ConfigError):
@@ -70,14 +72,23 @@ def test_nonzero_terminal_maps_endpoints():
 
 
 def test_euler_step_arithmetic():
-    z = Tensor4(np.full((1, 2, 2, 1), 1.0))
-    f = Tensor4(np.full((1, 2, 2, 1), 2.0))
+    z = np.full((1, 2, 2, 1), 1.0)
+    f = np.full((1, 2, 2, 1), 2.0)
     out = euler_step(z, f, 1.0, 0.75)
-    assert np.all(out.data == 0.5)
+    assert np.all(out == 0.5)
+    assert not out.flags.writeable
+    assert z.flags.writeable and f.flags.writeable, "the inputs are only read"
+
+
+def test_euler_step_rejects_a_latent_that_overflows():
+    """Every latent is scanned at the step that makes it: finite z and f whose update overflows raise."""
+    shape = (1, 2, 2, 1)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="tensor contains non-finite values"):
+        euler_step(np.full(shape, 1e308), np.full(shape, -1e308), 1.0, 0.0)
 
 
 def test_euler_step_requires_decreasing_t():
-    z = Tensor4(np.zeros((1, 2, 2, 1)))
+    z = np.zeros((1, 2, 2, 1))
     with pytest.raises(ScheduleError):
         euler_step(z, z, 0.5, 0.5)
     with pytest.raises(ScheduleError):
@@ -86,7 +97,7 @@ def test_euler_step_requires_decreasing_t():
 
 def test_euler_step_shape_guard():
     with pytest.raises(DimensionError):
-        euler_step(Tensor4(np.zeros((1, 2, 2, 1))), Tensor4(np.zeros((1, 2, 4, 1))), 1.0, 0.5)
+        euler_step(np.zeros((1, 2, 2, 1)), np.zeros((1, 2, 4, 1)), 1.0, 0.5)
 
 
 def _single_gaussian(shape, mean=0.0, var=2.0):

@@ -102,6 +102,10 @@ def test_circular_mask_validates():
         circular_mask(4, 4, -1.0)
     with pytest.raises(DimensionError):
         circular_mask(0, 4, 1.0)
+    with pytest.raises(DomainError, match="mask radius must be >= 0, got -1"):
+        FrequencyMask(2, 2, -1, np.ones((2, 2), dtype=bool))
+    with pytest.raises(DimensionError, match=r"membership grid \(2, 3\) does not match \(2, 2\)"):
+        FrequencyMask(2, 2, 1.0, np.ones((2, 3), dtype=bool))
 
 
 def test_constant_slice_has_dc_only():

@@ -14,7 +14,7 @@ import pytest
 
 from flowcache import traceio
 from flowcache.errors import DomainError, TraceError
-from flowcache.predictors import TraceArchive
+from flowcache.predictors import TraceArchive, TraceReplayPredictor
 from flowcache.sampler import TimestepSchedule, make_schedule
 from flowcache.tensor import seeded_normal
 from flowcache.traceio import (
@@ -32,7 +32,7 @@ SHRINK_RECORD = 4 + 8 + 2 * 16 * 16 * 4 * 8
 
 def make_archive(n=3, seed=0, shape=SHAPE):
     sched = TimestepSchedule((1.0, 0.0)) if n == 1 else make_schedule(n)
-    preds = [seeded_normal(shape, seed + k) for k in range(n)]
+    preds = [seeded_normal(shape, seed + k).data for k in range(n)]
     return TraceArchive.from_run(sched, preds)
 
 
@@ -49,7 +49,7 @@ def oracle_bytes(archive):
     for rec in archive.records:
         parts.append(struct.pack("<I", rec.step_index))
         parts.append(struct.pack("<d", rec.t))
-        parts.append(np.ascontiguousarray(rec.prediction.data, dtype="<f8").tobytes())
+        parts.append(np.ascontiguousarray(rec.prediction, dtype="<f8").tobytes())
     return b"".join(parts)
 
 
@@ -74,12 +74,20 @@ def assert_same_archive(got, want):
     for a, b in zip(got.records, want.records):
         assert a.step_index == b.step_index
         assert a.t == b.t
-        assert np.array_equal(a.prediction.data, b.prediction.data)
+        assert np.array_equal(a.prediction, b.prediction)
 
 
 def test_round_trip_is_bitwise(tmp_path):
     archive = make_archive()
     assert_same_archive(read_trace(written(tmp_path, archive)), archive)
+
+
+def test_read_records_and_their_replay_are_read_only_arrays(tmp_path):
+    archive = read_trace(written(tmp_path, make_archive()))
+    replay = TraceReplayPredictor(archive)
+    for rec in archive.records:
+        assert type(rec.prediction) is np.ndarray and not rec.prediction.flags.writeable
+        assert replay.evaluate(np.zeros(SHAPE), rec.t) is rec.prediction
 
 
 def test_reserialize_reproduces_bytes(tmp_path):
@@ -204,7 +212,7 @@ def test_record_payload_changes_survive_round_trip(tmp_path):
     archive = make_archive(n=2, seed=9, shape=(1, 2, 2, 1))
     cells = 4
     path = corrupted(tmp_path, lambda data: struct.pack_into("<d", data, len(data) - cells * 8, 123.5), archive)
-    assert read_trace(path).records[-1].prediction.data.ravel()[0] == 123.5
+    assert read_trace(path).records[-1].prediction.ravel()[0] == 123.5
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
