@@ -256,8 +256,7 @@ def _cmd_analyze_trace(args) -> int:
     cache = cfg.cache
     shape = archive.records[0].prediction.shape
     require_divisible(shape, cache.downsample, "cache.downsample")
-    predictions = [rec.prediction for rec in archive.records]
-    increments = recorded_increments(predictions, cache)
+    increments = recorded_increments([rec.prediction for rec in archive.records], cache)
     n = archive.schedule.n_steps
     warmup = cache.warmup_steps
     warmup_increments = increments[:warmup - 1]

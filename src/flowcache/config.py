@@ -31,7 +31,15 @@ LATENT_AXES = ("frames", "height", "width", "channels")
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Which score model to build and its parameters; seed is resolved at run time."""
+    """Which score model to build and its parameters; seed is resolved at run time.
+
+    The mixture bounds keep every accepted mixture's log-densities finite.
+    log(2 pi s2), with s2 at most max(var, 1), needs var <= 2.86e307, just
+    under the largest float64 over 2 pi. Squaring a residual x - (1 - t) mu
+    the size of a mean value, an amplitude times a unit-rms field peaking at
+    sqrt(cells) at most, needs |smooth_amp|, |rough_amp| <= 1e150: a factor
+    of 1e4, for up to 1e8 cells, below 1.34e154, sqrt(largest float64).
+    """
 
     kind: str = "mixture"
     seed: Optional[int] = None
@@ -46,8 +54,11 @@ class PredictorConfig:
             raise ConfigError(f"unknown predictor kind {self.kind!r}, expected one of {PREDICTOR_KINDS}")
         if self.components < 1:
             raise ConfigError(f"predictor.components must be >= 1, got {self.components}")
-        if self.var <= 0:
-            raise ConfigError(f"predictor.var must be > 0, got {self.var}")
+        if not 0 < self.var <= 2.86e307:
+            raise ConfigError(f"predictor.var must be > 0 and at most 2.86e307, got {self.var}")
+        for name in ("smooth_amp", "rough_amp"):
+            if abs(getattr(self, name)) > 1e150:
+                raise ConfigError(f"predictor.{name} must lie in [-1e150, 1e150], got {getattr(self, name)}")
         if self.blocks < 1:
             raise ConfigError(f"predictor.blocks must be >= 1, got {self.blocks}")
         if self.seed is not None and self.seed < 0:

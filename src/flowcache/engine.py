@@ -303,7 +303,9 @@ class StepCachePolicy:
 
     The trial latent is carried, not pooled: it advances by the Euler update
     run_steps applies, so the policy must be called for steps 0, 1, 2, ...
-    of one run, in order, and raises StateError otherwise.
+    of one run, in order, and raises StateError otherwise. Each prediction it
+    returns has passed require_finite: the Euler step would catch a non-finite
+    one too, but only after an observer or a direct caller held it.
     """
 
     def __init__(self, pred: Predictor, cfg: StepCacheConfig, block_cfg: Optional[BlockCacheConfig],

@@ -6,6 +6,10 @@ x1 standard normal. Its velocity (x - E[x0 | x_t = x]) / t is exact, so
 sampler and cache behavior can be tested without any trained network. The
 block net is a small residual stack with fixed random weights that stands in
 for a transformer when block-level caching is exercised.
+
+A trace archive is a schedule plus one prediction per step, checked by
+require_finite when its record is built; record k is the prediction used at
+schedule.values[k], whether the archive was built in code or read from a file.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, TraceError
 from .sampler import TimestepSchedule
-from .tensor import DownsampleFactors, avg_downsample, pooled_shape
+from .tensor import DownsampleFactors, avg_downsample, pooled_shape, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,28 +287,17 @@ def toy_block_forward(net, x: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TraceRecord:
-    """One recorded prediction: decreasing step index, its t, the read-only array used."""
+    """One recorded prediction, passed through require_finite: finite and read-only once built."""
 
-    step_index: int
-    t: float
     prediction: np.ndarray
 
-
-def check_record_position(schedule: TimestepSchedule, pos: int, step_index: int, t: float) -> None:
-    """Raise TraceError unless the record at position pos has that position's step index and t.
-
-    Records run from index N - 1 down to 0, record pos at schedule.values[pos].
-    """
-    expected_index = schedule.n_steps - 1 - pos
-    if step_index != expected_index:
-        raise TraceError(f"record {pos} has step index {step_index}, expected {expected_index} (strictly decreasing)")
-    if t != schedule.values[pos]:
-        raise TraceError(f"record {pos} has t={t!r}, schedule says {schedule.values[pos]!r}")
+    def __post_init__(self):
+        require_finite(self.prediction)
 
 
 @dataclass(frozen=True)
 class TraceArchive:
-    """Recorded predictions of a full run, ordered from index N-1 down to 0."""
+    """Recorded predictions of a full run: record k is the one used at schedule.values[k], step index N - 1 - k."""
 
     schedule: TimestepSchedule
     records: tuple[TraceRecord, ...]
@@ -312,39 +305,29 @@ class TraceArchive:
     def __post_init__(self):
         records = tuple(self.records)
         object.__setattr__(self, "records", records)
-        n = self.schedule.n_steps
-        if len(records) != n:
-            raise TraceError(f"archive holds {len(records)} records but schedule has {n} steps")
-        shape = records[0].prediction.shape if records else None
+        if len(records) != self.schedule.n_steps:
+            raise TraceError(f"archive holds {len(records)} records but schedule has {self.schedule.n_steps} steps")
+        shape = records[0].prediction.shape
         for pos, rec in enumerate(records):
-            check_record_position(self.schedule, pos, rec.step_index, rec.t)
             if rec.prediction.shape != shape:
                 raise TraceError(f"record {pos} shape {rec.prediction.shape} differs from {shape}")
 
     @staticmethod
     def from_run(schedule: TimestepSchedule, predictions: Sequence[np.ndarray]) -> "TraceArchive":
         """Package per-step predictions (traversal order) into an archive."""
-        n = schedule.n_steps
-        if len(predictions) != n:
-            raise TraceError(f"got {len(predictions)} predictions for a {n}-step schedule")
-        records = tuple(
-            TraceRecord(step_index=n - 1 - k, t=schedule.values[k], prediction=p)
-            for k, p in enumerate(predictions)
-        )
-        return TraceArchive(schedule, records)
+        return TraceArchive(schedule, tuple(TraceRecord(p) for p in predictions))
 
 
 class TraceReplayPredictor:
-    """Open-loop predictor that replays recorded predictions keyed by exact t."""
+    """Open-loop predictor that returns record k when asked for exactly t = schedule.values[k]."""
 
     open_loop = True
 
     def __init__(self, archive: TraceArchive):
-        self.archive = archive
-        self._by_t = {rec.t: rec for rec in archive.records}
+        self._by_t = {t: rec.prediction for t, rec in zip(archive.schedule.values, archive.records)}
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        rec = self._by_t.get(t)
-        if rec is None:
+        prediction = self._by_t.get(t)
+        if prediction is None:
             raise TraceError(f"no recorded prediction for t={t!r}")
-        return rec.prediction
+        return prediction

@@ -118,7 +118,8 @@ def run_steps(
     """The Euler step loop: the policy picks each step's prediction, the loop advances z.
 
     The loop, its policy and its observer work on bare arrays: only z_init and
-    the terminal are Tensor4s, and euler_step checks every latent in between.
+    the terminal are Tensor4s. euler_step checks every latent; the policy
+    checks its prediction too, so no observer ever holds a non-finite one.
     Report counts and cost units come from the policy's rows. The loop knows
     nothing of the predictor or the cache, so its callers set the fields that
     do: sample_baseline open_loop, sample_cached trial_cost_units.

@@ -11,31 +11,34 @@ Layout (all integers little-endian):
     then       N records, each: step index u32, t float64, T*H*W*C float64
 
 Records run from step index N - 1 down to 0, matching traversal order from
-t = 1 toward the terminal. Write followed by read is a bitwise identity on
-the header and every tensor.
+t = 1 toward the terminal: the writer takes record k's index N - 1 - k and t,
+schedule.values[k], from its place in the archive, and the reader checks
+both. Write followed by read is a bitwise identity on the header and every
+tensor.
 
 Records stream between the file and their own arrays: the writer hands each
 prediction's buffer to the file, and the reader fills a fresh array per
 record straight from it. A round trip so holds the archive plus at most one
 record, never a copy of the whole file. The reader checks the header and the
 exact file length before it reads the schedule or allocates any record,
-and each record's step index and t before it allocates that record.
-Malformed input raises TraceError naming the byte offset of the first
-violated field, or the expected versus actual byte count when the file is
-the wrong length; a non-regular file such as a FIFO reports a length of 0.
+and each record's step index and t before it allocates that record; the
+payload then passes TraceRecord's finiteness check. Malformed input raises
+TraceError naming the byte offset of the first violated field, or the
+expected versus actual byte count when the file is the wrong length; a
+non-regular file such as a FIFO reports a length of 0.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
 import numpy as np
 
 from .errors import DomainError, ScheduleError, TraceError
-from .predictors import TraceArchive, TraceRecord, check_record_position
+from .predictors import TraceArchive, TraceRecord
 from .sampler import TimestepSchedule
-from .tensor import require_finite
 
 TRACE_MAGIC = b"PCTR"
 TRACE_VERSION = 1
@@ -53,19 +56,21 @@ _COUNT_OFFSET = 28
 _SCHEDULE_OFFSET = 32
 
 
-def _expected_size(shape: tuple[int, int, int, int], n_steps: int) -> int:
-    cells = shape[0] * shape[1] * shape[2] * shape[3]
-    return _SCHEDULE_OFFSET + (n_steps + 1) * 8 + n_steps * (_PREFIX.size + cells * 8)
+def _check_record_position(schedule: TimestepSchedule, pos: int, step_index: int, t: float) -> None:
+    """Raise TraceError unless record pos has step index N - 1 - pos and t = schedule.values[pos]."""
+    expected_index = schedule.n_steps - 1 - pos
+    if step_index != expected_index:
+        raise TraceError(f"record {pos} has step index {step_index}, expected {expected_index} (strictly decreasing)")
+    if t != schedule.values[pos]:
+        raise TraceError(f"record {pos} has t={t!r}, schedule says {schedule.values[pos]!r}")
 
 
 def write_trace(path, archive: TraceArchive) -> None:
     """Write an archive to disk in the binary trace format.
 
-    The archive is validated before the file is opened, so a rejected archive
-    neither creates nor truncates the target.
+    The header fields are checked before the file is opened, so an archive
+    they do not fit neither creates nor truncates the target.
     """
-    if not archive.records:
-        raise TraceError("archive holds no records")
     shape = archive.records[0].prediction.shape
     n = archive.schedule.n_steps
     for value, what in ((n, "step count"), *((extent, "shape extent") for extent in shape)):
@@ -74,8 +79,8 @@ def write_trace(path, archive: TraceArchive) -> None:
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, ELEM_TAG_F64_LE, *shape, n))
         handle.write(np.asarray(archive.schedule.values, dtype="<f8"))
-        for rec in archive.records:
-            handle.write(_PREFIX.pack(rec.step_index, rec.t))
+        for pos, (rec, t) in enumerate(zip(archive.records, archive.schedule.values)):
+            handle.write(_PREFIX.pack(n - 1 - pos, t))
             handle.write(np.ascontiguousarray(rec.prediction, dtype="<f8"))
 
 
@@ -98,7 +103,7 @@ def read_trace(path) -> TraceArchive:
                 raise TraceError(f"shape extent {extent} at byte offset {_SHAPE_OFFSET + 4 * pos} must be >= 1")
         if n < 1:
             raise TraceError(f"step count {n} at byte offset {_COUNT_OFFSET} must be >= 1")
-        expected = _expected_size(shape, n)
+        expected = _SCHEDULE_OFFSET + (n + 1) * 8 + n * (_PREFIX.size + 8 * math.prod(shape))
 
         def check_length(actual: int) -> None:
             if actual != expected:
@@ -125,13 +130,11 @@ def read_trace(path) -> TraceArchive:
         records = []
         for pos in range(n):
             fill(prefix)
-            step_index, t_value = _PREFIX.unpack(prefix)
-            check_record_position(schedule, pos, step_index, t_value)
+            _check_record_position(schedule, pos, *_PREFIX.unpack(prefix))
             values = np.empty(shape, dtype="<f8")
             payload_offset = fill(values)
             try:
-                prediction = require_finite(values)
+                records.append(TraceRecord(values))
             except DomainError as exc:
                 raise TraceError(f"record {pos} payload at byte offset {payload_offset} is invalid: {exc}") from exc
-            records.append(TraceRecord(step_index=step_index, t=t_value, prediction=prediction))
     return TraceArchive(schedule, tuple(records))

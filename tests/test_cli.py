@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, driven through run_command."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,40 @@ def test_recorded_trace_replays_to_identical_terminal(tmp_path, config_path):
     assert a["terminal_checksum"] == b["terminal_checksum"]
     assert b["report"]["open_loop"] is True
     assert a["report"]["open_loop"] is False
+
+
+RUN_CASES = {case["name"]: case for case in
+             json.loads((Path(__file__).parent / "data" / "run_checksums.json").read_text(encoding="utf-8"))}
+#: sha256 of the trace generate --trace writes for three of the configs in data/run_checksums.json
+TRACE_SHA256 = {
+    "mixture-baseline": "0f1a1b8f643fd48fffca9f87bfc5bb0a95b98ac30c5f08367925271e493685d1",
+    "mixture-lfcache": "b67b3ed401132246b5903f34e0156a705576f1c14d753c15d65642aa3528e0fc",
+    "toyblock-lfcache-block": "8cec2226739ec6d628daae7ba4c78a61e4059cf3b9e455b770c74794450ebd1c",
+}
+
+
+def generated_trace(tmp_path, name):
+    """Write the config of RUN_CASES[name] and the trace generate records for it; return both paths."""
+    config, trace = tmp_path / "run.cfg", tmp_path / "run.trace"
+    config.write_text("\n".join(RUN_CASES[name]["config"]) + "\n", encoding="utf-8")
+    assert run_command(["generate", "--config", str(config), "--trace", str(trace),
+                        "--out", str(tmp_path / "run.json")]) == 0
+    return config, trace
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_generate_writes_the_pinned_trace_bytes(tmp_path, name):
+    _, trace = generated_trace(tmp_path, name)
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256[name]
+
+
+def test_open_loop_replay_of_the_pinned_baseline_trace_reproduces_its_terminal(tmp_path):
+    config, trace = generated_trace(tmp_path, "mixture-baseline")
+    out = tmp_path / "replay.json"
+    assert run_command(["generate", "--config", str(config), "--mode", "open-loop", "--input-trace", str(trace),
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["terminal_checksum"] == \
+        RUN_CASES["mixture-baseline"]["terminal_checksum"]
 
 
 def test_generate_without_seed_fails(tmp_path, capsys):
@@ -424,3 +459,26 @@ def test_python_dash_m_runs_the_command_line(tmp_path, config_path):
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text(encoding="utf-8"))["command"] == "generate"
     assert subprocess.run([sys.executable, "-m", "flowcache.cli"], env=env, capture_output=True).returncode == 2
+
+
+@pytest.mark.parametrize("case", ["config", "trace"])
+def test_validation_holds_under_python_dash_o(tmp_path, config_path, case):
+    """With asserts stripped, a rejected config and a truncated trace still exit 1 with an error line."""
+    if case == "config":
+        config = tmp_path / "bad.cfg"
+        config.write_text("seeds = 1\npredictor.var = 1e308\n", encoding="utf-8")
+        args, shown = ["--config", str(config)], "error: line 2: key 'predictor.var'"
+    else:
+        trace = tmp_path / "run.trace"
+        assert run_command(["generate", "--config", str(config_path), "--mode", "baseline", "--trace", str(trace),
+                            "--out", str(tmp_path / "base.json")]) == 0
+        size = trace.stat().st_size
+        trace.write_bytes(trace.read_bytes()[:-10])
+        args = ["--config", str(config_path), "--mode", "open-loop", "--input-trace", str(trace)]
+        shown = f"error: expected {size} bytes for shape (4, 8, 8, 1) and 16 steps, got {size - 10}"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = tmp_path / "r.json"
+    done = subprocess.run([sys.executable, "-O", "-m", "flowcache.cli", "generate", *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1 and shown in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcache.cli import run_command
 from flowcache.config import (
     MODES,
     PREDICTOR_KINDS,
@@ -177,11 +178,25 @@ def test_sub_config_rejections_name_the_key_and_its_line():
         ("seeds = 1\nblock.cache_rate = 1.5\n", "line 2: key 'block.cache_rate': cache_rate must lie in [0, 1], got 1.5"),
         ("seeds = 1\nblock.interval = -1\n", "line 2: key 'block.interval': interval must be an integer >= 0, got -1"),
         ("seeds = ,\n", "line 1: key 'seeds': expected at least one integer"),
+        ("seeds = 1\npredictor.smooth_amp = 1e300\n", "line 2: key 'predictor.smooth_amp': predictor.smooth_amp must lie in"),
+        ("seeds = 1\npredictor.rough_amp = 1e200\n", "line 2: key 'predictor.rough_amp': predictor.rough_amp must lie in"),
+        ("seeds = 1\npredictor.var = 1e308\n", "line 2: key 'predictor.var': predictor.var must be > 0 and at most"),
     )
     for text, message in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert str(err.value).startswith(message)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_mixture_at_its_bounds_runs(tmp_path, sign):
+    """The largest amplitudes and a variance near the bound run cached and uncached at the README shape."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"predictor.seed = 0\npredictor.smooth_amp = {sign * 1e150}\n"
+                   f"predictor.rough_amp = {-sign * 1e150}\npredictor.var = 1e300\n", encoding="utf-8")
+    for seed in (0, 1, 2):
+        assert run_command(["generate", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_invalid_mode_rejected():
@@ -345,15 +360,16 @@ def run_configs(draw):
         latent = tuple(draw(st.integers(min_value=1, max_value=16)) for _ in range(4))
     kind = "toy-block" if mode == "lfcache+block" else draw(st.sampled_from(PREDICTOR_KINDS))
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    amplitude = st.floats(min_value=-1e150, max_value=1e150)
+    variance = st.floats(min_value=0.0, exclude_min=True, max_value=2.86e307)
     return RunConfig(
         mode=mode,
         seeds=tuple(draw(st.lists(st.integers(0, 10**6), max_size=3))),
         latent=latent,
         predictor=PredictorConfig(kind=kind,
                                   seed=draw(st.none() | st.integers(0, 10**6)),
-                                  components=draw(_small), smooth_amp=draw(finite), rough_amp=draw(finite),
-                                  var=draw(positive), blocks=draw(_small)),
+                                  components=draw(_small), smooth_amp=draw(amplitude), rough_amp=draw(amplitude),
+                                  var=draw(variance), blocks=draw(_small)),
         schedule=ScheduleConfig(n=draw(st.integers(min_value=2, max_value=64)),
                                 kind=draw(st.sampled_from(SCHEDULE_KINDS)),
                                 shift=draw(st.floats(min_value=1 / 16, max_value=16.0)),

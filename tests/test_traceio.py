@@ -46,9 +46,10 @@ def oracle_bytes(archive):
         struct.pack("<I", archive.schedule.n_steps),
         np.asarray(archive.schedule.values, dtype="<f8").tobytes(),
     ]
-    for rec in archive.records:
-        parts.append(struct.pack("<I", rec.step_index))
-        parts.append(struct.pack("<d", rec.t))
+    n = archive.schedule.n_steps
+    for k, rec in enumerate(archive.records):
+        parts.append(struct.pack("<I", n - 1 - k))
+        parts.append(struct.pack("<d", archive.schedule.values[k]))
         parts.append(np.ascontiguousarray(rec.prediction, dtype="<f8").tobytes())
     return b"".join(parts)
 
@@ -72,8 +73,6 @@ def assert_same_archive(got, want):
     assert got.schedule.values == want.schedule.values
     assert len(got.records) == len(want.records)
     for a, b in zip(got.records, want.records):
-        assert a.step_index == b.step_index
-        assert a.t == b.t
         assert np.array_equal(a.prediction, b.prediction)
 
 
@@ -85,9 +84,9 @@ def test_round_trip_is_bitwise(tmp_path):
 def test_read_records_and_their_replay_are_read_only_arrays(tmp_path):
     archive = read_trace(written(tmp_path, make_archive()))
     replay = TraceReplayPredictor(archive)
-    for rec in archive.records:
+    for rec, t in zip(archive.records, archive.schedule.values):
         assert type(rec.prediction) is np.ndarray and not rec.prediction.flags.writeable
-        assert replay.evaluate(np.zeros(SHAPE), rec.t) is rec.prediction
+        assert replay.evaluate(np.zeros(SHAPE), t) is rec.prediction
 
 
 def test_reserialize_reproduces_bytes(tmp_path):
@@ -228,7 +227,6 @@ def test_non_finite_payload_names_record_and_offset(tmp_path, value, pos):
 
 
 @pytest.mark.parametrize("archive, message", [
-    (SimpleNamespace(records=(), schedule=None), "archive holds no records"),
     (SimpleNamespace(records=(SimpleNamespace(prediction=SimpleNamespace(shape=SHAPE)),),
                      schedule=SimpleNamespace(n_steps=2**32)), "step count 4294967296 does not fit"),
     (SimpleNamespace(records=(SimpleNamespace(prediction=SimpleNamespace(shape=(1, 2**32, 1, 1))),),
@@ -244,6 +242,15 @@ def test_rejected_archive_leaves_target_untouched(tmp_path, archive, message):
     with pytest.raises(TraceError, match=message):
         write_trace(absent, archive)
     assert not absent.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_archive_is_rejected_before_any_file_is_made(tmp_path, value):
+    """from_run raises, so write_trace never opens its target."""
+    path = tmp_path / "never.trace"
+    with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
+        write_trace(path, TraceArchive.from_run(make_schedule(2), [np.full((1, 2, 2, 1), value), np.zeros((1, 2, 2, 1))]))
+    assert not path.exists()
 
 
 # 40 records of 128 KiB each: a 5 MiB file
