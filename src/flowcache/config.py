@@ -15,12 +15,14 @@ be traceable to an explicit seed.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .engine import BlockCacheConfig, StepCacheConfig
 from .errors import ConfigError, DimensionError, FlowCacheError
-from .predictors import MixturePredictor, ToyBlockNet, structured_mixture
+from .predictors import ToyBlockNet, structured_mixture
 from .sampler import Predictor, TimestepSchedule, make_schedule
 from .tensor import DownsampleFactors
 
@@ -110,6 +112,17 @@ class RunConfig:
                 raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}", (f"latent.{axis}",))
         if self.mode in ("lfcache", "lfcache+block"):
             require_divisible(self.latent, self.cache.downsample, "cache.downsample", ("mode",))
+        if self.predictor.kind == "mixture":
+            # A mixture evaluation holds the (K, *latent) mean stack and two more K-sized buffers.
+            cells = math.prod(self.latent)
+            need = 3 * self.predictor.components * cells * 8
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if need > have:
+                raise ConfigError(f"predictor.components = {self.predictor.components} needs {need} bytes "
+                                  f"(3 x K x {cells} cells x 8) for the mean stack and an evaluation's two K-sized "
+                                  f"buffers, more than the {have} bytes of physical memory",
+                                  ("predictor.components", *(f"latent.{axis}" for axis in LATENT_AXES),
+                                   "predictor.kind"))
         if self.mode == "lfcache+block" and self.predictor.kind != "toy-block":
             raise ConfigError(f"mode = lfcache+block needs predictor.kind = toy-block (the block cache needs a "
                               f"block-decomposed predictor), got predictor.kind = {self.predictor.kind}",
@@ -312,9 +325,8 @@ def build_predictor(cfg: RunConfig) -> Predictor:
     if p.seed is None:
         raise ConfigError("predictor.seed is not set; model randomness needs an explicit seed")
     if p.kind == "mixture":
-        spec = structured_mixture(cfg.latent, p.seed, components=p.components,
+        return structured_mixture(cfg.latent, p.seed, components=p.components,
                                   smooth_amp=p.smooth_amp, rough_amp=p.rough_amp, var=p.var)
-        return MixturePredictor(spec)
     return ToyBlockNet(p.blocks, cfg.latent[3], p.seed)
 
 

@@ -7,10 +7,11 @@ low-frequency band of the prediction has drifted from the one the previous
 step used (trial_lowfreq_diff, the package's only drift statistic; its
 open-loop form over recorded predictions is recorded_increments). Drift
 accumulates, and the cached prediction is reused while the running total
-stays under a threshold calibrated during warmup. The block cache is the
-policy's full-evaluation path for block-decomposed predictors: blocks whose
-output deltas were small at the last fully computed step are replayed from
-their cached deltas for a bounded number of subsequent full steps.
+stays under a threshold calibrated during warmup (accumulate_decide, a pure
+rule on floats). The block cache is the policy's full-evaluation path for
+block-decomposed predictors: blocks whose output deltas were small at the
+last fully computed step are replayed from their cached deltas for a bounded
+number of subsequent full steps.
 
 The low band is a function of the latent shape and the StepCacheConfig,
 stated here once: trial_mask is the mask of the pooled trial plane, with
@@ -97,27 +98,6 @@ def trial_mask(shape: tuple[int, int, int, int], cfg: StepCacheConfig) -> Freque
     return circular_mask(height, width, cfg.mask_scale * min(height, width))
 
 
-@dataclass
-class CacheState:
-    """Mutable step-cache state threaded through a sampling run.
-
-    cached_prediction is the prediction the previous step used; the trial's
-    drift is measured from pooled_prediction, its array pooled to the trial
-    grid once a trial needs it. trial_latent is the latent entering the
-    current step on the trial grid, a new array each step. cached_residual
-    is the prediction minus the latent of the last full evaluation, kept
-    only under residual reuse, the one strategy that reads it (None
-    otherwise).
-    """
-
-    cached_prediction: Optional[np.ndarray] = None
-    cached_residual: Optional[np.ndarray] = None
-    pooled_prediction: Optional[np.ndarray] = None
-    trial_latent: Optional[np.ndarray] = None
-    error: float = 0.0
-    threshold: Optional[float] = None
-
-
 def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
     """Threshold = max observed warmup drift times alpha."""
     deltas = list(warmup_deltas)
@@ -160,28 +140,29 @@ def trial_lowfreq_diff(
     return drift
 
 
-def accumulate_decide(state: CacheState, delta: float) -> str:
-    """Add one drift increment and decide skip (total < threshold) or full.
+def accumulate_decide(error: float, delta: float, threshold: Optional[float]) -> tuple[str, float]:
+    """Add one drift increment to the running total error: (skip if the new total < threshold else full, new total).
 
-    The caller owns the reset discipline: after acting on a "full" decision it
-    must recompute the cache and zero state.error.
+    The rule is pure. The caller owns the reset discipline: after acting on a
+    "full" decision it must recompute the cache and restart the total at 0.0.
     """
-    if state.threshold is None:
+    if threshold is None:
         raise StateError("threshold is not calibrated yet; decisions are unavailable during warmup")
     if delta < 0:
         raise DomainError(f"drift increment must be >= 0, got {delta}")
-    state.error += delta
-    return DECISION_SKIP if state.error < state.threshold else DECISION_FULL
+    error += delta
+    return DECISION_SKIP if error < threshold else DECISION_FULL, error
 
 
 def replay_decisions(increments: Sequence[float], threshold: float) -> list[str]:
     """Run the accumulate/reset policy open-loop over a fixed increment sequence."""
-    state = CacheState(threshold=float(threshold))
+    threshold = float(threshold)
+    error = 0.0
     out = []
     for delta in increments:
-        decision = accumulate_decide(state, delta)
+        decision, error = accumulate_decide(error, delta, threshold)
         if decision == DECISION_FULL:
-            state.error = 0.0
+            error = 0.0
         out.append(decision)
     return out
 
@@ -301,6 +282,13 @@ class StepCachePolicy:
     and resets the accumulator. Full evaluations go through the block cache
     when block_cfg is given. shape is the latent's; it fixes the trial mask.
 
+    The policy holds the run's cache state: cached_prediction, the one the
+    previous step used, and pooled_prediction, that array pooled to the trial
+    grid once a trial needs it; trial_latent, the latent entering the step on
+    the trial grid; cached_residual, the last full prediction minus its
+    latent, kept only under residual reuse (None otherwise); error, the
+    accumulated drift, and threshold, None until calibrated.
+
     The trial latent is carried, not pooled: it advances by the Euler update
     run_steps applies, so the policy must be called for steps 0, 1, 2, ...
     of one run, in order, and raises StateError otherwise. Each prediction it
@@ -317,13 +305,17 @@ class StepCachePolicy:
         cells = shape[0] * shape[1] * shape[2]
         self.full_cells = float(cells)
         self.trial_cells = float(cells // cfg.downsample.volume)
-        self.state = CacheState()
+        self.cached_prediction: Optional[np.ndarray] = None
+        self.cached_residual: Optional[np.ndarray] = None
+        self.pooled_prediction: Optional[np.ndarray] = None
+        self.trial_latent: Optional[np.ndarray] = None
+        self.error = 0.0
+        self.threshold: Optional[float] = None
         self.block_state = BlockCacheState()
         self.warmup_deltas: list[float] = []
         self.last_step = (-1, 0.0)
 
     def __call__(self, k: int, t: float, z: np.ndarray) -> tuple[np.ndarray, StepRecord]:
-        state = self.state
         last_k, last_t = self.last_step
         if k != last_k + 1:
             raise StateError(f"step {k} called after step {last_k}; the carried trial latent needs steps in order")
@@ -332,36 +324,36 @@ class StepCachePolicy:
         cost = 0.0
         decision = DECISION_WARMUP
         if k == 0:
-            state.trial_latent = avg_downsample(z, self.cfg.downsample)
+            self.trial_latent = avg_downsample(z, self.cfg.downsample)
         else:
-            if state.pooled_prediction is None:
-                state.pooled_prediction = avg_downsample(state.cached_prediction, self.cfg.downsample)
-            state.trial_latent = axpy(state.trial_latent, t - last_t, state.pooled_prediction)
-            delta = trial_lowfreq_diff(self.pred, state.trial_latent, t, state.pooled_prediction, self.mask)
+            if self.pooled_prediction is None:
+                self.pooled_prediction = avg_downsample(self.cached_prediction, self.cfg.downsample)
+            self.trial_latent = axpy(self.trial_latent, t - last_t, self.pooled_prediction)
+            delta = trial_lowfreq_diff(self.pred, self.trial_latent, t, self.pooled_prediction, self.mask)
             cost += self.trial_cells
             if k < self.cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
-                state.error += delta
+                self.error += delta
             else:
-                if state.threshold is None:
-                    state.threshold = relative_threshold(self.warmup_deltas, self.cfg.alpha)
-                decision = accumulate_decide(state, delta)
-        err_before = state.error
+                if self.threshold is None:
+                    self.threshold = relative_threshold(self.warmup_deltas, self.cfg.alpha)
+                decision, self.error = accumulate_decide(self.error, delta, self.threshold)
+        err_before = self.error
         pivotal_size: Optional[int] = None
         partial: Optional[bool] = None
         if decision == DECISION_SKIP:
-            f = state.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else require_finite(axpy(z, 1.0, state.cached_residual))
+            f = self.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else require_finite(axpy(z, 1.0, self.cached_residual))
         else:
             f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
             cost += eval_cost
-            state.error = 0.0
+            self.error = 0.0
             if self.cfg.reuse == REUSE_RESIDUAL:
-                state.cached_residual = axpy(f, -1.0, z)
-        if f is not state.cached_prediction:
-            state.cached_prediction = f
-            state.pooled_prediction = None
+                self.cached_residual = axpy(f, -1.0, z)
+        if f is not self.cached_prediction:
+            self.cached_prediction = f
+            self.pooled_prediction = None
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
-                             err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
+                             err_after=self.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
 
     def _evaluate(self, z: np.ndarray, t: float) -> tuple[np.ndarray, float, Optional[int], Optional[bool]]:
         """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
@@ -399,7 +391,7 @@ def sample_cached(
     with np.errstate(invalid="ignore"):
         z, report = run_steps(policy, z_init, schedule, observer)
     report.trial_cost_units = policy.trial_cells * report.trial_eval_count
-    report.threshold = policy.state.threshold
+    report.threshold = policy.threshold
     report.warmup_max_delta = max(policy.warmup_deltas) if policy.warmup_deltas else None
     return z, report
 

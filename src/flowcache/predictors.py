@@ -1,11 +1,13 @@
 """Closed-form and synthetic predictors used to drive the sampler.
 
-The analytic predictor treats every cell as an independent scalar Gaussian
-mixture under the linear interpolation path x_t = (1 - t) * x0 + t * x1 with
-x1 standard normal. Its velocity (x - E[x0 | x_t = x]) / t is exact, so
-sampler and cache behavior can be tested without any trained network. The
-block net is a small residual stack with fixed random weights that stands in
-for a transformer when block-level caching is exercised.
+The analytic predictor, MixturePredictor, is one frozen value: a mixture's
+shape, weights, variances and read-only mean stack, and its velocity. It
+treats every cell as an independent scalar Gaussian mixture under the linear
+interpolation path x_t = (1 - t) * x0 + t * x1 with x1 standard normal. Its
+velocity (x - E[x0 | x_t = x]) / t is exact, so sampler and cache behavior
+can be tested without any trained network. The block net is a small
+residual stack with fixed random weights that stands in for a transformer
+when block-level caching is exercised.
 
 A trace archive is a schedule plus one prediction per step, checked by
 require_finite when its record is built; record k is the prediction used at
@@ -25,16 +27,16 @@ from .tensor import DownsampleFactors, avg_downsample, pooled_shape, require_fin
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianMixtureSpec:
-    """Cellwise-independent scalar Gaussian mixture over a fixed latent shape.
+class MixturePredictor:
+    """Exact flow velocity of a cellwise-independent scalar Gaussian mixture over a fixed latent shape.
 
     Component k has weight weights[k], variance variances[k] and mean field
     means[k]: means is one read-only (K, *shape) float64 stack, the only copy
     of the component means. mean_stack pools it to coarser evaluation shapes
-    and memoises one stack per shape for the life of the spec; the memo takes
-    no part in equality or repr. Two specs are equal when shape, weights,
-    variances and every mean value match. A spec is not hashable: hash()
-    raises TypeError, as it does for the mean array it holds.
+    and memoises one stack per shape for the life of the mixture; the memo
+    takes no part in equality or repr. Two mixtures are equal when shape,
+    weights, variances and every mean value match. A mixture is not
+    hashable: hash() raises TypeError, as it does for the mean array it holds.
     """
 
     shape: tuple[int, int, int, int]
@@ -74,7 +76,7 @@ class GaussianMixtureSpec:
         object.__setattr__(self, "means", means)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianMixtureSpec):
+        if not isinstance(other, MixturePredictor):
             return NotImplemented
         return ((self.shape, self.weights, self.variances) == (other.shape, other.weights, other.variances)
                 and np.array_equal(self.means, other.means))
@@ -82,9 +84,9 @@ class GaussianMixtureSpec:
     def mean_stack(self, shape: tuple[int, int, int, int]) -> np.ndarray:
         """Every component mean at an evaluation shape as one read-only (K, *shape) array.
 
-        At the spec's shape this is means itself. A coarser shape gets every
+        At the mixture's shape this is means itself. A coarser shape gets every
         row block-mean pooled (avg_downsample), as the latent is for trial
-        inference; it must be the spec's shape pooled by integer factors.
+        inference; it must be the mixture's shape pooled by integer factors.
         """
         shape = tuple(shape)
         if shape == self.shape:
@@ -101,13 +103,20 @@ class GaussianMixtureSpec:
             self._mean_memo[shape] = stack
         return stack
 
+    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Flow velocity (x - E[x0 | x_t = x]) / t, exact for the mixture, as a fresh writable array."""
+        out = mixture_posterior_mean(self, x, t)
+        np.subtract(x, out, out=out)
+        out /= t
+        return out
+
 
 def _check_time(t: float) -> None:
     if not 0.0 < t <= 1.0:
         raise DomainError(f"time must lie in (0, 1], got {t}")
 
 
-def mixture_posterior_mean(spec: GaussianMixtureSpec, x: np.ndarray, t: float) -> np.ndarray:
+def mixture_posterior_mean(mixture: MixturePredictor, x: np.ndarray, t: float) -> np.ndarray:
     """E[x0 | x_t = x] per cell under the linear interpolation path, as a fresh writable array; x is only read.
 
     One pass over the stacked means in two (K, *shape) buffers and the
@@ -121,15 +130,15 @@ def mixture_posterior_mean(spec: GaussianMixtureSpec, x: np.ndarray, t: float) -
     tests/test_predictors.py, so the result is bitwise that loop's.
     """
     _check_time(t)
-    mu = spec.mean_stack(x.shape)
+    mu = mixture.mean_stack(x.shape)
     one_minus_t = 1.0 - t
     log_norm, two_s2, gain = [], [], []
-    for weight, var in zip(spec.weights, spec.variances):
+    for weight, var in zip(mixture.weights, mixture.variances):
         s2 = one_minus_t * one_minus_t * var + t * t
         log_norm.append(np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2))
         two_s2.append(2.0 * s2)
         gain.append(one_minus_t * var / s2)
-    per_component = (3, len(spec.weights)) + (1,) * x.ndim
+    per_component = (3, len(mixture.weights)) + (1,) * x.ndim
     log_norm, two_s2, gain = np.array((log_norm, two_s2, gain)).reshape(per_component)
     resid = np.multiply(mu, one_minus_t)
     np.subtract(x, resid, out=resid)
@@ -149,20 +158,6 @@ def mixture_posterior_mean(spec: GaussianMixtureSpec, x: np.ndarray, t: float) -
     for term in resid:
         out += term
     return out
-
-
-class MixturePredictor:
-    """Sampler-facing wrapper around the analytic mixture velocity."""
-
-    def __init__(self, spec: GaussianMixtureSpec):
-        self.spec = spec
-
-    def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Flow velocity (x - E[x0 | x_t = x]) / t, exact for the mixture, as a fresh writable array."""
-        out = mixture_posterior_mean(self.spec, x, t)
-        np.subtract(x, out, out=out)
-        out /= t
-        return out
 
 
 def _smooth_field(shape: tuple[int, int, int, int], rng: np.random.Generator, amplitude: float) -> np.ndarray:
@@ -197,7 +192,7 @@ def structured_mixture(
     smooth_amp: float = 1.5,
     rough_amp: float = 1.2,
     var: float = 45.0,
-) -> GaussianMixtureSpec:
+) -> MixturePredictor:
     """Mixture whose per-cell modes straddle a smooth field by a white detail field.
 
     Component means come in pairs S + r*R and S - r*R: S is a sum of
@@ -225,7 +220,7 @@ def structured_mixture(
         detail = rough_amp * _paired_frame_noise(shape, rng)
         np.add(smooth, detail, out=means[k])
         np.subtract(smooth, detail, out=means[k + 1])
-    return GaussianMixtureSpec(shape, (1.0 / components,) * components, (var,) * components, means)
+    return MixturePredictor(shape, (1.0 / components,) * components, (var,) * components, means)
 
 
 class ToyBlockNet:
@@ -297,7 +292,10 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TraceArchive:
-    """Recorded predictions of a full run: record k is the one used at schedule.values[k], step index N - 1 - k."""
+    """Recorded predictions of a full run: record k is the one used at schedule.values[k], step index N - 1 - k.
+
+    Every record has one shape of four positive extents, the only shapes a trace file holds.
+    """
 
     schedule: TimestepSchedule
     records: tuple[TraceRecord, ...]
@@ -308,6 +306,8 @@ class TraceArchive:
         if len(records) != self.schedule.n_steps:
             raise TraceError(f"archive holds {len(records)} records but schedule has {self.schedule.n_steps} steps")
         shape = records[0].prediction.shape
+        if len(shape) != 4 or min(shape) < 1:
+            raise TraceError(f"record shape {shape} must be four positive extents")
         for pos, rec in enumerate(records):
             if rec.prediction.shape != shape:
                 raise TraceError(f"record {pos} shape {rec.prediction.shape} differs from {shape}")

@@ -28,7 +28,6 @@ from flowcache.harness import (
     spearman,
 )
 from flowcache.predictors import (
-    MixturePredictor,
     ToyBlockNet,
     TraceArchive,
     TraceReplayPredictor,
@@ -60,7 +59,7 @@ def mixture_setups():
     """Per-seed (predictor, initial latent) pairs on the default shape."""
     out = {}
     for seed in SEEDS:
-        pred = MixturePredictor(structured_mixture(SHAPE, seed))
+        pred = structured_mixture(SHAPE, seed)
         out[seed] = (pred, seeded_normal(SHAPE, seed))
     return out
 
@@ -237,7 +236,7 @@ def test_criterion_4_analytic_oracle_fidelity():
         x_val = float(rng.normal(0.0, 3.0))
         field = np.zeros(SHAPE)
         field[idx] = x_val
-        v_analytic = float(MixturePredictor(spec).evaluate(field, t)[idx])
+        v_analytic = float(spec.evaluate(field, t)[idx])
         means = spec.means[(slice(None),) + idx]
         est, se = mc_posterior_mean(spec.weights, means, spec.variances, x_val, t, 10**6, rng)
         v_mc = (x_val - est) / t
@@ -420,7 +419,7 @@ def test_criterion_10_cost_model_and_trace_round_trip(tmp_path):
     expected = (50.0 * 32.0) / (25.0 * 32.0 + 50.0)
     cost_err = abs(summary.speedup_units - expected)
 
-    pred = MixturePredictor(structured_mixture(SHAPE, seed=6))
+    pred = structured_mixture(SHAPE, seed=6)
     z0 = seeded_normal(SHAPE, 6)
     sched = make_schedule(N_STEPS)
     predictions = []

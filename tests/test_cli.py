@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, driven through run_command."""
 
+import ast
 import hashlib
 import json
 import os
@@ -482,3 +483,14 @@ def test_validation_holds_under_python_dash_o(tmp_path, config_path, case):
                           env=env, capture_output=True, text=True)
     assert done.returncode == 1 and shown in done.stderr and "Traceback" not in done.stderr
     assert not out.exists()
+
+
+def test_the_package_holds_no_assert_statement():
+    """Invariants are explicit errors, so python -O strips no check: no module under flowcache has an assert."""
+    package = Path(cli.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

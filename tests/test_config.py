@@ -1,5 +1,6 @@
 """Tests for the flat key = value configuration format."""
 
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -259,6 +260,26 @@ def test_cached_modes_reject_a_latent_the_downsample_does_not_divide():
         replace(parse_config("mode = baseline\nlatent.height = 6\n"), mode="lfcache")
 
 
+def test_a_mixture_too_large_for_physical_memory_is_rejected_at_parse_time(tmp_path, capsys):
+    """predictor.components = 1000000000000 used to parse, and generate then failed mid-run allocating 14.6 PiB."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seeds = 1\npredictor.components = 1000000000000\n", encoding="utf-8")
+    assert run_command(["generate", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 1
+    assert "line 2: key 'predictor.components'" in capsys.readouterr().err
+    assert parse_config("predictor.kind = toy-block\npredictor.components = 1000000000000\n").predictor.kind == "toy-block"
+
+
+def test_the_mixture_memory_bound_counts_three_k_sized_stacks(monkeypatch):
+    """With 98304 bytes of physical memory the default 2048-cell latent fits K = 2 exactly (3 x 2 x 2048 x 8)."""
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 24}.__getitem__)
+    assert parse_config("predictor.components = 2\n").predictor.components == 2
+    with pytest.raises(ConfigError, match="^line 1: key 'predictor.components': predictor.components = 3 needs "
+                                          r"147456 bytes \(3 x K x 2048 cells x 8\)"):
+        parse_config("predictor.components = 3\n")
+    with pytest.raises(ConfigError, match="^line 2: key 'latent.height': predictor.components = 2 needs 196608 bytes"):
+        parse_config("predictor.components = 2\nlatent.height = 32\n")
+
+
 def test_block_cache_mode_rejects_a_predictor_without_blocks():
     """mode = lfcache+block with the default mixture predictor used to parse and then fail inside the run."""
     with pytest.raises(ConfigError) as err:
@@ -282,6 +303,9 @@ def test_cross_section_rejections_name_the_last_line_they_read_and_the_keys_left
         ("\nmode = fast\n", "line 2: key 'mode': unknown mode 'fast'", ""),
         ("latent.width = 0\n", "line 1: key 'latent.width': latent.width must be an integer >= 1", ""),
         ("mode = baseline\nseeds = 2, -3\n", "line 2: key 'seeds': seeds must be integers >= 0, got -3", ""),
+        ("seeds = 1\npredictor.components = 1000000000000\n",
+         "line 2: key 'predictor.components': predictor.components = 1000000000000 needs 49152000000000000 bytes",
+         "latent.frames and latent.height and latent.width and latent.channels and predictor.kind left at the default"),
     ]
     for text, prefix, note in cases:
         with pytest.raises(ConfigError) as err:

@@ -16,7 +16,6 @@ from flowcache.engine import (
     REUSE_RESIDUAL,
     BlockCacheConfig,
     BlockCacheState,
-    CacheState,
     StepCacheConfig,
     StepCachePolicy,
     accumulate_decide,
@@ -31,7 +30,6 @@ from flowcache.engine import (
 )
 from flowcache.errors import ConfigError, DimensionError, DomainError, StateError
 from flowcache.predictors import (
-    GaussianMixtureSpec,
     MixturePredictor,
     ToyBlockNet,
     structured_mixture,
@@ -48,7 +46,7 @@ SHAPE = (4, 16, 16, 2)
 
 
 def make_pred(seed=0):
-    return MixturePredictor(structured_mixture(SHAPE, seed=seed))
+    return structured_mixture(SHAPE, seed=seed)
 
 
 def reference_decisions(increments, threshold):
@@ -85,15 +83,13 @@ def test_constant_increments_alternate():
 
 
 def test_decide_requires_calibration():
-    state = CacheState()
     with pytest.raises(StateError):
-        accumulate_decide(state, 0.1)
+        accumulate_decide(0.0, 0.1, None)
 
 
 def test_decide_rejects_negative_delta():
-    state = CacheState(threshold=1.0)
     with pytest.raises(DomainError):
-        accumulate_decide(state, -0.5)
+        accumulate_decide(0.0, -0.5, 1.0)
 
 
 def test_replay_matches_reference_simulator():
@@ -452,7 +448,7 @@ def test_only_residual_reuse_keeps_a_residual(reuse):
     policy = StepCachePolicy(make_pred(6), StepCacheConfig(alpha=0.9, reuse=reuse), None, z0.shape)
     _, report = run_steps(policy, z0, make_schedule(30))
     assert report.skip_count > 0
-    assert (policy.state.cached_residual is None) == (reuse == REUSE_PREDICTION)
+    assert (policy.cached_residual is None) == (reuse == REUSE_PREDICTION)
 
 
 def test_trial_cost_accounting():
@@ -628,7 +624,7 @@ class FreshMeansMixture:
 
     def evaluate(self, x, t):
         spec = self.spec
-        return MixturePredictor(GaussianMixtureSpec(spec.shape, spec.weights, spec.variances, spec.means)).evaluate(x, t)
+        return MixturePredictor(spec.shape, spec.weights, spec.variances, spec.means).evaluate(x, t)
 
 
 class PerTrialPolicy:
@@ -643,34 +639,35 @@ class PerTrialPolicy:
         self.pred, self.cfg, self.block_cfg = pred, cfg, block_cfg
         self.full_cells = float(cells)
         self.trial_cells = float(cells // cfg.downsample.volume)
-        self.state = CacheState()
+        self.cached_prediction = self.cached_residual = self.threshold = None
+        self.error = 0.0
         self.block_state = BlockCacheState()
         self.warmup_deltas = []
 
     def __call__(self, k, t, z):
-        cfg, state = self.cfg, self.state
+        cfg = self.cfg
         delta, cost, decision = None, 0.0, DECISION_WARMUP
         if k > 0:
             z_small = six_axis_pool(z, cfg.downsample)
             trial = self.pred.evaluate(z_small, t)
             _, height, width, _ = z_small.shape
             mask = circular_mask(height, width, cfg.mask_scale * min(height, width))
-            cached_small = six_axis_pool(state.cached_prediction, cfg.downsample)
+            cached_small = six_axis_pool(self.cached_prediction, cfg.downsample)
             d = np.fft.fft2(trial, axes=(1, 2), norm="ortho") - np.fft.fft2(cached_small, axes=(1, 2), norm="ortho")
             low = d[:, mask.membership, :]
             delta = float(np.sqrt(np.sum(low.real ** 2 + low.imag ** 2)))
             cost += self.trial_cells
             if k < cfg.warmup_steps:
                 self.warmup_deltas.append(delta)
-                state.error += delta
+                self.error += delta
             else:
-                if state.threshold is None:
-                    state.threshold = relative_threshold(self.warmup_deltas, cfg.alpha)
-                decision = accumulate_decide(state, delta)
-        err_before = state.error
+                if self.threshold is None:
+                    self.threshold = relative_threshold(self.warmup_deltas, cfg.alpha)
+                decision, self.error = accumulate_decide(self.error, delta, self.threshold)
+        err_before = self.error
         pivotal_size = partial = None
         if decision == DECISION_SKIP:
-            f = state.cached_prediction if cfg.reuse == REUSE_PREDICTION else z + state.cached_residual
+            f = self.cached_prediction if cfg.reuse == REUSE_PREDICTION else z + self.cached_residual
         else:
             if self.block_cfg is None:
                 f, eval_cost = self.pred.evaluate(z, t), self.full_cells
@@ -679,11 +676,11 @@ class PerTrialPolicy:
                 pivotal_size, partial = len(self.block_state.pivotal), self.block_state.age > 0
                 eval_cost = self.full_cells * (pivotal_size / self.pred.num_blocks if partial else 1.0)
             cost += eval_cost
-            state.error = 0.0
-            state.cached_residual = f - z
-        state.cached_prediction = f
+            self.error = 0.0
+            self.cached_residual = f - z
+        self.cached_prediction = f
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
-                             err_after=state.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
+                             err_after=self.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
 
 
 def is_drift(name, row):
@@ -713,7 +710,7 @@ def per_trial_run(monkeypatch, pred, z0, sched, cfg, block_cfg=None):
         policy = PerTrialPolicy(pred, cfg, block_cfg, z0.cells)
         z, report = run_steps(policy, z0, sched)
     report.trial_cost_units = policy.trial_cells * report.trial_eval_count
-    return z, report, policy.state.threshold, max(policy.warmup_deltas)
+    return z, report, policy.threshold, max(policy.warmup_deltas)
 
 
 @pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
@@ -723,7 +720,7 @@ def test_cached_mixture_run_matches_the_per_trial_oracle_bitwise(monkeypatch, sh
     z0 = seeded_normal(shape, seed=7)
     sched = make_schedule(30)
     cfg = StepCacheConfig(alpha=0.5, warmup_steps=3, reuse=reuse)
-    z, report = sample_cached(MixturePredictor(spec), z0, sched, cfg)
+    z, report = sample_cached(spec, z0, sched, cfg)
     z_ref, ref, threshold, warmup_max = per_trial_run(monkeypatch, FreshMeansMixture(spec), z0, sched, cfg)
     assert report.skip_count > 0
     assert z.tobytes() == z_ref.tobytes()
@@ -751,7 +748,7 @@ def test_cached_run_with_an_unpooled_trial_on_a_64_plane_completes():
     """cache.downsample = 1x1x1 cuts the low band of the full 64x64 plane at every trial."""
     shape = (1, 64, 64, 2)
     cfg = StepCacheConfig(alpha=0.5, warmup_steps=2, downsample=DownsampleFactors(1, 1, 1))
-    z, report = sample_cached(MixturePredictor(structured_mixture(shape, seed=1)), seeded_normal(shape, seed=2),
+    z, report = sample_cached(structured_mixture(shape, seed=1), seeded_normal(shape, seed=2),
                               make_schedule(6), cfg)
     assert z.shape == shape
     assert report.trial_eval_count == 5
@@ -901,10 +898,10 @@ def test_a_trial_velocity_that_is_the_trial_latent_is_never_written(monkeypatch)
     original = net.evaluate
     monkeypatch.setattr(net, "evaluate", lambda x, t: velocities.append(original(x, t)) or velocities[-1])
     _, report = run_steps(policy, z0, sched,
-                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.state.trial_latent.tobytes())))
+                          lambda k, t, z, f: pairs.append((z.tobytes(), policy.trial_latent.tobytes())))
     monkeypatch.undo()
     assert report.skip_count > 0
-    assert any(v is policy.state.trial_latent for v in velocities)
+    assert any(v is policy.trial_latent for v in velocities)
     assert all(z == carried for z, carried in pairs)
     _, ref, _, _ = per_trial_run(monkeypatch, net, z0, sched, cfg)
     assert_steps_match(report.steps, ref.steps)
@@ -931,8 +928,8 @@ def test_every_trial_update_is_one_axpy_call_with_the_step_and_the_pooled_predic
     calls = spy_axpy(monkeypatch)
     pred, z0, sched, cfg = make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(50), StepCacheConfig()
     used, evaluated = [], []
-    original = pred.evaluate
-    monkeypatch.setattr(pred, "evaluate", lambda x, t: evaluated.append(x) or original(x, t))
+    original = MixturePredictor.evaluate
+    monkeypatch.setattr(MixturePredictor, "evaluate", lambda self, x, t: evaluated.append(x) or original(self, x, t))
     _, report = sample_cached(pred, z0, sched, cfg, observer=lambda k, t, z, f: used.append(f))
     assert report.skip_count > 0 and report.trial_eval_count == 49
     assert len(calls) == 49
@@ -1001,10 +998,9 @@ def test_a_cached_run_writes_no_array_it_has_handed_out_or_received(kind, reuse,
 
     pred.evaluate = watched
     policy = StepCachePolicy(pred, cfg, None, SHAPE)
-    state = policy.state
 
     def observe(k, t, z, f):
-        arrays = (state.trial_latent, state.pooled_prediction, state.cached_residual, z, f)
+        arrays = (policy.trial_latent, policy.pooled_prediction, policy.cached_residual, z, f)
         seen.extend((a, a.tobytes()) for a in arrays if a is not None)
 
     _, report = run_steps(policy, seeded_normal(SHAPE, seed=4), make_schedule(30), observe)
@@ -1038,7 +1034,7 @@ def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
     """(z_k, trial latent of step k) for every step of one cached run, and the run's report."""
     policy = StepCachePolicy(pred, cfg, block_cfg, z0.shape)
     pairs = []
-    _, report = run_steps(policy, z0, sched, lambda k, t, z, f: pairs.append((z, policy.state.trial_latent)))
+    _, report = run_steps(policy, z0, sched, lambda k, t, z, f: pairs.append((z, policy.trial_latent)))
     return pairs, report
 
 
@@ -1115,9 +1111,9 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
     z0 = seeded_normal(SHAPE, seed=3).data
     policy = StepCachePolicy(make_pred(2), StepCacheConfig(), None, z0.shape)
     f, _ = policy(0, 1.0, z0)
-    bad = policy.state.trial_latent.copy()
+    bad = policy.trial_latent.copy()
     bad[0, 0, 0, 0] = 1e200
-    policy.state.trial_latent = bad
+    policy.trial_latent = bad
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
             policy(1, 0.9, axpy(z0, -0.1, f))
@@ -1125,8 +1121,8 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
     policy = StepCachePolicy(make_pred(2), StepCacheConfig(warmup_steps=2, reuse=REUSE_RESIDUAL), None, z0.shape)
     z1 = axpy(z0, -0.1, policy(0, 1.0, z0)[0])
     z2 = axpy(z1, -0.1, policy(1, 0.9, z1)[0])
-    policy.state.cached_residual = np.full(SHAPE, np.inf)
-    policy.state.threshold = np.inf
+    policy.cached_residual = np.full(SHAPE, np.inf)
+    policy.threshold = np.inf
     with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
         policy(2, 0.8, z2)
 

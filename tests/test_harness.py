@@ -24,7 +24,7 @@ from flowcache.harness import (
     single_step_skip_influence,
     spearman,
 )
-from flowcache.predictors import MixturePredictor, ToyBlockNet, structured_mixture
+from flowcache.predictors import ToyBlockNet, structured_mixture
 from flowcache.report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
 from flowcache.sampler import euler_step, make_schedule
 from flowcache.tensor import DownsampleFactors, Tensor4, mse, seeded_normal
@@ -35,7 +35,7 @@ SHAPE = (4, 8, 8, 2)
 
 
 def make_predictor(seed=11):
-    return MixturePredictor(structured_mixture(SHAPE, seed=seed))
+    return structured_mixture(SHAPE, seed=seed)
 
 
 class FixedPredictor:
@@ -277,7 +277,7 @@ def test_resolution_indivisible_factor_rejected():
 
 def test_resolution_reports_one_row_per_factor():
     shape = (4, 16, 16, 2)
-    pred = MixturePredictor(structured_mixture(shape, seed=12))
+    pred = structured_mixture(shape, seed=12)
     factors = [DownsampleFactors(1, 2, 2), DownsampleFactors(2, 4, 4)]
     sens = resolution_sensitivity(pred, seeded_normal(shape, 12), make_schedule(8), factors=factors)
     assert sens.factors == tuple(factors)

@@ -11,7 +11,6 @@ from flowcache import predictors
 from flowcache.cli import run_command
 from flowcache.errors import DimensionError, DomainError, TraceError
 from flowcache.predictors import (
-    GaussianMixtureSpec,
     MixturePredictor,
     ToyBlockNet,
     TraceArchive,
@@ -110,13 +109,13 @@ def _oracle_grid_specs():
                     else:
                         means[j] = 3.0 * rng.standard_normal(shape)
                     variances.append(float(rng.uniform(0.2, 50.0)))
-                yield GaussianMixtureSpec(shape, tuple(weights), tuple(variances), means)
+                yield MixturePredictor(shape, tuple(weights), tuple(variances), means)
 
 
 def assert_velocity_is_the_posterior_velocity(spec, x, t, posterior):
     """MixturePredictor.evaluate: (x - posterior) / t bitwise, as a fresh writable array, its input unchanged."""
     latent = x.data.copy()
-    velocity = MixturePredictor(spec).evaluate(latent, t)
+    velocity = spec.evaluate(latent, t)
     assert velocity.tobytes() == ((x.data - posterior) / t).tobytes()
     assert velocity.flags.writeable and not np.shares_memory(velocity, latent)
     assert latent.flags.writeable and latent.tobytes() == x.tobytes()
@@ -141,7 +140,7 @@ def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
     # pairwise, not in component order.
     weights = np.full(9, 1.0 / 9)
     weights[-1] = 1.0 - weights[:-1].sum()
-    spec = GaussianMixtureSpec((1, 1, 1, 1), tuple(weights), (1.0,) * 9, np.linspace(-40.0, 40.0, 9).reshape(9, 1, 1, 1, 1))
+    spec = MixturePredictor((1, 1, 1, 1), tuple(weights), (1.0,) * 9, np.linspace(-40.0, 40.0, 9).reshape(9, 1, 1, 1, 1))
     for value in np.linspace(-50.0, 50.0, 41):
         x = Tensor4(np.full((1, 1, 1, 1), value))
         expected = reference_posterior_mean(spec, x, 0.5)
@@ -153,7 +152,7 @@ def test_mean_stack_is_memoised_and_matches_a_fresh_materialization():
     shape = (4, 8, 8, 2)
     means = np.stack([np.full(shape, 0.5), np.broadcast_to(np.array([1.0, -1.0]), shape),
                       seeded_normal(shape, seed=4).data])
-    spec = GaussianMixtureSpec(shape, (0.25, 0.25, 0.5), (1.0, 2.0, 3.0), means)
+    spec = MixturePredictor(shape, (0.25, 0.25, 0.5), (1.0, 2.0, 3.0), means)
     assert spec.mean_stack(shape) is spec.means and not spec.means.flags.writeable
     assert spec.means.tobytes() == means.tobytes() and spec.means.flags.c_contiguous
     for eval_shape in ((2, 2, 2, 2), (4, 4, 8, 2)):
@@ -190,7 +189,7 @@ def test_the_spec_holds_its_means_once():
 
 def test_mean_memo_stays_out_of_equality_and_repr():
     spec = structured_mixture((4, 8, 8, 2), seed=5)
-    twin = GaussianMixtureSpec(spec.shape, spec.weights, spec.variances, spec.means)
+    twin = MixturePredictor(spec.shape, spec.weights, spec.variances, spec.means)
     before = repr(spec)
     spec.mean_stack((2, 2, 2, 2))
     assert spec == twin
@@ -203,7 +202,7 @@ def test_mixture_specs_compare_by_value_and_are_unhashable():
     c = structured_mixture((2, 4, 4, 2), 4)
     assert a == b and not a != b
     assert a != c and not a == c
-    assert a != GaussianMixtureSpec(a.shape, a.weights, (1.0, 1.0), a.means)
+    assert a != MixturePredictor(a.shape, a.weights, (1.0, 1.0), a.means)
     assert a != "spec"
     with pytest.raises(TypeError):
         hash(a)
@@ -221,7 +220,7 @@ def test_mixture_specs_compare_by_value_and_are_unhashable():
 ])
 def test_mixture_spec_validation_names_the_component(weights, variances, means, error, match):
     with pytest.raises(error, match=match):
-        GaussianMixtureSpec((1, 2, 2, 1), weights, variances, means)
+        MixturePredictor((1, 2, 2, 1), weights, variances, means)
 
 
 def test_responsibilities_sum_to_one():
@@ -249,7 +248,7 @@ def test_single_component_posterior_closed_form():
     """One Gaussian component reduces to the textbook linear estimator."""
     shape = (1, 2, 2, 1)
     mu, var = 1.3, 2.5
-    spec = GaussianMixtureSpec(shape, (1.0,), (var,), np.full((1,) + shape, mu))
+    spec = MixturePredictor(shape, (1.0,), (var,), np.full((1,) + shape, mu))
     x = np.full(shape, 0.7)
     for t in (0.9, 0.5, 0.1):
         s2 = (1 - t) ** 2 * var + t**2
@@ -263,7 +262,7 @@ def test_velocity_definition():
     spec = structured_mixture(shape, seed=2)
     x = seeded_normal(shape, seed=3).data
     t = 0.4
-    v = MixturePredictor(spec).evaluate(x, t)
+    v = spec.evaluate(x, t)
     post = mixture_posterior_mean(spec, x, t)
     assert np.allclose(v, (x - post) / t, rtol=1e-15)
 
@@ -273,7 +272,7 @@ def test_time_domain_is_validated():
     spec = structured_mixture(shape, seed=0)
     x = np.zeros(shape)
     for bad in (0.0, -0.1, 1.1):
-        for evaluate in (MixturePredictor(spec).evaluate, lambda x, t: mixture_posterior_mean(spec, x, t)):
+        for evaluate in (spec.evaluate, lambda x, t: mixture_posterior_mean(spec, x, t)):
             with pytest.raises(DomainError, match=rf"time must lie in \(0, 1\], got {bad}"):
                 evaluate(x, bad)
 
@@ -283,14 +282,14 @@ def test_one_evaluation_checks_time_once(monkeypatch):
     check = predictors._check_time
     monkeypatch.setattr(predictors, "_check_time", lambda t: (calls.append(t), check(t)))
     shape = (1, 2, 2, 1)
-    MixturePredictor(structured_mixture(shape, seed=0)).evaluate(np.zeros(shape), 0.5)
+    structured_mixture(shape, seed=0).evaluate(np.zeros(shape), 0.5)
     assert calls == [0.5]
 
 
 def test_velocity_is_continuous_in_t():
     """|v(x, t) - v(x, t + 1e-6)| <= 1e-3 * (1 + |v|) for t >= 0.05."""
     shape = (2, 4, 4, 2)
-    pred = MixturePredictor(structured_mixture(shape, seed=8))
+    pred = structured_mixture(shape, seed=8)
     rng = np.random.default_rng(9)
     for trial in range(20):
         x = 2.0 * rng.standard_normal(shape)
@@ -319,9 +318,9 @@ def test_posterior_mean_against_monte_carlo_smoke():
 
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(DomainError):
-        GaussianMixtureSpec((1, 2, 2, 1), (0.6,), (1.0,), np.zeros((1, 1, 2, 2, 1)))
+        MixturePredictor((1, 2, 2, 1), (0.6,), (1.0,), np.zeros((1, 1, 2, 2, 1)))
     with pytest.raises(DimensionError, match=r"latent shape must be four positive extents, got \(2, 2, 1\)"):
-        GaussianMixtureSpec((2, 2, 1), (1.0,), (1.0,), np.zeros((1, 2, 2, 1)))
+        MixturePredictor((2, 2, 1), (1.0,), (1.0,), np.zeros((1, 2, 2, 1)))
     with pytest.raises(DomainError, match="need at least one component, got 0"):
         structured_mixture((1, 2, 2, 1), seed=0, components=0)
 
@@ -441,8 +440,7 @@ def test_an_archive_built_in_code_holds_read_only_records():
 
 def test_replay_predictor_marks_run_open_loop():
     shape = (1, 4, 4, 1)
-    spec = structured_mixture(shape, seed=1)
-    pred = MixturePredictor(spec)
+    pred = structured_mixture(shape, seed=1)
     sched = make_schedule(6)
     z0 = seeded_normal(shape, seed=2)
     preds = []
@@ -469,7 +467,7 @@ def test_evaluate_reads_a_writable_input_and_returns_its_shape(kind):
     shape = (2, 8, 8, 2)
     sched = make_schedule(4)
     if kind == "mixture":
-        pred = MixturePredictor(structured_mixture(shape, seed=1))
+        pred = structured_mixture(shape, seed=1)
     elif kind == "toy-block":
         pred = ToyBlockNet(3, channels=2, seed=1)
     else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowcache.errors import ConfigError, DimensionError, DomainError, ScheduleError, StateError
-from flowcache.predictors import GaussianMixtureSpec, MixturePredictor
+from flowcache.predictors import MixturePredictor
 from flowcache.sampler import TimestepSchedule, euler_step, make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
 
@@ -101,12 +101,12 @@ def test_euler_step_shape_guard():
 
 
 def _single_gaussian(shape, mean=0.0, var=2.0):
-    return GaussianMixtureSpec(shape, (1.0,), (var,), np.full((1,) + shape, mean))
+    return MixturePredictor(shape, (1.0,), (var,), np.full((1,) + shape, mean))
 
 
 def test_baseline_is_deterministic_bitwise():
     shape = (2, 4, 4, 1)
-    pred = MixturePredictor(_single_gaussian(shape))
+    pred = _single_gaussian(shape)
     sched = make_schedule(10)
     z0 = seeded_normal(shape, seed=4)
     a, _ = sample_baseline(pred, z0, sched)
@@ -116,7 +116,7 @@ def test_baseline_is_deterministic_bitwise():
 
 def test_baseline_report_counts_and_cost():
     shape = (2, 4, 4, 3)
-    pred = MixturePredictor(_single_gaussian(shape))
+    pred = _single_gaussian(shape)
     sched = make_schedule(7)
     z0 = seeded_normal(shape, seed=0)
     _, report = sample_baseline(pred, z0, sched)
@@ -132,7 +132,7 @@ def test_baseline_report_counts_and_cost():
 
 def test_report_validate_rejects_counts_that_do_not_add_up():
     shape = (1, 4, 4, 1)
-    _, report = sample_baseline(MixturePredictor(_single_gaussian(shape)), seeded_normal(shape, seed=0), make_schedule(4))
+    _, report = sample_baseline(_single_gaussian(shape), seeded_normal(shape, seed=0), make_schedule(4))
     with pytest.raises(StateError):
         replace(report, skip_count=1).validate()
     with pytest.raises(StateError, match="report has 3 step rows for 4 steps"):
@@ -143,7 +143,7 @@ def test_report_validate_rejects_counts_that_do_not_add_up():
 
 def test_observer_sees_steps_in_order():
     shape = (1, 4, 4, 1)
-    pred = MixturePredictor(_single_gaussian(shape))
+    pred = _single_gaussian(shape)
     sched = make_schedule(5)
     seen = []
     sample_baseline(pred, seeded_normal(shape, seed=2), sched,
@@ -155,8 +155,7 @@ def test_observer_sees_steps_in_order():
 def test_refinement_ladder_converges_first_order():
     """Halving the step size should roughly halve the terminal error."""
     shape = (1, 4, 4, 1)
-    spec = _single_gaussian(shape, mean=1.5, var=2.0)
-    pred = MixturePredictor(spec)
+    pred = _single_gaussian(shape, mean=1.5, var=2.0)
     z0 = seeded_normal(shape, seed=9)
     reference, _ = sample_baseline(pred, z0, make_schedule(1600))
     errors = []
@@ -171,8 +170,7 @@ def test_refinement_ladder_converges_first_order():
 def test_symmetric_mixture_gives_antisymmetric_flow():
     """Negating the latent negates the trajectory when the mixture is sign-symmetric."""
     shape = (1, 4, 4, 1)
-    spec = GaussianMixtureSpec(shape, (0.5, 0.5), (0.5, 0.5), np.stack([np.full(shape, 2.0), np.full(shape, -2.0)]))
-    pred = MixturePredictor(spec)
+    pred = MixturePredictor(shape, (0.5, 0.5), (0.5, 0.5), np.stack([np.full(shape, 2.0), np.full(shape, -2.0)]))
     sched = make_schedule(40)
     z0 = seeded_normal(shape, seed=3)
     pos, _ = sample_baseline(pred, z0, sched)
@@ -188,7 +186,7 @@ def test_single_gaussian_terminal_variance_matches_data():
     """
     var = 2.0
     shape = (512, 4, 4, 1)
-    pred = MixturePredictor(_single_gaussian(shape, mean=0.0, var=var))
+    pred = _single_gaussian(shape, mean=0.0, var=var)
     z0 = seeded_normal(shape, seed=123)
     terminal, _ = sample_baseline(pred, z0, make_schedule(500))
     sample_var = float(np.var(terminal.data))

@@ -5,6 +5,7 @@ bytes under tmp_path, and read_trace reads it back.
 """
 
 import os
+import re
 import struct
 import tracemalloc
 from types import SimpleNamespace
@@ -251,6 +252,19 @@ def test_a_non_finite_archive_is_rejected_before_any_file_is_made(tmp_path, valu
     with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
         write_trace(path, TraceArchive.from_run(make_schedule(2), [np.full((1, 2, 2, 1), value), np.zeros((1, 2, 2, 1))]))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 0, 2, 1)])
+def test_an_archive_of_records_no_trace_file_holds_is_rejected_before_any_write(tmp_path, shape):
+    """Records must have four positive extents; from_run rejects others, so write_trace never opens its target."""
+    existing = tmp_path / "existing.trace"
+    existing.write_bytes(b"keep these bytes")
+    absent = tmp_path / "absent.trace"
+    for path in (existing, absent):
+        with pytest.raises(TraceError, match=re.escape(f"record shape {shape} must be four positive extents")):
+            write_trace(path, TraceArchive.from_run(make_schedule(2), [np.zeros(shape)] * 2))
+    assert existing.read_bytes() == b"keep these bytes"
+    assert not absent.exists()
 
 
 # 40 records of 128 KiB each: a 5 MiB file
