@@ -6,7 +6,10 @@ Subcommands:
     bench          baseline vs cached variants (base, turbo), CSV table
     sweep          one-axis grid (downsample, alpha, cache_rate or mask_scale), CSV table
     analyze-trace  counterfactual threshold analysis of a recorded trace
-    figures        CSV series (and optional SVG plots) for the four analyses
+    figures        CSV series (and optional SVG plots) for the four analyses of one
+                   recorded no-cache run; a mixture config's blocks.csv profiles
+                   ToyBlockNet(predictor.blocks, latent.channels, predictor.seed)
+                   from that net's own run
 
 Artifacts are deterministic functions of (config, seed): JSON reports carry
 their volatile parts (wall time, timestamp) in a single isolated "timing"
@@ -51,6 +54,7 @@ from .harness import (
     cost_accounting,
     psnr,
     resolution_sensitivity,
+    run_trajectory,
     single_step_skip_influence,
 )
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
@@ -355,7 +359,8 @@ def _cmd_figures(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     mask_scale = cfg.cache.mask_scale
-    profiles = {variant: single_step_skip_influence(pred, z0, schedule, variant, mask_scale)
+    traj = run_trajectory(pred, z0, schedule)
+    profiles = {variant: single_step_skip_influence(traj, variant, mask_scale)
                 for variant in (VARIANT_FULL, VARIANT_LOW, VARIANT_HIGH)}
     base = profiles[VARIANT_FULL]
     _write_csv(out_dir / "influence.csv",
@@ -363,13 +368,13 @@ def _cmd_figures(args) -> int:
                [(k, t, profiles[VARIANT_FULL].mses[i], profiles[VARIANT_LOW].mses[i], profiles[VARIANT_HIGH].mses[i])
                 for i, (k, t) in enumerate(zip(base.step_indices, base.t_values))])
 
-    adj = adjacent_diff_profile(pred, z0, schedule, mask_scale)
+    adj = adjacent_diff_profile(traj, mask_scale)
     _write_csv(out_dir / "adjacent_diff.csv",
                ("step", "t", "raw", "low", "high"),
                [(k, t, adj.raw[i], adj.low[i], adj.high[i])
                 for i, (k, t) in enumerate(zip(adj.step_indices, adj.t_values))])
 
-    res = resolution_sensitivity(pred, z0, schedule, mask_scale=mask_scale)
+    res = resolution_sensitivity(traj, mask_scale=mask_scale)
     labels = [format_downsample(f) for f in res.factors]
     _write_csv(out_dir / "resolution.csv",
                ("factor", "pearson", "spearman"),
@@ -379,10 +384,11 @@ def _cmd_figures(args) -> int:
                [(k, res.reference[i], *(res.series[j][i] for j in range(len(labels))))
                 for i, k in enumerate(res.step_indices)])
 
-    net = pred if isinstance(pred, ToyBlockNet) else ToyBlockNet(cfg.predictor.blocks, cfg.latent[3], cfg.predictor.seed)
+    block_run = traj if isinstance(pred, ToyBlockNet) else run_trajectory(
+        ToyBlockNet(cfg.predictor.blocks, cfg.latent[3], cfg.predictor.seed), z0, schedule)
     n = schedule.n_steps
     probes = sorted(set(p for p in (0, n // 4, n // 2, (3 * n) // 4) if p < n))
-    blocks = block_profile(net, z0, schedule, probes)
+    blocks = block_profile(block_run, probes)
     _write_csv(out_dir / "blocks.csv",
                ("probe_step", "t", "block", "importance"),
                [(p, blocks.t_values[i], j, blocks.importances[i][j])

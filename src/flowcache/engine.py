@@ -156,7 +156,6 @@ def accumulate_decide(error: float, delta: float, threshold: Optional[float]) ->
 
 def replay_decisions(increments: Sequence[float], threshold: float) -> list[str]:
     """Run the accumulate/reset policy open-loop over a fixed increment sequence."""
-    threshold = float(threshold)
     error = 0.0
     out = []
     for delta in increments:

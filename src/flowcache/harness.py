@@ -1,7 +1,8 @@
 """Diagnostics that measure where and when cached predictions are safe to reuse.
 
-Every experiment here runs against a no-cache reference trajectory from the
-same seed, so reported errors isolate the intervention being studied.
+Every experiment here reads one recorded run, a no-cache trajectory and the
+predictor that produced it, so reported errors isolate the intervention being
+studied.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .engine import (DEFAULT_RADIUS_SCALE, BlockCacheConfig, BlockCacheState, St
 from .errors import ConfigError, DimensionError, DomainError
 from .report import RunReport
 from .sampler import Predictor, TimestepSchedule, sample_baseline
-from .spectral import highfreq_diff, lowfreq_diff, splice_bands
+from .spectral import highfreq_diff, splice_bands
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, mse
 
 VARIANT_FULL = "full-prediction"
@@ -37,23 +38,16 @@ class InfluenceProfile:
     t_values: tuple[float, ...]
     mses: tuple[float, ...]
 
-    def __post_init__(self):
-        if self.variant not in INFLUENCE_VARIANTS:
-            raise ConfigError(f"unknown influence variant {self.variant!r}, expected one of {INFLUENCE_VARIANTS}")
-        if not (len(self.step_indices) == len(self.t_values) == len(self.mses)):
-            raise DimensionError("influence profile columns must have equal length")
-        if any(v < 0 for v in self.mses):
-            raise DomainError("influence entries must be >= 0")
-
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Latents entering each step and the predictions evaluated there."""
+    """Latents entering each step, the predictions evaluated there, and the predictor that made them."""
 
     schedule: TimestepSchedule
     latents: tuple[np.ndarray, ...]
     predictions: tuple[np.ndarray, ...]
     terminal: Tensor4
+    predictor: Predictor
 
 
 def run_trajectory(pred: Predictor, z_init: Tensor4, schedule: TimestepSchedule) -> Trajectory:
@@ -61,7 +55,7 @@ def run_trajectory(pred: Predictor, z_init: Tensor4, schedule: TimestepSchedule)
     steps: list[tuple[np.ndarray, np.ndarray]] = []
     terminal, _ = sample_baseline(pred, z_init, schedule, observer=lambda k, t, z, f: steps.append((z, f)))
     latents, predictions = zip(*steps)
-    return Trajectory(schedule, latents, predictions, terminal)
+    return Trajectory(schedule, latents, predictions, terminal, pred)
 
 
 def _full_resolution(mask_scale: float) -> StepCacheConfig:
@@ -82,13 +76,11 @@ class _Substituted:
 
 
 def single_step_skip_influence(
-    pred: Predictor,
-    z_init: Tensor4,
-    schedule: TimestepSchedule,
+    traj: Trajectory,
     variant: str = VARIANT_FULL,
     mask_scale: float = DEFAULT_RADIUS_SCALE,
 ) -> InfluenceProfile:
-    """Terminal MSE from substituting the previous step's prediction at one step.
+    """Terminal MSE from substituting the previous step's prediction at one step of the recorded run.
 
     For each step k >= 1 the sampler is rerun with the step-k prediction
     replaced, then continued normally; steps before k replay the recorded
@@ -100,7 +92,8 @@ def single_step_skip_influence(
     """
     if variant not in INFLUENCE_VARIANTS:
         raise ConfigError(f"unknown influence variant {variant!r}, expected one of {INFLUENCE_VARIANTS}")
-    traj = run_trajectory(pred, z_init, schedule)
+    schedule = traj.schedule
+    z_init = Tensor4(traj.latents[0])
     mask = trial_mask(z_init.shape, _full_resolution(mask_scale))
     values = schedule.values
     indices = []
@@ -117,7 +110,7 @@ def single_step_skip_influence(
             substituted = splice_bands(fresh, stale, mask)
         fixed = dict(zip(values[:k], traj.predictions[:k]))
         fixed[values[k]] = substituted
-        z, _ = sample_baseline(_Substituted(pred, fixed), z_init, schedule)
+        z, _ = sample_baseline(_Substituted(traj.predictor, fixed), z_init, schedule)
         indices.append(k)
         t_values.append(values[k])
         mses.append(mse(z, traj.terminal))
@@ -135,27 +128,24 @@ class AdjacentDiffProfile:
     high: tuple[float, ...]
 
 
-def adjacent_diff_profile(
-    pred: Predictor,
-    z_init: Tensor4,
-    schedule: TimestepSchedule,
-    mask_scale: float = DEFAULT_RADIUS_SCALE,
-) -> AdjacentDiffProfile:
-    """Norms of F_k - F_{k-1} along a no-cache trajectory, split by the full-resolution trial mask's band at mask_scale.
+def adjacent_diff_profile(traj: Trajectory, mask_scale: float = DEFAULT_RADIUS_SCALE) -> AdjacentDiffProfile:
+    """Norms of F_k - F_{k-1} along the recorded run, split by the full-resolution trial mask's band at mask_scale.
 
-    The unitary transform makes the bands partition energy: raw^2 equals
-    low^2 + high^2 up to rounding.
+    The low band is the engine's open-loop drift at full resolution, the
+    reference of resolution_sensitivity. The unitary transform makes the
+    bands partition energy: raw^2 equals low^2 + high^2 up to rounding.
     """
-    traj = run_trajectory(pred, z_init, schedule)
-    mask = trial_mask(z_init.shape, _full_resolution(mask_scale))
-    indices, t_values, raw, low, high = [], [], [], [], []
+    schedule = traj.schedule
+    cfg = _full_resolution(mask_scale)
+    mask = trial_mask(traj.latents[0].shape, cfg)
+    indices, t_values, raw, high = [], [], [], []
     for k in range(1, schedule.n_steps):
         a, b = traj.predictions[k], traj.predictions[k - 1]
         indices.append(k)
         t_values.append(schedule.values[k])
         raw.append(l2_norm(axpy(a, -1.0, b)))
-        low.append(lowfreq_diff(a, b, mask))
         high.append(highfreq_diff(a, b, mask))
+    low = recorded_increments(traj.predictions, cfg)
     return AdjacentDiffProfile(tuple(indices), tuple(t_values), tuple(raw), tuple(low), tuple(high))
 
 
@@ -181,20 +171,18 @@ DEFAULT_RESOLUTION_FACTORS = (
 
 
 def resolution_sensitivity(
-    pred: Predictor,
-    z_init: Tensor4,
-    schedule: TimestepSchedule,
+    traj: Trajectory,
     factors: Sequence[DownsampleFactors] = DEFAULT_RESOLUTION_FACTORS,
     mask_scale: float = DEFAULT_RADIUS_SCALE,
 ) -> ResolutionSensitivity:
     """How well downsampled trial drift tracks the full-resolution drift.
 
-    Along one shared no-cache trajectory, each factor set produces the per-step
-    drift a trial evaluation at that resolution would have measured; the
-    reference is the same statistic at full resolution. Factors (1, 1, 1)
-    reproduce the reference exactly.
+    Along the recorded run, each factor set produces the per-step drift a
+    trial evaluation at that resolution would have measured; the reference is
+    the same statistic at full resolution. Factors (1, 1, 1) reproduce the
+    reference exactly.
     """
-    traj = run_trajectory(pred, z_init, schedule)
+    schedule = traj.schedule
     indices = tuple(range(1, schedule.n_steps))
     reference = tuple(recorded_increments(traj.predictions, _full_resolution(mask_scale)))
     series = []
@@ -202,8 +190,8 @@ def resolution_sensitivity(
     spearmans = []
     for f in factors:
         cfg = StepCacheConfig(downsample=f, mask_scale=mask_scale)
-        mask = trial_mask(z_init.shape, cfg)
-        seq = [trial_lowfreq_diff(pred, avg_downsample(traj.latents[k], f), schedule.values[k],
+        mask = trial_mask(traj.latents[0].shape, cfg)
+        seq = [trial_lowfreq_diff(traj.predictor, avg_downsample(traj.latents[k], f), schedule.values[k],
                                   avg_downsample(traj.predictions[k - 1], f), mask) for k in indices]
         series.append(tuple(seq))
         pearsons.append(pearson(seq, reference))
@@ -227,8 +215,9 @@ class BlockProfile:
     importances: tuple[tuple[float, ...], ...]
 
 
-def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps: Sequence[int]) -> BlockProfile:
-    """Block importances at each probe step of the plain trajectory: the norms a fresh block-cache refresh ranks."""
+def block_profile(traj: Trajectory, probe_steps: Sequence[int]) -> BlockProfile:
+    """Block importances at each probe step of a block net's recorded run: the norms a fresh block-cache refresh ranks."""
+    net, schedule = traj.predictor, traj.schedule
     probes = sorted(set(int(p) for p in probe_steps))
     n = schedule.n_steps
     for p in probes:
@@ -236,7 +225,6 @@ def block_profile(net, z_init: Tensor4, schedule: TimestepSchedule, probe_steps:
             raise DomainError(f"probe step {p} outside [0, {n})")
     if net.num_blocks == 0:
         raise DomainError("block profile needs a net with at least one block")
-    traj = run_trajectory(net, z_init, schedule)
     importances = []
     for p in probes:
         state = BlockCacheState()

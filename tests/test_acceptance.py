@@ -24,6 +24,7 @@ from flowcache.harness import (
     adjacent_diff_profile,
     cost_accounting,
     resolution_sensitivity,
+    run_trajectory,
     single_step_skip_influence,
     spearman,
 )
@@ -65,31 +66,31 @@ def mixture_setups():
 
 
 @pytest.fixture(scope="session")
-def baseline_terminals(mixture_setups):
+def trajectories(mixture_setups):
+    """One recorded no-cache run per seed, shared by every analysis."""
     sched = make_schedule(N_STEPS)
-    out = {}
-    for seed, (pred, z0) in mixture_setups.items():
-        terminal, _ = sample_baseline(pred, z0, sched)
-        out[seed] = terminal
-    return out
+    return {seed: run_trajectory(pred, z0, sched) for seed, (pred, z0) in mixture_setups.items()}
 
 
 @pytest.fixture(scope="session")
-def influence_profiles(mixture_setups):
-    sched = make_schedule(N_STEPS)
+def baseline_terminals(trajectories):
+    return {seed: traj.terminal for seed, traj in trajectories.items()}
+
+
+@pytest.fixture(scope="session")
+def influence_profiles(trajectories):
     out = {}
-    for seed, (pred, z0) in mixture_setups.items():
+    for seed, traj in trajectories.items():
         out[seed] = {
-            "full": single_step_skip_influence(pred, z0, sched, VARIANT_FULL),
-            "high": single_step_skip_influence(pred, z0, sched, VARIANT_HIGH),
+            "full": single_step_skip_influence(traj, VARIANT_FULL),
+            "high": single_step_skip_influence(traj, VARIANT_HIGH),
         }
     return out
 
 
 @pytest.fixture(scope="session")
-def adjacent_profiles(mixture_setups):
-    sched = make_schedule(N_STEPS)
-    return {seed: adjacent_diff_profile(pred, z0, sched) for seed, (pred, z0) in mixture_setups.items()}
+def adjacent_profiles(trajectories):
+    return {seed: adjacent_diff_profile(traj) for seed, traj in trajectories.items()}
 
 
 @pytest.fixture(scope="session")
@@ -290,13 +291,12 @@ def test_criterion_6_lowband_drift_alignment(influence_profiles, adjacent_profil
     assert mean_late > 0.5
 
 
-def test_criterion_7_downsampled_drift_tracking(mixture_setups):
-    sched = make_schedule(N_STEPS)
+def test_criterion_7_downsampled_drift_tracking(trajectories):
     factors = [DownsampleFactors(2, 4, 4), DownsampleFactors(4, 4, 4)]
     p244 = []
     p444 = []
-    for seed, (pred, z0) in mixture_setups.items():
-        sens = resolution_sensitivity(pred, z0, sched, factors=factors)
+    for seed, traj in trajectories.items():
+        sens = resolution_sensitivity(traj, factors=factors)
         p244.append(sens.pearson_by_factor[0])
         p444.append(sens.pearson_by_factor[1])
     mean_244 = float(np.mean(p244))

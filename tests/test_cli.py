@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowcache import cli
+from flowcache import cli, harness
 from flowcache.cli import BENCH_VARIANTS, SCHEMA_VERSION, run_command
 
 CONFIG_TEXT = "\n".join(
@@ -387,6 +387,20 @@ def test_figures_cut_every_band_at_the_configured_mask_scale(tmp_path, config_pa
         assert [r[unbanded] for r in narrow] == [r[unbanded] for r in wide_rows]
 
 
+@pytest.mark.parametrize("kind, runs", [("toy-block", 1 + 3 * 4), ("mixture", 2 + 3 * 4)])
+def test_figures_samples_each_predictor_once(tmp_path, monkeypatch, kind, runs):
+    """One recorded run of the predictor (and of the toy net a mixture's blocks.csv profiles), then n - 1
+    continuations per influence variant: 1 + 3(n - 1) runs for a toy-block config, 2 + 3(n - 1) for a mixture."""
+    calls = []
+    sample = harness.sample_baseline
+    monkeypatch.setattr(harness, "sample_baseline", lambda *args, **kwargs: calls.append(1) or sample(*args, **kwargs))
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("schedule.n = 16", "schedule.n = 5") + f"predictor.kind = {kind}\n",
+                      encoding="utf-8")
+    assert run_command(["figures", "--config", str(config), "--out", str(tmp_path / "figs")]) == 0
+    assert len(calls) == runs
+
+
 def test_figures_resolution_factor_not_dividing_the_latent_fails_before_any_output(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG_TEXT.replace("latent.height = 8", "latent.height = 12")
@@ -494,3 +508,23 @@ def test_the_package_holds_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+#: engine imports euler_step only so the benchmark's tracer can hook it there.
+ALLOWED_UNUSED_IMPORTS = {("engine.py", "euler_step")}
+
+
+def test_the_package_imports_no_unused_name():
+    """Every name a module's imports bind is referenced in that module, except the allowed tracer hook."""
+    package = Path(cli.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert modules
+    found = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        bound = {alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found |= {(path.name, name) for name in bound - used}
+    assert found == ALLOWED_UNUSED_IMPORTS

@@ -87,6 +87,12 @@ def test_decide_requires_calibration():
         accumulate_decide(0.0, 0.1, None)
 
 
+def test_replay_reports_an_uncalibrated_threshold_as_the_live_rule_does():
+    with pytest.raises(StateError, match="not calibrated"):
+        replay_decisions([0.1, 0.2], None)
+    assert replay_decisions([], None) == []
+
+
 def test_decide_rejects_negative_delta():
     with pytest.raises(DomainError):
         accumulate_decide(0.0, -0.5, 1.0)

@@ -167,6 +167,7 @@ def test_run_trajectory_records_every_step():
     assert len(traj.latents) == 12
     assert len(traj.predictions) == 12
     assert traj.latents[0] is z0.data
+    assert traj.predictor is pred
     # the terminal state is one Euler step past the last recorded pair
     z_last = euler_step(traj.latents[-1], traj.predictions[-1], sched.values[-2], sched.values[-1])
     assert np.array_equal(z_last, traj.terminal.data)
@@ -177,7 +178,7 @@ def test_run_trajectory_records_every_step():
 
 def test_influence_excludes_first_step():
     pred = make_predictor()
-    prof = single_step_skip_influence(pred, seeded_normal(SHAPE, 1), make_schedule(8))
+    prof = single_step_skip_influence(run_trajectory(pred, seeded_normal(SHAPE, 1), make_schedule(8)))
     assert prof.step_indices == tuple(range(1, 8))
     assert len(prof.mses) == 7
     assert prof.variant == VARIANT_FULL
@@ -186,36 +187,35 @@ def test_influence_excludes_first_step():
 def test_influence_zero_when_predictions_never_change():
     pred = FixedPredictor(seeded_normal(SHAPE, 9))
     z0 = seeded_normal(SHAPE, 2)
-    sched = make_schedule(6)
-    prof = single_step_skip_influence(pred, z0, sched, variant=VARIANT_FULL)
+    traj = run_trajectory(pred, z0, make_schedule(6))
+    prof = single_step_skip_influence(traj, variant=VARIANT_FULL)
     assert all(v == 0.0 for v in prof.mses)
     # band splicing round-trips the transform, so identical sources leave only
     # rounding noise (squared, hence ~1e-32) rather than exact zeros
     for variant in (VARIANT_LOW, VARIANT_HIGH):
-        prof = single_step_skip_influence(pred, z0, sched, variant=variant)
+        prof = single_step_skip_influence(traj, variant=variant)
         assert all(v < 1e-24 for v in prof.mses)
 
 
 def test_influence_positive_for_moving_predictor():
     pred = make_predictor()
-    prof = single_step_skip_influence(pred, seeded_normal(SHAPE, 3), make_schedule(10))
+    prof = single_step_skip_influence(run_trajectory(pred, seeded_normal(SHAPE, 3), make_schedule(10)))
     assert all(v > 0.0 for v in prof.mses)
 
 
 def test_influence_hf_only_below_full_variant():
     pred = make_predictor(seed=4)
-    z0 = seeded_normal(SHAPE, 4)
-    sched = make_schedule(12)
-    full = single_step_skip_influence(pred, z0, sched, variant=VARIANT_FULL)
-    high = single_step_skip_influence(pred, z0, sched, variant=VARIANT_HIGH)
+    traj = run_trajectory(pred, seeded_normal(SHAPE, 4), make_schedule(12))
+    full = single_step_skip_influence(traj, variant=VARIANT_FULL)
+    high = single_step_skip_influence(traj, variant=VARIANT_HIGH)
     hits = sum(1 for h, f in zip(high.mses, full.mses) if h <= f + 1e-15)
     assert hits >= int(0.8 * len(full.mses))
 
 
 def test_influence_unknown_variant_rejected():
-    pred = make_predictor()
+    traj = run_trajectory(make_predictor(), seeded_normal(SHAPE, 0), make_schedule(5))
     with pytest.raises(ConfigError):
-        single_step_skip_influence(pred, seeded_normal(SHAPE, 0), make_schedule(5), variant="mid-band")
+        single_step_skip_influence(traj, variant="mid-band")
 
 
 # --------------------------------------------------------------- adjacent diff
@@ -223,7 +223,7 @@ def test_influence_unknown_variant_rejected():
 
 def test_adjacent_diff_zero_for_fixed_predictor():
     pred = FixedPredictor(seeded_normal(SHAPE, 6))
-    prof = adjacent_diff_profile(pred, seeded_normal(SHAPE, 5), make_schedule(7))
+    prof = adjacent_diff_profile(run_trajectory(pred, seeded_normal(SHAPE, 5), make_schedule(7)))
     assert all(v == 0.0 for v in prof.raw)
     assert all(v == 0.0 for v in prof.low)
     assert all(v == 0.0 for v in prof.high)
@@ -231,7 +231,7 @@ def test_adjacent_diff_zero_for_fixed_predictor():
 
 def test_adjacent_diff_band_energies_partition():
     pred = make_predictor(seed=8)
-    prof = adjacent_diff_profile(pred, seeded_normal(SHAPE, 8), make_schedule(10))
+    prof = adjacent_diff_profile(run_trajectory(pred, seeded_normal(SHAPE, 8), make_schedule(10)))
     assert prof.step_indices == tuple(range(1, 10))
     for raw, low, high in zip(prof.raw, prof.low, prof.high):
         assert raw * raw == pytest.approx(low * low + high * high, rel=1e-9)
@@ -240,7 +240,7 @@ def test_adjacent_diff_band_energies_partition():
 def test_adjacent_diff_t_values_follow_schedule():
     pred = make_predictor()
     sched = make_schedule(9)
-    prof = adjacent_diff_profile(pred, seeded_normal(SHAPE, 9), sched)
+    prof = adjacent_diff_profile(run_trajectory(pred, seeded_normal(SHAPE, 9), sched))
     assert prof.t_values == tuple(sched.values[k] for k in range(1, 9))
 
 
@@ -249,12 +249,19 @@ def test_adjacent_diff_t_values_follow_schedule():
 
 def test_resolution_identity_factor_reproduces_reference():
     pred = make_predictor(seed=10)
-    sens = resolution_sensitivity(
-        pred, seeded_normal(SHAPE, 10), make_schedule(8), factors=[DownsampleFactors(1, 1, 1)]
-    )
+    traj = run_trajectory(pred, seeded_normal(SHAPE, 10), make_schedule(8))
+    sens = resolution_sensitivity(traj, factors=[DownsampleFactors(1, 1, 1)])
     assert sens.series[0] == sens.reference
     assert sens.pearson_by_factor[0] == 1.0
     assert sens.spearman_by_factor[0] == 1.0
+
+
+@pytest.mark.parametrize("mask_scale", [0.2, 0.5])
+def test_adjacent_low_band_is_the_resolution_reference(mask_scale):
+    """The full-resolution low-band drift has one code path: both analyses report the same floats."""
+    traj = run_trajectory(make_predictor(seed=14), seeded_normal(SHAPE, 14), make_schedule(9))
+    reference = resolution_sensitivity(traj, DEFAULT_RESOLUTION_FACTORS, mask_scale).reference
+    assert adjacent_diff_profile(traj, mask_scale).low == reference
 
 
 def test_resolution_default_factor_list():
@@ -268,18 +275,16 @@ def test_resolution_default_factor_list():
 
 
 def test_resolution_indivisible_factor_rejected():
-    pred = make_predictor()
+    traj = run_trajectory(make_predictor(), seeded_normal(SHAPE, 1), make_schedule(6))
     with pytest.raises(DimensionError):
-        resolution_sensitivity(
-            pred, seeded_normal(SHAPE, 1), make_schedule(6), factors=[DownsampleFactors(3, 4, 4)]
-        )
+        resolution_sensitivity(traj, factors=[DownsampleFactors(3, 4, 4)])
 
 
 def test_resolution_reports_one_row_per_factor():
     shape = (4, 16, 16, 2)
     pred = structured_mixture(shape, seed=12)
     factors = [DownsampleFactors(1, 2, 2), DownsampleFactors(2, 4, 4)]
-    sens = resolution_sensitivity(pred, seeded_normal(shape, 12), make_schedule(8), factors=factors)
+    sens = resolution_sensitivity(run_trajectory(pred, seeded_normal(shape, 12), make_schedule(8)), factors=factors)
     assert sens.factors == tuple(factors)
     assert len(sens.series) == 2
     assert len(sens.pearson_by_factor) == 2
@@ -293,7 +298,7 @@ def test_resolution_reports_one_row_per_factor():
 def test_block_profile_identity_net_all_zero():
     zero = Tensor4(np.zeros(SHAPE))
     net = ConstantDeltaNet([zero, zero, zero])
-    prof = block_profile(net, seeded_normal(SHAPE, 0), make_schedule(6), probe_steps=[0, 3, 5])
+    prof = block_profile(run_trajectory(net, seeded_normal(SHAPE, 0), make_schedule(6)), probe_steps=[0, 3, 5])
     assert prof.probe_steps == (0, 3, 5)
     for row in prof.importances:
         assert row == (0.0, 0.0, 0.0)
@@ -302,7 +307,7 @@ def test_block_profile_identity_net_all_zero():
 def test_block_profile_varies_across_probe_steps():
     net = ToyBlockNet(6, channels=SHAPE[3], seed=21)
     sched = make_schedule(12)
-    prof = block_profile(net, seeded_normal(SHAPE, 21), sched, probe_steps=[0, 6, 11])
+    prof = block_profile(run_trajectory(net, seeded_normal(SHAPE, 21), sched), probe_steps=[0, 6, 11])
     rows = [np.asarray(r) for r in prof.importances]
     gaps = [float(np.linalg.norm(a - b)) for i, a in enumerate(rows) for b in rows[i + 1 :]]
     assert max(gaps) > 0.0
@@ -312,7 +317,7 @@ def test_block_profile_varies_across_probe_steps():
 def test_block_profile_importances_heavy_tailed():
     # log-uniform block scales concentrate mass: top 60% of blocks hold >= 80%
     net = ToyBlockNet(10, channels=SHAPE[3], seed=33)
-    prof = block_profile(net, seeded_normal(SHAPE, 33), make_schedule(8), probe_steps=[4])
+    prof = block_profile(run_trajectory(net, seeded_normal(SHAPE, 33), make_schedule(8)), probe_steps=[4])
     row = sorted(prof.importances[0], reverse=True)
     top = sum(row[: int(round(0.6 * len(row)))])
     assert top >= 0.8 * sum(row)
@@ -320,21 +325,22 @@ def test_block_profile_importances_heavy_tailed():
 
 def test_block_profile_probe_validation():
     net = ToyBlockNet(3, channels=SHAPE[3], seed=2)
-    z0 = seeded_normal(SHAPE, 2)
+    traj = run_trajectory(net, seeded_normal(SHAPE, 2), make_schedule(5))
     with pytest.raises(DomainError):
-        block_profile(net, z0, make_schedule(5), probe_steps=[5])
+        block_profile(traj, probe_steps=[5])
     with pytest.raises(DomainError):
-        block_profile(net, z0, make_schedule(5), probe_steps=[-1])
+        block_profile(traj, probe_steps=[-1])
 
 
 def test_block_profile_rejects_a_net_without_blocks():
+    traj = run_trajectory(ToyBlockNet(0, channels=SHAPE[3], seed=1), seeded_normal(SHAPE, 1), make_schedule(4))
     with pytest.raises(DomainError):
-        block_profile(ToyBlockNet(0, channels=SHAPE[3], seed=1), seeded_normal(SHAPE, 1), make_schedule(4), [0])
+        block_profile(traj, [0])
 
 
 def test_block_profile_dedupes_and_sorts_probes():
     net = ToyBlockNet(3, channels=SHAPE[3], seed=3)
-    prof = block_profile(net, seeded_normal(SHAPE, 3), make_schedule(6), probe_steps=[4, 1, 4])
+    prof = block_profile(run_trajectory(net, seeded_normal(SHAPE, 3), make_schedule(6)), probe_steps=[4, 1, 4])
     assert prof.probe_steps == (1, 4)
 
 
