@@ -19,11 +19,13 @@ radius mask_scale * min(H, W) of that plane. The drift between two arrays
 on that grid is spectral.lowfreq_diff, the package's one band-difference
 rule, which trial_lowfreq_diff and recorded_increments both call: the norm
 of the low band of their difference. The band is linear, so a trial cuts
-one band, never the cached prediction's, with the mask's two small DFT
-matrices on the trial grid the cost model charges for. The policy carries
-the trial latent on that grid: pooling and the Euler update are both
-linear, so it pools z_0 once and then advances the pooled latent with the
-sampler's own update rule, axpy, and the pooled prediction each step used.
+one band, never the cached prediction's, on the trial grid the cost model
+charges for: one real matrix product with the mask's dense band table on a
+small trial plane, or its separable row and column DFTs on a larger one
+(spectral states the cap). The policy carries the trial latent on that
+grid: pooling and the Euler update are both linear, so it pools z_0 once
+and then advances the pooled latent with the sampler's own update rule,
+axpy, and the pooled prediction each step used.
 So every full-resolution tensor is pooled at most once: z_0, and each new
 prediction when the next trial first reads it. circular_mask memoises the
 mask and its DFT tables, so they are built once per process.

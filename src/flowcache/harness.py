@@ -16,7 +16,7 @@ from .engine import (DEFAULT_RADIUS_SCALE, BlockCacheConfig, BlockCacheState, St
                      recorded_increments, trial_lowfreq_diff, trial_mask)
 from .errors import ConfigError, DimensionError, DomainError
 from .report import RunReport
-from .sampler import Predictor, TimestepSchedule, sample_baseline
+from .sampler import BlockPredictor, Predictor, TimestepSchedule, sample_baseline
 from .spectral import highfreq_diff, splice_bands
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, mse
 
@@ -223,8 +223,8 @@ def block_profile(traj: Trajectory, probe_steps: Sequence[int]) -> BlockProfile:
     for p in probes:
         if not 0 <= p < n:
             raise DomainError(f"probe step {p} outside [0, {n})")
-    if net.num_blocks == 0:
-        raise DomainError("block profile needs a net with at least one block")
+    if not isinstance(net, BlockPredictor) or net.num_blocks == 0:
+        raise DomainError(f"block profile needs a block net with at least one block, got {type(net).__name__}")
     importances = []
     for p in probes:
         state = BlockCacheState()

@@ -9,8 +9,16 @@ band_spectrum is the one forward transform: it cuts either band, and a band's
 energy is spectrum_norm(band) ** 2. The high band is cut from fft2; the low
 band is two small matrix products with the DFT rows of the frequency rows and
 columns the mask occupies, which costs O((H + W) * r) in table memory for a
-band of radius r and skips every bin the band leaves out. lowfreq_diff is
-the one band-difference rule: the step cache and the harness both call it.
+band of radius r and skips every bin the band leaves out.
+
+lowfreq_diff is the one band-difference rule: the step cache and the harness
+both call it. On a small plane, such as a pooled trial plane of 4x4 or 8x8,
+the mask also holds a dense real table of its band's DFT, and the drift is one
+real matrix product with it: on so few values the two complex products and
+the take of band_spectrum cost more in per-call overhead than in arithmetic.
+The table has (2 * bins) x (H * W) entries, so it is built only up to
+_BAND_DFT_MAX_ENTRIES; a larger plane keeps the separable cut, whose tables
+grow with H + W rather than with H * W.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +34,8 @@ from .errors import DimensionError, DomainError
 
 #: How many (height, width, radius) masks circular_mask keeps.
 _MASK_MEMO_SIZE = 8
+#: Most float64 entries a mask's dense band_dft may hold (64 KiB); above it the mask has none.
+_BAND_DFT_MAX_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,13 @@ class FrequencyMask:
     ascending order, and band_index holds the flat row-major indices of the
     low bins on that (m, k) sub-grid, ascending. All three are derived once on
     construction, read-only, for band_spectrum.
+
+    band_dft (2 * bins, H * W) is the unitary 2-D DFT of a flattened plane at
+    each low bin, in row-major bin order: the real parts, then the imaginary
+    parts. It is float64, read-only, and None when it would hold more than
+    _BAND_DFT_MAX_ENTRIES entries: dense in the plane, it grows with H * W per
+    bin, about 32 MiB on a 64x64 plane at the default radius. lowfreq_diff
+    uses it.
     """
 
     height: int
@@ -45,6 +63,7 @@ class FrequencyMask:
     row_dft: np.ndarray = field(init=False, repr=False, compare=False)
     column_dft: np.ndarray = field(init=False, repr=False, compare=False)
     band_index: np.ndarray = field(init=False, repr=False, compare=False)
+    band_dft: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -58,9 +77,11 @@ class FrequencyMask:
         rows, columns = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
         tables = (("membership", m), ("row_dft", _dft_rows(rows, self.height)),
                   ("column_dft", _dft_rows(columns, self.width)),
-                  ("band_index", np.flatnonzero(m[np.ix_(rows, columns)])))
+                  ("band_index", np.flatnonzero(m[np.ix_(rows, columns)])),
+                  ("band_dft", _band_dft(m)))
         for name, arr in tables:
-            arr.flags.writeable = False
+            if arr is not None:
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 
@@ -74,13 +95,25 @@ def _dft_rows(freqs: np.ndarray, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * phase) / np.sqrt(n)
 
 
+def _band_dft(membership: np.ndarray) -> Optional[np.ndarray]:
+    """FrequencyMask.band_dft of a membership grid, or None above _BAND_DFT_MAX_ENTRIES."""
+    height, width = membership.shape
+    bin_rows, bin_columns = np.nonzero(membership)
+    if 2 * bin_rows.size * height * width > _BAND_DFT_MAX_ENTRIES:
+        return None
+    dense = _dft_rows(bin_rows, height)[:, :, None] * _dft_rows(bin_columns, width)[:, None, :]
+    dense = dense.reshape(bin_rows.size, height * width)
+    return np.concatenate((dense.real, dense.imag))
+
+
 @functools.lru_cache(maxsize=_MASK_MEMO_SIZE)
 def circular_mask(height: int, width: int, radius: float) -> FrequencyMask:
     """Centered circular mask: bin (u, v) is low iff its signed-index distance <= radius.
 
     Signed frequency indices follow the standard DFT convention: bins above
     the midpoint wrap to negative frequencies, so the disk is centered on DC.
-    Memoised: equal arguments return the one read-only mask and DFT tables.
+    Memoised: equal arguments return the one read-only mask and DFT tables,
+    so a process builds each table once.
     """
     if height < 1 or width < 1:
         raise DimensionError(f"mask grid must be at least 1x1, got {height}x{width}")
@@ -122,14 +155,28 @@ def band_spectrum(data: np.ndarray, mask: FrequencyMask, low: bool = True) -> np
 
 
 def spectrum_norm(spectrum: np.ndarray) -> float:
-    """L2 norm of a complex spectrum."""
+    """L2 norm of a band: complex bins, or their real and imaginary parts as real values."""
     return math.sqrt(np.vdot(spectrum, spectrum).real)
+
+
+def _band_cut(data: np.ndarray, mask: FrequencyMask, low: bool) -> np.ndarray:
+    """The band of one (T, H, W, C) array whose norm a band-difference rule takes.
+
+    With a dense table the low band is band_dft times each flattened plane,
+    shape (frames, 2 * bins, channels), real: its norm is the complex bins'
+    to rounding, and no complex array is built. Otherwise it is band_spectrum.
+    """
+    if low and mask.band_dft is not None:
+        _require_mask_fit(data.shape, mask)
+        frames, height, width, channels = data.shape
+        return mask.band_dft @ data.reshape(frames, height * width, channels)
+    return band_spectrum(data, mask, low)
 
 
 def _band_diff_norm(a: np.ndarray, b: np.ndarray, mask: FrequencyMask, low: bool) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"array of shape {a.shape} does not match {b.shape}")
-    return spectrum_norm(band_spectrum(a - b, mask, low))
+    return spectrum_norm(_band_cut(a - b, mask, low))
 
 
 def lowfreq_diff(a: np.ndarray, b: np.ndarray, mask: FrequencyMask) -> float:

@@ -572,7 +572,7 @@ def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
     cfg = StepCacheConfig()
     pooled = [avg_downsample(p, cfg.downsample) for p in preds]
     masks, bands = [], []
-    original_mask, original_band = engine.circular_mask, spectral.band_spectrum
+    original_mask, original_band = engine.circular_mask, spectral._band_cut
 
     def counted_mask(*args):
         masks.append(original_mask(*args))
@@ -583,7 +583,7 @@ def test_recorded_increments_cut_every_band_on_one_mask(monkeypatch):
         return bands[-1][2]
 
     monkeypatch.setattr(engine, "circular_mask", counted_mask)
-    monkeypatch.setattr(spectral, "band_spectrum", spied_band)
+    monkeypatch.setattr(spectral, "_band_cut", spied_band)
     incs = recorded_increments(preds, cfg)
     assert recorded_increments([], cfg) == []
     assert len(masks) == 1
@@ -815,10 +815,15 @@ def drift_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(drift_cases())
 @example(((1, 16, 16, 1), DownsampleFactors(1, 4, 4), 0.2, 0))
+@example(((2, 8, 8, 2), DownsampleFactors(1, 1, 1), 1.0, 1))
+@example(((1, 64, 65, 1), DownsampleFactors(1, 1, 1), 0.01, 2))
+@example(((2, 16, 16, 3), DownsampleFactors(1, 1, 1), 1.0, 3))
 def test_trial_drift_and_recorded_increments_are_the_fft2_band_of_the_pooled_difference(case):
     """Both drifts are the norm of fft2's low band of (current - previous) on the trial grid, to 1e-12 relative.
 
-    The example pools 16x16 to a 4x4 plane with radius 0.8: a band of the DC bin alone.
+    The examples cover both band cuts at both band edges. With the mask's dense band table: 16x16 pooled to a
+    4x4 plane with radius 0.8, a band of the DC bin alone, and every bin of an 8x8 plane, a table exactly at its
+    cap. With the separable cut: the DC bin alone on a 64x65 plane and every bin of a 16x16 plane.
     """
     shape, factors, mask_scale, seed = case
     cfg = StepCacheConfig(downsample=factors, mask_scale=mask_scale)
@@ -837,7 +842,7 @@ def test_trial_drift_and_recorded_increments_are_the_fft2_band_of_the_pooled_dif
 def test_a_cached_run_cuts_one_band_per_trial_and_none_on_a_full_step(monkeypatch):
     """The cached prediction's band is never cut: each trial cuts the band of its difference, once."""
     events = []
-    original_trial, original_band = engine.trial_lowfreq_diff, spectral.band_spectrum
+    original_trial, original_band = engine.trial_lowfreq_diff, spectral._band_cut
 
     def trial(*args):
         events.append("trial")
@@ -850,7 +855,7 @@ def test_a_cached_run_cuts_one_band_per_trial_and_none_on_a_full_step(monkeypatc
         return original_band(x, mask, *args)
 
     monkeypatch.setattr(engine, "trial_lowfreq_diff", trial)
-    monkeypatch.setattr(spectral, "band_spectrum", band)
+    monkeypatch.setattr(spectral, "_band_cut", band)
     _, report = sample_cached(make_pred(2), seeded_normal(SHAPE, seed=3), make_schedule(50), StepCacheConfig())
     decisions = [r.decision for r in report.steps]
     assert DECISION_SKIP in decisions and DECISION_FULL in decisions

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowcache import harness
 from flowcache.engine import StepCacheConfig, sample_cached
 from flowcache.errors import ConfigError, DimensionError, DomainError
 from flowcache.harness import (
@@ -321,6 +322,16 @@ def test_block_profile_importances_heavy_tailed():
     row = sorted(prof.importances[0], reverse=True)
     top = sum(row[: int(round(0.6 * len(row)))])
     assert top >= 0.8 * sum(row)
+
+
+@pytest.mark.parametrize("pred", [structured_mixture(SHAPE, 1), ToyBlockNet(0, channels=SHAPE[3], seed=1)],
+                         ids=["mixture", "zero-block-net"])
+def test_block_profile_refuses_a_run_without_blocks_before_any_refresh(pred, monkeypatch):
+    """A mixture has no blocks to rank: the package's DomainError, not an AttributeError, and no refresh runs."""
+    traj = run_trajectory(pred, seeded_normal(SHAPE, 1), make_schedule(4))
+    monkeypatch.setattr(harness, "block_cached_forward", lambda *args: pytest.fail("a refresh ran"))
+    with pytest.raises(DomainError, match=f"needs a block net with at least one block, got {type(pred).__name__}"):
+        block_profile(traj, probe_steps=[0])
 
 
 def test_block_profile_probe_validation():

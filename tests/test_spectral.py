@@ -129,6 +129,11 @@ def test_split_shape_guard():
     for low in (True, False):
         with pytest.raises(DimensionError):
             band_spectrum(x.data, circular_mask(4, 4, 0.8), low)
+    transposed = np.zeros((1, 4, 8, 1))
+    assert circular_mask(8, 4, 0.8).band_dft is not None
+    for rule in (lowfreq_diff, highfreq_diff):
+        with pytest.raises(DimensionError, match=r"mask grid \(8, 4\) does not match tensor plane \(4, 8\)"):
+            rule(transposed, transposed, circular_mask(8, 4, 0.8))
 
 
 def test_diff_of_identical_tensors_is_zero():
@@ -195,14 +200,18 @@ def test_mask_dft_tables_are_the_band_rows_and_columns_read_only():
     assert np.allclose(mask.row_dft, dft(rows, 6), rtol=0, atol=1e-14)
     assert np.allclose(mask.column_dft, dft(cols, 10), rtol=0, atol=1e-14)
     assert mask.band_index.tolist() == np.flatnonzero(mask.membership[np.ix_(rows, cols)]).tolist()
-    for table in (mask.row_dft, mask.column_dft, mask.band_index):
+    bins = [(u, v) for u in range(6) for v in range(10) if mask.membership[u, v]]
+    dense = np.array([np.outer(dft([u], 6)[0], dft([v], 10)[0]).ravel() for u, v in bins])
+    assert mask.band_dft.shape == (2 * len(bins), 60)
+    assert np.allclose(mask.band_dft, np.concatenate((dense.real, dense.imag)), rtol=0, atol=1e-14)
+    for table in (mask.row_dft, mask.column_dft, mask.band_index, mask.band_dft):
         assert not table.flags.writeable
 
 
 def test_circular_mask_is_memoised_on_its_arguments_and_stays_read_only():
     mask = circular_mask(6, 10, 2.5)
     assert circular_mask(6, 10, 2.5) is mask
-    for table in (mask.membership, mask.row_dft, mask.column_dft, mask.band_index):
+    for table in (mask.membership, mask.row_dft, mask.column_dft, mask.band_index, mask.band_dft):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
@@ -220,6 +229,23 @@ def test_default_mask_dft_tables_stay_small_on_a_256_plane():
     """At the default radius 0.2 * 256 the tables are separable, O((H + W) * r); a dense (bins x H*W) basis would take about 8.6 GB."""
     mask = circular_mask(256, 256, 51.2)
     assert mask.row_dft.nbytes + mask.column_dft.nbytes + mask.band_index.nbytes < 2 * 2**20
+
+
+def test_a_mask_carries_a_dense_band_table_up_to_its_cap_and_none_above():
+    """2 * bins * H * W entries: 16 bins of a 16x16 plane, or all 64 of an 8x8 one, sit exactly at the cap."""
+    cap = spectral._BAND_DFT_MAX_ENTRIES
+    assert cap * 8 == 64 * 2**10
+    at_cap = circular_mask(8, 8, 8.0)
+    assert np.all(at_cap.membership) and at_cap.band_dft.size == cap
+    for bins, carries in ((cap // (2 * 256), True), (cap // (2 * 256) + 1, False)):
+        membership = np.arange(256).reshape(16, 16) < bins
+        assert (FrequencyMask(16, 16, 0.0, membership).band_dft is not None) == carries
+
+
+@pytest.mark.parametrize("side,carries", [(4, True), (8, True), (16, False), (64, False), (256, False)])
+def test_at_the_default_radius_only_small_trial_planes_carry_a_dense_band_table(side, carries):
+    """The README and trace-replay trial planes (4x4, 8x8) take the dense table; the large ones keep the separable cut."""
+    assert (circular_mask(side, side, 0.2 * side).band_dft is not None) == carries
 
 
 def boolean_band_cut(data: np.ndarray, mask: FrequencyMask) -> np.ndarray:
