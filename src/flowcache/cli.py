@@ -42,8 +42,8 @@ from typing import Optional, Sequence
 
 from .config import (RunConfig, build_predictor, build_schedule, format_downsample, parse_config, parse_downsample,
                      parse_float, require_divisible, require_seeds, serialize_config)
-from .engine import recorded_increments, relative_threshold, replay_decisions, sample_cached
-from .errors import ConfigError, FlowCacheError
+from .engine import calibrate, recorded_increments, replay_decisions, sample_cached
+from .errors import ConfigError, DimensionError, FlowCacheError
 from .harness import (
     DEFAULT_RESOLUTION_FACTORS,
     VARIANT_FULL,
@@ -60,7 +60,7 @@ from .harness import (
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
 from .report import DECISION_FULL, DECISION_SKIP
 from .sampler import StepObserver, sample_baseline
-from .tensor import mse, seeded_normal
+from .tensor import mse, pooled_shape, seeded_normal
 from .traceio import read_trace, write_trace
 
 SCHEMA_VERSION = 1
@@ -259,18 +259,19 @@ def _cmd_analyze_trace(args) -> int:
     archive = read_trace(args.trace)
     cache = cfg.cache
     shape = archive.records[0].prediction.shape
-    require_divisible(shape, cache.downsample, "cache.downsample")
+    try:
+        pooled_shape(shape, cache.downsample)
+    except DimensionError as exc:
+        raise DimensionError(f"trace {args.trace}: {exc}") from None
     increments = recorded_increments([rec.prediction for rec in archive.records], cache)
     n = archive.schedule.n_steps
     warmup = cache.warmup_steps
-    warmup_increments = increments[:warmup - 1]
-    post_increments = increments[warmup - 1:]
     full_cells = float(shape[0] * shape[1] * shape[2])
     trial_cells = full_cells / cache.downsample.volume
 
     analyses = []
     for alpha in alphas:
-        threshold = relative_threshold(warmup_increments, alpha)
+        threshold, post_increments = calibrate(increments, warmup, alpha)
         decisions = replay_decisions(post_increments, threshold)
         fulls = decisions.count(DECISION_FULL)
         skips = decisions.count(DECISION_SKIP)

@@ -6,12 +6,13 @@ evaluation on a block-mean-downsampled latent measures how far the
 low-frequency band of the prediction has drifted from the one the previous
 step used (trial_lowfreq_diff, the package's only drift statistic; its
 open-loop form over recorded predictions is recorded_increments). Drift
-accumulates, and the cached prediction is reused while the running total
-stays under a threshold calibrated during warmup (accumulate_decide, a pure
-rule on floats). The block cache is the policy's full-evaluation path for
-block-decomposed predictors: blocks whose output deltas were small at the
-last fully computed step are replayed from their cached deltas for a bounded
-number of subsequent full steps.
+accumulates, and a skip reuses the cache while the running total stays under
+a threshold calibrated in warmup (calibrate, which the open-loop analysis
+shares; accumulate_decide, a pure rule on floats). What a skip feeds the
+update is one row of REUSE_RULES. The block cache is the policy's
+full-evaluation path for block-decomposed predictors: blocks whose output
+deltas were small at the last fully computed step are replayed from their
+cached deltas for a bounded number of subsequent full steps.
 
 The low band is a function of the latent shape and the StepCacheConfig,
 stated here once: trial_mask is the mask of the pooled trial plane, with
@@ -54,9 +55,11 @@ from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, 
 from .spectral import FrequencyMask, circular_mask, lowfreq_diff, spectrum_norm
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, pooled_shape, require_finite
 
-REUSE_PREDICTION = "prediction"
-REUSE_RESIDUAL = "residual"
-REUSE_STRATEGIES = (REUSE_PREDICTION, REUSE_RESIDUAL)
+#: Reuse rules: a full step at latent z keeps keep(f, z) of its prediction f; a skip at z feeds feed(kept, z).
+REUSE_RULES = {
+    "prediction": (lambda f, z: f, lambda kept, z: kept),
+    "residual": (lambda f, z: axpy(f, -1.0, z), lambda kept, z: require_finite(axpy(z, 1.0, kept))),
+}
 
 #: Default low-band radius as a fraction of the trial plane's min(H, W).
 DEFAULT_RADIUS_SCALE = 0.2
@@ -77,7 +80,7 @@ class StepCacheConfig:
     alpha: float = 0.5
     warmup_steps: int = 5
     downsample: DownsampleFactors = DownsampleFactors(2, 4, 4)
-    reuse: str = REUSE_PREDICTION
+    reuse: str = "prediction"
     mask_scale: float = DEFAULT_RADIUS_SCALE
 
     def __post_init__(self):
@@ -85,8 +88,8 @@ class StepCacheConfig:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         if not isinstance(self.warmup_steps, int) or self.warmup_steps < 2:
             raise ConfigError(f"warmup_steps must be an integer >= 2, got {self.warmup_steps!r}")
-        if self.reuse not in REUSE_STRATEGIES:
-            raise ConfigError(f"unknown reuse strategy {self.reuse!r}, expected one of {REUSE_STRATEGIES}")
+        if self.reuse not in REUSE_RULES:
+            raise ConfigError(f"unknown reuse strategy {self.reuse!r}, expected one of {tuple(REUSE_RULES)}")
         if not self.mask_scale > 0:
             raise ConfigError(f"mask_scale must be > 0, got {self.mask_scale}")
 
@@ -111,6 +114,11 @@ def relative_threshold(warmup_deltas: Sequence[float], alpha: float) -> float:
         if d < 0:
             raise DomainError(f"warmup drift values must be >= 0, got {d}")
     return max(deltas) * alpha
+
+
+def calibrate(drifts: Sequence[float], warmup_steps: int, alpha: float) -> tuple[float, Sequence[float]]:
+    """Split a run's drifts (step 0 has none) at the warmup: (relative_threshold of the first warmup_steps - 1, the rest)."""
+    return relative_threshold(drifts[:warmup_steps - 1], alpha), drifts[warmup_steps - 1:]
 
 
 def trial_lowfreq_diff(
@@ -184,17 +192,17 @@ class BlockCacheConfig:
 
 @dataclass
 class BlockCacheState:
-    """Cached per-block deltas, their norms, the pivotal index set, and the partial-step age.
+    """Cached per-block deltas, their norms, and the partial-step age.
 
     deltas has one slot per block; only the replayed blocks' slots hold a
-    delta. norms are the block importances: the last refresh's ||F_j - F_{j-1}||,
-    F_0 the input. age counts partial steps since that refresh, at most
-    interval, so a call was partial exactly when age > 0 after it.
+    delta, and the empty ones are the pivotal set. norms are the block
+    importances: the last refresh's ||F_j - F_{j-1}||, F_0 the input. age
+    counts partial steps since that refresh, at most interval, so a call was
+    partial exactly when age > 0 after it.
     """
 
     deltas: Optional[list[Optional[np.ndarray]]] = None
     norms: Optional[tuple[float, ...]] = None
-    pivotal: Optional[tuple[int, ...]] = None
     age: int = 0
 
 
@@ -229,11 +237,10 @@ def block_cached_forward(
     replayed blocks, the r = round(cache_rate * M) lowest by (norm, -index).
     It drops every other delta as soon as r lower ones have been seen, so a
     refresh holds at most r + 1 deltas at once and never the old set next to
-    the new one. The dropped blocks are the pivotal set (select_pivotal's).
-    While age < interval, subsequent calls compute only pivotal blocks
-    exactly and add the cached delta for the rest. With interval 0 or
-    cache_rate 0 every call reproduces the plain forward pass. z is only
-    read. Deltas are axpy(nxt, -1.0, features) and replays axpy(features,
+    the new one. The empty slots are the pivotal set (select_pivotal's).
+    While age < interval, subsequent calls compute those blocks exactly and
+    add the cached delta for the rest. With interval 0 or cache_rate 0 every
+    call reproduces the plain forward pass. z is only read. Deltas are axpy(nxt, -1.0, features) and replays axpy(features,
     1.0, delta), so a refresh's output is bitwise the plain forward's. A
     delta's norm is spectrum_norm's sqrt(vdot(d, d)), one BLAS pass with no
     squared temporary; it equals l2_norm's to rounding, not bit for bit.
@@ -257,16 +264,11 @@ def block_cached_forward(
                 del kept[max(kept, key=lambda i: (norms[i], -i))]
             features = nxt
         state.norms = tuple(norms)
-        state.pivotal = tuple(j for j in range(m) if j not in kept)
         state.deltas = [kept.get(j) for j in range(m)]
         state.age = 0
         return features
-    pivotal = set(state.pivotal)
-    for j in range(m):
-        if j in pivotal:
-            features = net.apply_block(j, features, t)
-        else:
-            features = axpy(features, 1.0, state.deltas[j])
+    for j, delta in enumerate(state.deltas):
+        features = net.apply_block(j, features, t) if delta is None else axpy(features, 1.0, delta)
     state.age += 1
     return features
 
@@ -274,21 +276,21 @@ def block_cached_forward(
 class StepCachePolicy:
     """Step policy of the cached sampler: trial, decide, then reuse or evaluate.
 
-    Every step after the first runs a trial evaluation and measures its drift
-    from the prediction the previous step used. Steps inside the warmup window
-    always evaluate and collect that drift; the first step after warmup
-    calibrates the threshold from it. Later steps accumulate the drift and
-    reuse the cached prediction (or latent + cached residual) while the total
-    stays under the threshold; otherwise a full evaluation refreshes the cache
-    and resets the accumulator. Full evaluations go through the block cache
-    when block_cfg is given. shape is the latent's; it fixes the trial mask.
+    Every step after the first runs a trial and measures its drift from the
+    prediction the previous step used. Warmup steps always evaluate; the
+    first step after warmup calibrates the threshold from the run's drifts.
+    Later steps accumulate the drift and skip while the total stays under the
+    threshold; otherwise a full evaluation refreshes the cache and resets the
+    accumulator. A skip feeds what the cfg.reuse row of REUSE_RULES makes of
+    kept. Full evaluations go through the block cache when block_cfg is
+    given. shape is the latent's; it fixes the trial mask.
 
     The policy holds the run's cache state: cached_prediction, the one the
     previous step used, and pooled_prediction, that array pooled to the trial
     grid once a trial needs it; trial_latent, the latent entering the step on
-    the trial grid; cached_residual, the last full prediction minus its
-    latent, kept only under residual reuse (None otherwise); error, the
-    accumulated drift, and threshold, None until calibrated.
+    the trial grid; kept, what the reuse rule kept of the last full
+    prediction (under prediction reuse that array itself); drifts, the run's
+    drifts; error, the accumulated drift, and threshold, None until set.
 
     The trial latent is carried, not pooled: it advances by the Euler update
     run_steps applies, so the policy must be called for steps 0, 1, 2, ...
@@ -306,14 +308,15 @@ class StepCachePolicy:
         cells = shape[0] * shape[1] * shape[2]
         self.full_cells = float(cells)
         self.trial_cells = float(cells // cfg.downsample.volume)
+        self.keep, self.feed = REUSE_RULES[cfg.reuse]
         self.cached_prediction: Optional[np.ndarray] = None
-        self.cached_residual: Optional[np.ndarray] = None
+        self.kept: Optional[np.ndarray] = None
         self.pooled_prediction: Optional[np.ndarray] = None
         self.trial_latent: Optional[np.ndarray] = None
+        self.drifts: list[float] = []
         self.error = 0.0
         self.threshold: Optional[float] = None
         self.block_state = BlockCacheState()
-        self.warmup_deltas: list[float] = []
         self.last_step = (-1, 0.0)
 
     def __call__(self, k: int, t: float, z: np.ndarray) -> tuple[np.ndarray, StepRecord]:
@@ -332,24 +335,22 @@ class StepCachePolicy:
             self.trial_latent = axpy(self.trial_latent, t - last_t, self.pooled_prediction)
             delta = trial_lowfreq_diff(self.pred, self.trial_latent, t, self.pooled_prediction, self.mask)
             cost += self.trial_cells
+            self.drifts.append(delta)
             if k < self.cfg.warmup_steps:
-                self.warmup_deltas.append(delta)
                 self.error += delta
             else:
                 if self.threshold is None:
-                    self.threshold = relative_threshold(self.warmup_deltas, self.cfg.alpha)
+                    self.threshold, _ = calibrate(self.drifts, self.cfg.warmup_steps, self.cfg.alpha)
                 decision, self.error = accumulate_decide(self.error, delta, self.threshold)
         err_before = self.error
-        pivotal_size: Optional[int] = None
-        partial: Optional[bool] = None
+        pivotal_size, partial = None, None
         if decision == DECISION_SKIP:
-            f = self.cached_prediction if self.cfg.reuse == REUSE_PREDICTION else require_finite(axpy(z, 1.0, self.cached_residual))
+            f = self.feed(self.kept, z)
         else:
             f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
             cost += eval_cost
             self.error = 0.0
-            if self.cfg.reuse == REUSE_RESIDUAL:
-                self.cached_residual = axpy(f, -1.0, z)
+            self.kept = self.keep(f, z)
         if f is not self.cached_prediction:
             self.cached_prediction = f
             self.pooled_prediction = None
@@ -361,10 +362,9 @@ class StepCachePolicy:
         if self.block_cfg is None:
             return require_finite(self.pred.evaluate(z, t)), self.full_cells, None, None
         f = require_finite(block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state))
-        pivotal = self.block_state.pivotal
-        if self.block_state.age > 0:
-            return f, self.full_cells * (len(pivotal) / self.pred.num_blocks), len(pivotal), True
-        return f, self.full_cells, None if pivotal is None else len(pivotal), False
+        deltas, partial = self.block_state.deltas, self.block_state.age > 0
+        pivotal = None if deltas is None else sum(delta is None for delta in deltas)
+        return f, self.full_cells * (pivotal / self.pred.num_blocks if partial else 1.0), pivotal, partial
 
 
 def sample_cached(
@@ -393,7 +393,7 @@ def sample_cached(
         z, report = run_steps(policy, z_init, schedule, observer)
     report.trial_cost_units = policy.trial_cells * report.trial_eval_count
     report.threshold = policy.threshold
-    report.warmup_max_delta = max(policy.warmup_deltas) if policy.warmup_deltas else None
+    report.warmup_max_delta = max((r.trial_delta for r in report.steps[1:] if r.decision == DECISION_WARMUP), default=None)
     return z, report
 
 

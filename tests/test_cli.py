@@ -12,6 +12,9 @@ import pytest
 
 from flowcache import cli, harness
 from flowcache.cli import BENCH_VARIANTS, SCHEMA_VERSION, run_command
+from flowcache.config import parse_config
+from flowcache.engine import calibrate, recorded_increments
+from flowcache.traceio import read_trace
 
 CONFIG_TEXT = "\n".join(
     [
@@ -311,6 +314,11 @@ def test_analyze_trace_projects_thresholds(tmp_path, config_path):
         assert row["full_count"] + row["skip_count"] == post
         assert row["projected_speedup_units"] > 0.0
     assert rows[0]["threshold"] < rows[2]["threshold"]
+    cache = parse_config(CONFIG_TEXT).cache
+    increments = recorded_increments([rec.prediction for rec in read_trace(trace).records], cache)
+    assert payload["increments"] == increments
+    for row in rows:
+        assert row["threshold"] == calibrate(increments, cache.warmup_steps, row["alpha"])[0]
 
 
 @pytest.mark.parametrize("bad", ["inf", "nan"])
@@ -347,7 +355,24 @@ def test_analyze_trace_downsample_not_dividing_the_trace_latent_fails_first(tmp_
     out = tmp_path / "analysis.json"
     assert run_command(["analyze-trace", "--config", str(config), str(trace), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "latent.height = 12" in err and "cache.downsample = 1x8x8" in err
+    assert f"trace {trace}: axis height of extent 12 is not divisible by factor 8" in err
+    assert not out.exists()
+
+
+def test_analyze_trace_names_the_trace_not_a_config_key_when_its_shape_does_not_pool(tmp_path, capsys):
+    """A 4x10x10x2 trace under the default 2x4x4 pooling fails on the trace's array shape, not on latent.height."""
+    recorder = tmp_path / "record.cfg"
+    recorder.write_text("seeds = 0\npredictor.seed = 1\nmode = baseline\n"
+                        "latent.height = 10\nlatent.width = 10\nschedule.n = 6\n", encoding="utf-8")
+    trace = tmp_path / "run.trace"
+    assert run_command(["generate", "--config", str(recorder), "--trace", str(trace),
+                        "--out", str(tmp_path / "r.json")]) == 0
+    assert read_trace(trace).records[0].prediction.shape == (4, 10, 10, 2)
+    capsys.readouterr()
+    out = tmp_path / "analysis.json"
+    assert run_command(["analyze-trace", str(trace), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: trace {trace}: axis height of extent 10 is not divisible by factor 4\n"
     assert not out.exists()
 
 

@@ -23,7 +23,7 @@ from flowcache.config import (
     require_seeds,
     serialize_config,
 )
-from flowcache.engine import REUSE_STRATEGIES, BlockCacheConfig, StepCacheConfig
+from flowcache.engine import REUSE_RULES, BlockCacheConfig, StepCacheConfig
 from flowcache.errors import ConfigError
 from flowcache.predictors import MixturePredictor, ToyBlockNet
 from flowcache.sampler import SCHEDULE_KINDS
@@ -399,7 +399,7 @@ def run_configs(draw):
                                 shift=draw(st.floats(min_value=1 / 16, max_value=16.0)),
                                 terminal=draw(st.integers(min_value=0, max_value=63)) / 64),
         cache=StepCacheConfig(alpha=draw(positive), warmup_steps=draw(st.integers(min_value=2, max_value=9)),
-                              downsample=downsample, reuse=draw(st.sampled_from(REUSE_STRATEGIES)),
+                              downsample=downsample, reuse=draw(st.sampled_from(tuple(REUSE_RULES))),
                               mask_scale=draw(positive)),
         block=BlockCacheConfig(cache_rate=draw(st.floats(min_value=0.0, max_value=1.0)),
                                interval=draw(st.integers(min_value=0, max_value=5))),

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from flowcache import engine, predictors, spectral
 from flowcache.engine import (
     DEFAULT_RADIUS_SCALE,
-    REUSE_PREDICTION,
-    REUSE_RESIDUAL,
+    REUSE_RULES,
     BlockCacheConfig,
     BlockCacheState,
     StepCacheConfig,
     StepCachePolicy,
     accumulate_decide,
     block_cached_forward,
+    calibrate,
     recorded_increments,
     relative_threshold,
     replay_decisions,
@@ -65,6 +65,14 @@ def reference_decisions(increments, threshold):
 
 def test_relative_threshold_example():
     assert relative_threshold([2.0, 1.0, 3.0], 0.5) == 1.5
+
+
+def test_calibrate_splits_a_runs_drifts_after_the_warmup_steps_drifts():
+    """Step 0 measures no drift, so warmup_steps = 3 calibrates on the first two drifts and returns the rest."""
+    assert calibrate([1.0, 4.0, 9.0, 2.0], 3, 0.5) == (2.0, [9.0, 2.0])
+    assert calibrate([1.0], 5, 0.5) == (0.5, [])
+    with pytest.raises(ConfigError):
+        calibrate([], 2, 0.5)
 
 
 def test_relative_threshold_rejects_empty_and_bad_values():
@@ -144,6 +152,11 @@ def test_select_pivotal_bounds():
         select_pivotal([], 0.5)
 
 
+def empty_slots(state):
+    """Indices of the blocks whose delta slot is empty: the pivotal set a partial step computes exactly."""
+    return tuple(j for j, d in enumerate(state.deltas) if d is None)
+
+
 def test_block_refresh_norms_hand_example():
     """Features 0 -> 1 -> 1 -> 4 on four cells: the refresh ranks blocks by norms 2, 0, 6."""
     shape = (1, 2, 2, 1)
@@ -152,7 +165,7 @@ def test_block_refresh_norms_hand_example():
     out = block_cached_forward(net, np.zeros(shape), 1.0, BlockCacheConfig(), state)
     assert np.all(out == 4.0)
     assert state.norms == (2.0, 0.0, 6.0)
-    assert state.pivotal == (0, 2)
+    assert empty_slots(state) == (0, 2)
 
 
 def test_block_cache_rate_zero_is_bitwise_plain():
@@ -216,8 +229,7 @@ def test_pivotal_size_invariant_on_partial_steps():
     for t in (0.9, 0.8):
         block_cached_forward(net, z, t, cfg, state)
         assert state.age > 0
-        assert len(state.pivotal) == expected_keep
-        assert len(state.pivotal) + (8 - len(state.pivotal)) == net.num_blocks
+        assert len(empty_slots(state)) == expected_keep
     block_cached_forward(net, z, 0.7, cfg, state)
     assert state.age == 0
 
@@ -240,8 +252,7 @@ def test_refresh_keeps_only_the_replayed_deltas(rate):
         kept = [j for j, d in enumerate(state.deltas) if d is not None]
         assert len(state.deltas) == 7
         assert len(kept) == round(rate * 7)
-        assert set(kept).isdisjoint(state.pivotal)
-        assert set(kept) | set(state.pivotal) == set(range(7))
+        assert empty_slots(state) == select_pivotal(state.norms, rate)
 
 
 class DeltaSpy:
@@ -321,9 +332,8 @@ def test_streaming_refresh_keeps_what_select_pivotal_replays_and_at_most_r_delta
     replayed = round(rate * len(levels))
     assert out.tobytes() == features[-1].tobytes()
     assert state.norms == tuple(2.0 * v for v in levels)
-    assert state.pivotal == select_pivotal(state.norms, rate)
+    assert empty_slots(state) == select_pivotal(state.norms, rate)
     for j, d in enumerate(state.deltas):
-        assert (d is None) == (j in state.pivotal)
         assert d is None or d.tobytes() == true_deltas[j].tobytes()
     assert max(alive_before_block) <= replayed
     assert len(deltas) == len(levels) and alive() == replayed
@@ -345,7 +355,7 @@ def test_refresh_norms_and_pivotal_set_match_the_plain_forwards_deltas(blocks, c
     norms = [float(np.sqrt(np.sum(d * d))) for d in deltas]
     assert out.tobytes() == features[-1].tobytes()
     assert state.norms == pytest.approx(norms, rel=1e-12, abs=0.0)
-    assert state.pivotal == select_pivotal(norms, rate)
+    assert empty_slots(state) == select_pivotal(norms, rate)
 
 
 def test_refresh_from_a_populated_cache_peaks_no_higher_than_the_first():
@@ -371,7 +381,7 @@ def test_refresh_from_a_populated_cache_peaks_no_higher_than_the_first():
     assert again <= first + 0.5 * z.nbytes
 
 
-def run_pair(alpha, seed=0, n=30, reuse=REUSE_PREDICTION, warmup=5):
+def run_pair(alpha, seed=0, n=30, reuse="prediction", warmup=5):
     pred = make_pred(seed)
     sched = make_schedule(n)
     z0 = seeded_normal(SHAPE, seed=seed + 100)
@@ -434,27 +444,27 @@ def test_skip_burst_bound():
 
 
 def test_reuse_strategies_agree_when_nothing_skips():
-    b_pred, c_pred, r_pred = run_pair(alpha=1e-12, reuse=REUSE_PREDICTION)
-    b_res, c_res, r_res = run_pair(alpha=1e-12, reuse=REUSE_RESIDUAL)
+    b_pred, c_pred, r_pred = run_pair(alpha=1e-12, reuse="prediction")
+    b_res, c_res, r_res = run_pair(alpha=1e-12, reuse="residual")
     assert r_pred.skip_count == r_res.skip_count == 0
     assert np.array_equal(c_pred.data, c_res.data)
     assert np.array_equal(c_pred.data, b_pred.data)
 
 
 def test_residual_reuse_differs_from_prediction_reuse_on_skips():
-    _, pred_out, pred_report = run_pair(alpha=0.9, reuse=REUSE_PREDICTION, seed=6)
-    _, res_out, res_report = run_pair(alpha=0.9, reuse=REUSE_RESIDUAL, seed=6)
+    _, pred_out, pred_report = run_pair(alpha=0.9, reuse="prediction", seed=6)
+    _, res_out, res_report = run_pair(alpha=0.9, reuse="residual", seed=6)
     assert pred_report.skip_count > 0
     assert not np.array_equal(pred_out.data, res_out.data)
 
 
-@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("reuse", list(REUSE_RULES))
 def test_only_residual_reuse_keeps_a_residual(reuse):
     z0 = seeded_normal(SHAPE, seed=106)
     policy = StepCachePolicy(make_pred(6), StepCacheConfig(alpha=0.9, reuse=reuse), None, z0.shape)
     _, report = run_steps(policy, z0, make_schedule(30))
     assert report.skip_count > 0
-    assert (policy.cached_residual is None) == (reuse == REUSE_PREDICTION)
+    assert (policy.kept is policy.cached_prediction) == (reuse == "prediction")
 
 
 def test_trial_cost_accounting():
@@ -673,13 +683,14 @@ class PerTrialPolicy:
         err_before = self.error
         pivotal_size = partial = None
         if decision == DECISION_SKIP:
-            f = self.cached_prediction if cfg.reuse == REUSE_PREDICTION else z + self.cached_residual
+            f = self.cached_prediction if cfg.reuse == "prediction" else z + self.cached_residual
         else:
             if self.block_cfg is None:
                 f, eval_cost = self.pred.evaluate(z, t), self.full_cells
             else:
                 f = block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state)
-                pivotal_size, partial = len(self.block_state.pivotal), self.block_state.age > 0
+                pivotal_size = len(select_pivotal(self.block_state.norms, self.block_cfg.cache_rate))
+                partial = self.block_state.age > 0
                 eval_cost = self.full_cells * (pivotal_size / self.pred.num_blocks if partial else 1.0)
             cost += eval_cost
             self.error = 0.0
@@ -719,7 +730,7 @@ def per_trial_run(monkeypatch, pred, z0, sched, cfg, block_cfg=None):
     return z, report, policy.threshold, max(policy.warmup_deltas)
 
 
-@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("reuse", list(REUSE_RULES))
 @pytest.mark.parametrize("shape", [(4, 16, 16, 2), (4, 32, 32, 3)])
 def test_cached_mixture_run_matches_the_per_trial_oracle_bitwise(monkeypatch, shape, reuse):
     spec = structured_mixture(shape, seed=6)
@@ -732,6 +743,7 @@ def test_cached_mixture_run_matches_the_per_trial_oracle_bitwise(monkeypatch, sh
     assert z.tobytes() == z_ref.tobytes()
     assert_steps_match(report.steps, ref.steps)
     assert report.threshold == pytest.approx(threshold, rel=1e-12)
+    assert report.threshold == calibrate([r.trial_delta for r in report.steps[1:]], cfg.warmup_steps, cfg.alpha)[0]
     assert report.warmup_max_delta == pytest.approx(warmup_max, rel=1e-12)
 
 
@@ -747,6 +759,7 @@ def test_cached_block_run_matches_the_per_trial_oracle_bitwise(monkeypatch):
     assert z.tobytes() == z_ref.tobytes()
     assert_steps_match(report.steps, ref.steps)
     assert report.threshold == pytest.approx(threshold, rel=1e-12)
+    assert report.threshold == calibrate([r.trial_delta for r in report.steps[1:]], cfg.warmup_steps, cfg.alpha)[0]
     assert report.warmup_max_delta == pytest.approx(warmup_max, rel=1e-12)
 
 
@@ -989,7 +1002,7 @@ class ReadOnlyVelocity:
 
 
 @pytest.mark.parametrize("downsample", [DownsampleFactors(1, 1, 1), DownsampleFactors(2, 4, 4)])
-@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("reuse", list(REUSE_RULES))
 @pytest.mark.parametrize("kind", ["read-only", "identity"])
 def test_a_cached_run_writes_no_array_it_has_handed_out_or_received(kind, reuse, downsample):
     """Every array a predictor received or returned, and every state array, stays bitwise as it was first seen.
@@ -1011,7 +1024,7 @@ def test_a_cached_run_writes_no_array_it_has_handed_out_or_received(kind, reuse,
     policy = StepCachePolicy(pred, cfg, None, SHAPE)
 
     def observe(k, t, z, f):
-        arrays = (policy.trial_latent, policy.pooled_prediction, policy.cached_residual, z, f)
+        arrays = (policy.trial_latent, policy.pooled_prediction, policy.kept, z, f)
         seen.extend((a, a.tobytes()) for a in arrays if a is not None)
 
     _, report = run_steps(policy, seeded_normal(SHAPE, seed=4), make_schedule(30), observe)
@@ -1031,7 +1044,7 @@ def test_observers_get_read_only_arrays_from_both_samplers(run):
     if run == "baseline":
         sample_baseline(make_pred(8), z0, sched, observe)
     else:
-        reuse = REUSE_RESIDUAL if run == "residual" else REUSE_PREDICTION
+        reuse = "residual" if run == "residual" else "prediction"
         pred, block_cfg = (ToyBlockNet(6, 2, seed=8), BlockCacheConfig()) if run == "block" else (make_pred(8), None)
         cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse)
         _, report = sample_cached(pred, z0, sched, cfg, block_cfg, observe)
@@ -1049,7 +1062,7 @@ def carried_trial_latents(pred, z0, sched, cfg, block_cfg=None):
     return pairs, report
 
 
-@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("reuse", list(REUSE_RULES))
 @pytest.mark.parametrize("kind", ["mixture", "block"])
 def test_carried_trial_latent_tracks_the_pooled_latent_over_200_steps(kind, reuse):
     cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse)
@@ -1065,7 +1078,7 @@ def test_carried_trial_latent_tracks_the_pooled_latent_over_200_steps(kind, reus
         assert np.max(np.abs(carried - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
-@pytest.mark.parametrize("reuse", [REUSE_PREDICTION, REUSE_RESIDUAL])
+@pytest.mark.parametrize("reuse", list(REUSE_RULES))
 def test_unpooled_carried_trial_latent_is_the_latent_bitwise(reuse):
     cfg = StepCacheConfig(alpha=0.9, warmup_steps=3, reuse=reuse, downsample=DownsampleFactors(1, 1, 1))
     pairs, report = carried_trial_latents(make_pred(8), seeded_normal(SHAPE, seed=9), make_schedule(60), cfg)
@@ -1129,10 +1142,10 @@ def test_a_non_finite_trial_velocity_on_the_array_path_raises_tensor4s_error():
         with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
             policy(1, 0.9, axpy(z0, -0.1, f))
 
-    policy = StepCachePolicy(make_pred(2), StepCacheConfig(warmup_steps=2, reuse=REUSE_RESIDUAL), None, z0.shape)
+    policy = StepCachePolicy(make_pred(2), StepCacheConfig(warmup_steps=2, reuse="residual"), None, z0.shape)
     z1 = axpy(z0, -0.1, policy(0, 1.0, z0)[0])
     z2 = axpy(z1, -0.1, policy(1, 0.9, z1)[0])
-    policy.cached_residual = np.full(SHAPE, np.inf)
+    policy.kept = np.full(SHAPE, np.inf)
     policy.threshold = np.inf
     with pytest.raises(DomainError, match="^tensor contains non-finite values$"):
         policy(2, 0.8, z2)
