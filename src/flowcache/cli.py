@@ -59,7 +59,7 @@ from .harness import (
 )
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
 from .report import DECISION_FULL, DECISION_SKIP
-from .sampler import StepObserver, sample_baseline
+from .sampler import Predictor, StepObserver, sample_baseline
 from .tensor import mse, pooled_shape, seeded_normal
 from .traceio import read_trace, write_trace
 
@@ -120,8 +120,8 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _sample(cfg: RunConfig, seed: int, observer: Optional[StepObserver] = None):
-    """One run of cfg.mode from seed; returns (terminal, report, schedule)."""
+def _sample(cfg: RunConfig, seed: int, observer: Optional[StepObserver] = None, pred: Optional[Predictor] = None):
+    """One run of cfg.mode from seed, on pred or a predictor built from cfg; returns (terminal, report, schedule)."""
     if cfg.mode == "open-loop":
         if cfg.input_trace is None:
             raise ConfigError("open-loop mode needs a recorded trace; set input.trace or --input-trace")
@@ -130,7 +130,7 @@ def _sample(cfg: RunConfig, seed: int, observer: Optional[StepObserver] = None):
         terminal, report = sample_baseline(TraceReplayPredictor(archive), z0, archive.schedule, observer)
         return terminal, report, archive.schedule
     schedule = build_schedule(cfg)
-    pred = build_predictor(cfg)
+    pred = build_predictor(cfg) if pred is None else pred
     z0 = seeded_normal(cfg.latent, seed)
     if cfg.mode == "baseline":
         terminal, report = sample_baseline(pred, z0, schedule, observer)
@@ -141,9 +141,14 @@ def _sample(cfg: RunConfig, seed: int, observer: Optional[StepObserver] = None):
 
 
 def _compared_runs(cfg: RunConfig, seed: int, variants: Sequence[RunConfig]) -> list:
-    """The seed's baseline run, then each variant: (report, cost, mse, psnr) against the baseline's terminal."""
-    reference, base_report, _ = _sample(replace(cfg, mode="baseline"), seed)
-    runs = [(reference, base_report)] + [_sample(variant, seed)[:2] for variant in variants]
+    """The seed's baseline run, then each variant: (report, cost, mse, psnr) against the baseline's terminal.
+
+    A variant changes only the mode and the cache settings, so every run samples one predictor and reuses its
+    memos.
+    """
+    pred = build_predictor(cfg)
+    reference, base_report, _ = _sample(replace(cfg, mode="baseline"), seed, pred=pred)
+    runs = [(reference, base_report)] + [_sample(variant, seed, pred=pred)[:2] for variant in variants]
     return [(report, cost_accounting(report), mse(terminal, reference), psnr(terminal, reference))
             for terminal, report in runs]
 

@@ -29,6 +29,15 @@ from .tensor import DownsampleFactors
 MODES = ("baseline", "lfcache", "lfcache+block", "open-loop")
 PREDICTOR_KINDS = ("mixture", "toy-block")
 LATENT_AXES = ("frames", "height", "width", "channels")
+_LATENT_KEYS = tuple(f"latent.{axis}" for axis in LATENT_AXES)
+#: Fewest bytes one schedule step holds: its float and tuple slot in the
+#: schedule (32) and its decision row, a StepRecord of nine slots (96).
+_STEP_BYTES = 128
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,10 @@ class ScheduleConfig:
     terminal: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.n, int) and self.n * _STEP_BYTES > _physical_memory():
+            raise ConfigError(f"schedule.n = {self.n} needs {self.n * _STEP_BYTES} bytes ({_STEP_BYTES} a step) for "
+                              f"the schedule and its step rows, more than the {_physical_memory()} bytes of "
+                              f"physical memory")
         make_schedule(self.n, self.kind, self.shift, self.terminal)
 
 
@@ -112,17 +125,22 @@ class RunConfig:
                 raise ConfigError(f"latent.{axis} must be an integer >= 1, got {extent!r}", (f"latent.{axis}",))
         if self.mode in ("lfcache", "lfcache+block"):
             require_divisible(self.latent, self.cache.downsample, "cache.downsample", ("mode",))
+        # A mixture evaluation holds the (K, *latent) mean stack and two more
+        # K-sized buffers; a toy-block forward holds at least four latent-sized
+        # arrays: the step's latent, a block's input, its projection and its
+        # output.
+        cells = math.prod(self.latent)
         if self.predictor.kind == "mixture":
-            # A mixture evaluation holds the (K, *latent) mean stack and two more K-sized buffers.
-            cells = math.prod(self.latent)
             need = 3 * self.predictor.components * cells * 8
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-            if need > have:
+            if need > _physical_memory():
                 raise ConfigError(f"predictor.components = {self.predictor.components} needs {need} bytes "
                                   f"(3 x K x {cells} cells x 8) for the mean stack and an evaluation's two K-sized "
-                                  f"buffers, more than the {have} bytes of physical memory",
-                                  ("predictor.components", *(f"latent.{axis}" for axis in LATENT_AXES),
-                                   "predictor.kind"))
+                                  f"buffers, more than the {_physical_memory()} bytes of physical memory",
+                                  ("predictor.components", *_LATENT_KEYS, "predictor.kind"))
+        elif 4 * cells * 8 > _physical_memory():
+            raise ConfigError(f"a toy-block latent of {cells} cells needs {4 * cells * 8} bytes (4 x {cells} cells "
+                              f"x 8) for a block forward's four latent-sized arrays, more than the "
+                              f"{_physical_memory()} bytes of physical memory", (*_LATENT_KEYS, "predictor.kind"))
         if self.mode == "lfcache+block" and self.predictor.kind != "toy-block":
             raise ConfigError(f"mode = lfcache+block needs predictor.kind = toy-block (the block cache needs a "
                               f"block-decomposed predictor), got predictor.kind = {self.predictor.kind}",

@@ -1,8 +1,13 @@
 """Closed-form and synthetic predictors used to drive the sampler.
 
 The analytic predictor, MixturePredictor, is one frozen value: a mixture's
-shape, weights, variances and read-only mean stack, and its velocity. It
-treats every cell as an independent scalar Gaussian mixture under the linear
+shape, weights, variances and read-only mean stack, and its velocity. Two
+memos sit beside that value, neither part of its equality or repr: the
+mean-stack memo (mean_stack), one pooled stack per evaluation shape, and
+the coefficient memo (coefficients), one read-only per-component table per
+time t, bounded, so the trial and the full evaluation at one step, and
+every repeat of a schedule, build a t's table once. The mixture treats
+every cell as an independent scalar Gaussian mixture under the linear
 interpolation path x_t = (1 - t) * x0 + t * x1 with x1 standard normal. Its
 velocity (x - E[x0 | x_t = x]) / t is exact, so sampler and cache behavior
 can be tested without any trained network. The block net is a small
@@ -25,6 +30,9 @@ from .errors import DimensionError, DomainError, TraceError
 from .sampler import TimestepSchedule
 from .tensor import DownsampleFactors, avg_downsample, pooled_shape, require_finite
 
+#: How many time values' coefficient tables a mixture keeps; the oldest goes first.
+_COEFFICIENT_MEMO_SIZE = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class MixturePredictor:
@@ -33,10 +41,12 @@ class MixturePredictor:
     Component k has weight weights[k], variance variances[k] and mean field
     means[k]: means is one read-only (K, *shape) float64 stack, the only copy
     of the component means. mean_stack pools it to coarser evaluation shapes
-    and memoises one stack per shape for the life of the mixture; the memo
-    takes no part in equality or repr. Two mixtures are equal when shape,
-    weights, variances and every mean value match. A mixture is not
-    hashable: hash() raises TypeError, as it does for the mean array it holds.
+    and memoises one stack per shape for the life of the mixture, and
+    coefficients memoises the per-component table at up to
+    _COEFFICIENT_MEMO_SIZE time values; neither memo takes part in equality
+    or repr. Two mixtures are equal when shape, weights, variances and every
+    mean value match. A mixture is not hashable: hash() raises TypeError, as
+    it does for the mean array it holds.
     """
 
     shape: tuple[int, int, int, int]
@@ -44,6 +54,7 @@ class MixturePredictor:
     variances: tuple[float, ...]
     means: np.ndarray
     _mean_memo: dict = field(default_factory=dict, init=False, repr=False)
+    _coefficient_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.shape) != 4 or any(int(s) < 1 for s in self.shape):
@@ -103,6 +114,32 @@ class MixturePredictor:
             self._mean_memo[shape] = stack
         return stack
 
+    def coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-component (log normaliser, 2 s2, gain) at time t: the rows of one read-only (3, K, 1) array.
+
+        With s2 = (1 - t)^2 var_k + t^2, the rows are log w_k - 0.5 * log(2 pi
+        s2), 2 s2 and (1 - t) var_k / s2, each (K, 1), so a row broadcasts
+        over a (K, N) stack of flat fields. Memoised per t: once the memo
+        holds _COEFFICIENT_MEMO_SIZE tables, each new t evicts the oldest.
+        """
+        table = self._coefficient_memo.get(t)
+        if table is None:
+            _check_time(t)
+            one_minus_t = 1.0 - t
+            log_norm, two_s2, gain = [], [], []
+            for weight, var in zip(self.weights, self.variances):
+                s2 = one_minus_t * one_minus_t * var + t * t
+                log_norm.append(np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2))
+                two_s2.append(2.0 * s2)
+                gain.append(one_minus_t * var / s2)
+            rows = np.array((log_norm, two_s2, gain))
+            rows.flags.writeable = False
+            table = tuple(rows[:, :, None])
+            if len(self._coefficient_memo) >= _COEFFICIENT_MEMO_SIZE:
+                del self._coefficient_memo[next(iter(self._coefficient_memo))]
+            self._coefficient_memo[t] = table
+        return table
+
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
         """Flow velocity (x - E[x0 | x_t = x]) / t, exact for the mixture, as a fresh writable array."""
         out = mixture_posterior_mean(self, x, t)
@@ -119,44 +156,38 @@ def _check_time(t: float) -> None:
 def mixture_posterior_mean(mixture: MixturePredictor, x: np.ndarray, t: float) -> np.ndarray:
     """E[x0 | x_t = x] per cell under the linear interpolation path, as a fresh writable array; x is only read.
 
-    One pass over the stacked means in two (K, *shape) buffers and the
-    output. The first buffer holds the residual x - (1 - t) * mu_k; the
-    second its log-density log w_k - 0.5 * log(2 pi s2_k) - resid^2 /
-    (2 s2_k), normalized in log space with max subtraction so far tails stay
-    normalized, which leaves the responsibilities; the output holds the max
-    and then the normalizer. The residual then becomes resp_k * (mu_k +
-    gain_k * resid), summed over components in order from +0.0. Every
+    One pass over the stacked means, viewed flat as (K, N) for N cells, in
+    two (K, N) buffers and the output. The first buffer holds the residual
+    x - (1 - t) * mu_k; the second its log-density log w_k - 0.5 * log(2 pi
+    s2_k) - resid^2 / (2 s2_k), normalized in log space with max subtraction
+    so far tails stay normalized, which leaves the responsibilities; the
+    output holds the max and then the normalizer. The residual then becomes
+    resp_k * (mu_k + gain_k * resid), summed over components in order from
+    +0.0. The per-component terms are mixture.coefficients(t). Every
     expression keeps the association of the per-component loop in
     tests/test_predictors.py, so the result is bitwise that loop's.
     """
-    _check_time(t)
-    mu = mixture.mean_stack(x.shape)
+    log_norm, two_s2, gain = mixture.coefficients(t)
+    mu = mixture.mean_stack(x.shape).reshape(len(mixture.weights), -1)
     one_minus_t = 1.0 - t
-    log_norm, two_s2, gain = [], [], []
-    for weight, var in zip(mixture.weights, mixture.variances):
-        s2 = one_minus_t * one_minus_t * var + t * t
-        log_norm.append(np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2))
-        two_s2.append(2.0 * s2)
-        gain.append(one_minus_t * var / s2)
-    per_component = (3, len(mixture.weights)) + (1,) * x.ndim
-    log_norm, two_s2, gain = np.array((log_norm, two_s2, gain)).reshape(per_component)
     resid = np.multiply(mu, one_minus_t)
-    np.subtract(x, resid, out=resid)
+    np.subtract(x.reshape(-1), resid, out=resid)
     resp = np.multiply(resid, resid)
     resp /= two_s2
     np.subtract(log_norm, resp, out=resp)
-    out = np.empty_like(x)
-    resp -= np.maximum.reduce(resp, 0, None, out)
+    out = np.empty_like(x, order="C")
+    flat = out.reshape(-1)
+    resp -= np.maximum.reduce(resp, 0, None, flat)
     np.exp(resp, out=resp)
-    resp /= np.add.reduce(resp, 0, None, out)
+    resp /= np.add.reduce(resp, 0, None, flat)
     resid *= gain
     resid += mu
     resid *= resp
     # Not resid.sum(axis=0): numpy sums that axis pairwise when the latent
     # is one cell and there are eight or more components.
-    out.fill(0.0)
+    flat.fill(0.0)
     for term in resid:
-        out += term
+        flat += term
     return out
 
 

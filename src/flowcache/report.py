@@ -18,9 +18,9 @@ DECISION_FULL = "full"
 DECISION_SKIP = "skip"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
-    """Decision row for a single sampler step."""
+    """Decision row for a single sampler step; slotted, so a run's rows hold no per-row dict."""
 
     step: int
     t: float

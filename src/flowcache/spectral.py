@@ -165,28 +165,28 @@ def _band_cut(data: np.ndarray, mask: FrequencyMask, low: bool) -> np.ndarray:
     With a dense table the low band is band_dft times each flattened plane,
     shape (frames, 2 * bins, channels), real: its norm is the complex bins'
     to rounding, and no complex array is built. Otherwise it is band_spectrum.
+    The caller has checked data's plane against the mask.
     """
     if low and mask.band_dft is not None:
-        _require_mask_fit(data.shape, mask)
         frames, height, width, channels = data.shape
         return mask.band_dft @ data.reshape(frames, height * width, channels)
     return band_spectrum(data, mask, low)
 
 
-def _band_diff_norm(a: np.ndarray, b: np.ndarray, mask: FrequencyMask, low: bool) -> float:
-    if a.shape != b.shape:
-        raise DimensionError(f"array of shape {a.shape} does not match {b.shape}")
-    return spectrum_norm(_band_cut(a - b, mask, low))
-
-
 def lowfreq_diff(a: np.ndarray, b: np.ndarray, mask: FrequencyMask) -> float:
     """L2 norm of the low band of a - b, arrays of one shape: the step cache's drift."""
-    return _band_diff_norm(a, b, mask, low=True)
+    if a.shape != b.shape:
+        raise DimensionError(f"array of shape {a.shape} does not match {b.shape}")
+    _require_mask_fit(a.shape, mask)
+    return spectrum_norm(_band_cut(a - b, mask, True))
 
 
 def highfreq_diff(a: np.ndarray, b: np.ndarray, mask: FrequencyMask) -> float:
     """L2 norm of the high band of a - b, arrays of one shape."""
-    return _band_diff_norm(a, b, mask, low=False)
+    if a.shape != b.shape:
+        raise DimensionError(f"array of shape {a.shape} does not match {b.shape}")
+    _require_mask_fit(a.shape, mask)
+    return spectrum_norm(_band_cut(a - b, mask, False))
 
 
 def splice_bands(low_source: np.ndarray, high_source: np.ndarray, mask: FrequencyMask) -> np.ndarray:

@@ -110,23 +110,28 @@ def avg_downsample(x: np.ndarray, factors: DownsampleFactors) -> np.ndarray:
     blocks are laid out as (volume, outputs) rows and summed along the rows,
     which numpy does one row at a time whenever there are at least two
     outputs; a single output is accumulated explicitly, because numpy would
-    sum one contiguous column pairwise. For C >= 2 this is bitwise the 6-D
-    mean(axis=(1, 3, 5)) it replaces. For C = 1, and so also in the corner
-    C = 1, H' = 1, that mean let numpy coalesce the reduced axes and sum
-    part of each block pairwise, so the two may differ in the last bits.
+    sum one contiguous column pairwise. Within a row the outputs are ordered
+    (frame, row, column, channel), or (frame, row, channel, column) when the
+    pooled width exceeds the channel count: the copy that lays out the rows
+    then runs along the longer of the two axes, and one transpose of the
+    pooled result restores channels last. The order within a row changes no
+    sum. For C >= 2 this is bitwise the 6-D mean(axis=(1, 3, 5)) it
+    replaces. For C = 1, and so also in the corner C = 1, H' = 1, that mean
+    let numpy coalesce the reduced axes and sum part of each block pairwise,
+    so the two may differ in the last bits.
     """
     pooled = pooled_shape(x.shape, factors)
     if factors.as_tuple() == (1, 1, 1):
         return x
-    blocked = x.reshape(
-        pooled[0], factors.frames,
-        pooled[1], factors.height,
-        pooled[2], factors.width,
-        pooled[3],
-    )
-    rows = np.ascontiguousarray(blocked.transpose(1, 3, 5, 0, 2, 4, 6)).reshape(factors.volume, -1)
+    frames, height, width, channels = pooled
+    blocked = x.reshape(frames, factors.frames, height, factors.height, width, factors.width, channels)
+    width_last = width > channels
+    order = (1, 3, 5, 0, 2, 6, 4) if width_last else (1, 3, 5, 0, 2, 4, 6)
+    rows = np.ascontiguousarray(blocked.transpose(order)).reshape(factors.volume, -1)
     total = np.add.reduce(rows, 0) if rows.shape[1] > 1 else np.add.accumulate(rows, axis=0)[-1]
     total /= factors.volume
+    if width_last:
+        return np.ascontiguousarray(total.reshape(frames, height, channels, width).transpose(0, 1, 3, 2))
     return total.reshape(pooled)
 
 

@@ -177,6 +177,20 @@ def test_bench_emits_variant_rows(tmp_path, config_path):
         assert float(row["psnr_db"]) > 0.0
 
 
+def test_bench_and_sweep_sample_one_predictor_per_seed(tmp_path, config_path, monkeypatch):
+    """The baseline and every variant of a seed run on one predictor, so they share its coefficient memo."""
+    built = []
+    original = cli.build_predictor
+    monkeypatch.setattr(cli, "build_predictor", lambda cfg: built.append(original(cfg)) or built[-1])
+    assert run_command(["bench", "--config", str(config_path), "--out", str(tmp_path / "bench.csv")]) == 0
+    assert len(built) == 1
+    schedule = cli.build_schedule(parse_config(CONFIG_TEXT))
+    assert list(built[0]._coefficient_memo) == list(schedule.values[:-1])
+    assert run_command(["sweep", "--config", str(config_path), "--axis", "alpha", "--values", "0.3", "0.9",
+                        "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(built) == 2
+
+
 def test_bench_is_deterministic(tmp_path, config_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

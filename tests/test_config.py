@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcache import config
 from flowcache.cli import run_command
 from flowcache.config import (
     MODES,
@@ -278,6 +279,42 @@ def test_the_mixture_memory_bound_counts_three_k_sized_stacks(monkeypatch):
         parse_config("predictor.components = 3\n")
     with pytest.raises(ConfigError, match="^line 2: key 'latent.height': predictor.components = 2 needs 196608 bytes"):
         parse_config("predictor.components = 2\nlatent.height = 32\n")
+
+
+def test_a_toy_block_latent_too_large_for_physical_memory_is_rejected_at_parse_time(monkeypatch):
+    """A 64x65536x65536x16 toy-block latent, 35 TB an array, used to parse; the same latent as a mixture did not."""
+    huge = "latent.frames = 64\nlatent.height = 65536\nlatent.width = 65536\nlatent.channels = 16\n"
+    with pytest.raises(ConfigError, match="^line 5: key 'latent.channels': a toy-block latent of 4398046511104 "
+                                          "cells needs .* bytes of physical memory$"):
+        parse_config("predictor.kind = toy-block\n" + huge)
+    with pytest.raises(ConfigError, match="^line 5: key 'latent.channels': .* bytes of physical memory"):
+        parse_config("predictor.kind = mixture\n" + huge)
+    # 4 x 2048 cells x 8 bytes: the default latent fits 65536 bytes exactly.
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+    assert parse_config("predictor.kind = toy-block\n").latent == (4, 16, 16, 2)
+    with pytest.raises(ConfigError, match=r"^line 2: key 'latent.channels': a toy-block latent of 4096 cells "
+                                          r"needs 131072 bytes \(4 x 4096 cells x 8\)"):
+        parse_config("predictor.kind = toy-block\nlatent.channels = 4\n")
+
+
+def test_a_schedule_too_long_for_physical_memory_is_rejected_before_it_is_built(monkeypatch):
+    """schedule.n = 100000000000 used to hang parsing while make_schedule built every value."""
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.__getitem__)
+        assert ScheduleConfig(n=32).n == 32
+        with pytest.raises(ConfigError, match=r"^schedule.n = 33 needs 4224 bytes"):
+            ScheduleConfig(n=33)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_schedule was called")
+
+    monkeypatch.setattr(config, "make_schedule", refuse)
+    with pytest.raises(ConfigError, match=r"^line 2: key 'schedule.n': schedule.n = 100000000000 needs "
+                                          r"12800000000000 bytes \(128 a step\) for the schedule and its step rows, "
+                                          r"more than the \d+ bytes of physical memory$"):
+        parse_config("seeds = 1\nschedule.n = 100000000000\n")
+    with pytest.raises(ConfigError, match="schedule.n = 100000000000 needs"):
+        ScheduleConfig(n=100_000_000_000)
 
 
 def test_block_cache_mode_rejects_a_predictor_without_blocks():

@@ -20,6 +20,7 @@ from flowcache.predictors import (
     structured_mixture,
     toy_block_forward,
 )
+from flowcache.engine import StepCacheConfig, sample_cached
 from flowcache.sampler import make_schedule, sample_baseline
 from flowcache.tensor import DownsampleFactors, Tensor4, avg_downsample, seeded_normal
 
@@ -122,20 +123,26 @@ def assert_velocity_is_the_posterior_velocity(spec, x, t, posterior):
 
 
 def test_fused_kernel_is_bitwise_equal_to_the_per_component_oracle():
-    """Full and pooled (trial-shape) evaluations, near and far-tail latents, t from 1 to 1e-3."""
+    """Full and pooled (trial-shape) evaluations, near and far-tail latents, t from 1 to 1e-3.
+
+    Each mixture runs every case twice: the second pass reads every
+    coefficient table from the memo the first pass filled.
+    """
     rng = np.random.default_rng(21)
     cases = 0
     for spec in _oracle_grid_specs():
         t_ext, h_ext, w_ext, c_ext = spec.shape
-        for eval_shape in (spec.shape, (t_ext // 2, h_ext // 4, w_ext // 4, c_ext)):
-            for scale in (3.0, 1e3):
-                x = Tensor4(scale * rng.standard_normal(eval_shape))
-                for t in (1.0, 0.5, 1e-3):
-                    expected = reference_posterior_mean(spec, x, t)
-                    assert mixture_posterior_mean(spec, x.data, t).tobytes() == expected.tobytes()
-                    assert_velocity_is_the_posterior_velocity(spec, x, t, expected)
-                    cases += 1
-    assert cases == 2 * 4 * 4 * 2 * 2 * 3
+        for _ in range(2):
+            for eval_shape in (spec.shape, (t_ext // 2, h_ext // 4, w_ext // 4, c_ext)):
+                for scale in (3.0, 1e3):
+                    x = Tensor4(scale * rng.standard_normal(eval_shape))
+                    for t in (1.0, 0.5, 1e-3):
+                        expected = reference_posterior_mean(spec, x, t)
+                        assert mixture_posterior_mean(spec, x.data, t).tobytes() == expected.tobytes()
+                        assert_velocity_is_the_posterior_velocity(spec, x, t, expected)
+                        cases += 1
+        assert list(spec._coefficient_memo) == [1.0, 0.5, 1e-3]
+    assert cases == 2 * 4 * 4 * 2 * 2 * 2 * 3
     # With eight or more components on a one-cell latent numpy sums axis 0
     # pairwise, not in component order.
     weights = np.full(9, 1.0 / 9)
@@ -195,6 +202,69 @@ def test_mean_memo_stays_out_of_equality_and_repr():
     assert spec == twin
     assert repr(spec) == before == repr(twin)
     assert "mean_memo" not in before
+
+
+def test_coefficient_memo_stays_out_of_equality_and_repr():
+    spec = structured_mixture((4, 8, 8, 2), seed=5)
+    twin = MixturePredictor(spec.shape, spec.weights, spec.variances, spec.means)
+    before = repr(spec)
+    spec.evaluate(np.zeros(spec.shape), 0.5)
+    assert spec._coefficient_memo and not twin._coefficient_memo
+    assert spec == twin
+    assert repr(spec) == before == repr(twin)
+    assert "coefficient_memo" not in before
+
+
+def test_coefficient_table_is_the_read_only_per_component_terms():
+    spec = MixturePredictor((1, 1, 1, 1), (0.25, 0.75), (2.0, 5.0), np.zeros((2, 1, 1, 1, 1)))
+    t = 0.3
+    log_norm, two_s2, gain = spec.coefficients(t)
+    for k, (weight, var) in enumerate(zip(spec.weights, spec.variances)):
+        s2 = (1.0 - t) * (1.0 - t) * var + t * t
+        assert log_norm[k, 0] == np.log(weight) - 0.5 * np.log(2.0 * np.pi * s2)
+        assert two_s2[k, 0] == 2.0 * s2
+        assert gain[k, 0] == (1.0 - t) * var / s2
+    for row in (log_norm, two_s2, gain):
+        assert row.shape == (2, 1) and not row.flags.writeable
+    assert log_norm.base is two_s2.base is gain.base
+    assert log_norm.base.shape == (3, 2) and not log_norm.base.flags.writeable
+
+
+def test_one_time_shares_one_coefficient_table_across_evaluation_shapes(monkeypatch):
+    """A trial-shape and a full-shape evaluation at one t build one table; a repeated run builds none."""
+    spec = structured_mixture((4, 8, 8, 2), seed=5)
+    spec.evaluate(np.zeros(spec.shape), 0.5)
+    table = spec.coefficients(0.5)
+    spec.evaluate(np.zeros((2, 2, 2, 2)), 0.5)
+    assert spec.coefficients(0.5) is table
+    assert list(spec._coefficient_memo) == [0.5]
+
+    builds = []
+    check = predictors._check_time
+    monkeypatch.setattr(predictors, "_check_time", lambda t: (builds.append(t), check(t)))
+    schedule = make_schedule(12)
+    fresh = structured_mixture((4, 8, 8, 2), seed=5)
+    z0 = seeded_normal(fresh.shape, seed=1)
+    first, _ = sample_cached(fresh, z0, schedule, StepCacheConfig(downsample=DownsampleFactors(2, 4, 4)))
+    assert builds == list(schedule.values[:-1])
+    assert list(fresh._coefficient_memo) == builds
+    again, _ = sample_cached(fresh, z0, schedule, StepCacheConfig(downsample=DownsampleFactors(2, 4, 4)))
+    sample_baseline(fresh, z0, schedule)
+    assert len(builds) == schedule.n_steps
+    assert again.tobytes() == first.tobytes()
+
+
+def test_the_coefficient_memo_is_bounded_and_drops_its_oldest_table_first():
+    spec = MixturePredictor((1, 1, 1, 1), (1.0,), (1.0,), np.zeros((1, 1, 1, 1, 1)))
+    size = predictors._COEFFICIENT_MEMO_SIZE
+    times = [(i + 1) / (size + 5) for i in range(size + 5)]
+    for t in times:
+        spec.coefficients(t)
+    assert list(spec._coefficient_memo) == times[5:]
+    kept = spec.coefficients(times[5])
+    assert spec.coefficients(times[5]) is kept
+    spec.coefficients(times[0])
+    assert len(spec._coefficient_memo) == size and times[5] not in spec._coefficient_memo
 
 
 def test_mixture_specs_compare_by_value_and_are_unhashable():

@@ -1,12 +1,16 @@
 """Timestep schedules and the baseline Euler sampler."""
 
+import dataclasses
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from flowcache.errors import ConfigError, DimensionError, DomainError, ScheduleError, StateError
-from flowcache.predictors import MixturePredictor
+from flowcache.engine import StepCacheConfig, sample_cached
+from flowcache.predictors import MixturePredictor, structured_mixture
+from flowcache.report import StepRecord
 from flowcache.sampler import TimestepSchedule, euler_step, make_schedule, sample_baseline
 from flowcache.tensor import Tensor4, seeded_normal
 
@@ -200,3 +204,22 @@ def test_predictor_shape_mismatch_is_caught():
 
     with pytest.raises(DimensionError):
         sample_baseline(WrongShape(), Tensor4(np.zeros((1, 4, 4, 1))), make_schedule(2))
+
+
+def test_step_records_are_slotted_frozen_and_report_the_bytes_of_an_unslotted_row():
+    """A row holds no __dict__ and refuses assignment; asdict of a run's report reads as it did before the slots."""
+    unslotted = dataclasses.make_dataclass(
+        "StepRecord", [(f.name, f.type, f.default) for f in dataclasses.fields(StepRecord)], frozen=True)
+    shape = (4, 8, 8, 2)
+    _, report = sample_cached(structured_mixture(shape, seed=3), seeded_normal(shape, seed=4), make_schedule(20),
+                              StepCacheConfig(alpha=0.9, warmup_steps=3))
+    row = report.steps[-1]
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.decision = "skip"
+    with pytest.raises((dataclasses.FrozenInstanceError, AttributeError, TypeError)):
+        row.extra = 1
+    plain = replace(report, steps=[unslotted(**{f.name: getattr(r, f.name) for f in dataclasses.fields(r)})
+                                   for r in report.steps])
+    assert json.dumps(dataclasses.asdict(report)).encode() == json.dumps(dataclasses.asdict(plain)).encode()
+
