@@ -58,7 +58,7 @@ from .harness import (
     single_step_skip_influence,
 )
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
-from .report import DECISION_FULL, DECISION_SKIP
+from .report import DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord, step_cost, token_count
 from .sampler import Predictor, StepObserver, sample_baseline
 from .tensor import mse, pooled_shape, seeded_normal
 from .traceio import read_trace, write_trace
@@ -160,11 +160,13 @@ def _cmd_generate(args) -> int:
     trace_path = args.trace or cfg.output.trace
     preds: list = []
     observer = (lambda k, t, z, f: preds.append(f)) if trace_path is not None else None
-    terminal, report, schedule = _sample(cfg, seed, observer)
+    cached = cfg.mode in ("lfcache", "lfcache+block")
+    pred = build_predictor(cfg) if cached else None
+    terminal, report, schedule = _sample(cfg, seed, observer, pred)
 
     quality = None
-    if cfg.mode in ("lfcache", "lfcache+block"):
-        reference = _sample(replace(cfg, mode="baseline"), seed)[0]
+    if cached:
+        reference = _sample(replace(cfg, mode="baseline"), seed, pred=pred)[0]
         quality = {"mse": mse(terminal, reference), "psnr_db": psnr(terminal, reference)}
 
     if trace_path is not None:
@@ -265,30 +267,34 @@ def _cmd_analyze_trace(args) -> int:
     cache = cfg.cache
     shape = archive.records[0].prediction.shape
     try:
-        pooled_shape(shape, cache.downsample)
+        trial_tokens = token_count(pooled_shape(shape, cache.downsample))
     except DimensionError as exc:
         raise DimensionError(f"trace {args.trace}: {exc}") from None
     increments = recorded_increments([rec.prediction for rec in archive.records], cache)
     n = archive.schedule.n_steps
     warmup = cache.warmup_steps
-    full_cells = float(shape[0] * shape[1] * shape[2])
-    trial_cells = full_cells / cache.downsample.volume
+    latent_tokens = token_count(shape)
 
     analyses = []
     for alpha in alphas:
         threshold, post_increments = calibrate(increments, warmup, alpha)
         decisions = replay_decisions(post_increments, threshold)
-        fulls = decisions.count(DECISION_FULL)
-        skips = decisions.count(DECISION_SKIP)
-        projected = min(warmup, n) * full_cells + len(increments) * trial_cells + fulls * full_cells
+        # The rows of a live run that made these decisions: warmup first, a trial at every step after step 0.
+        run = [DECISION_WARMUP] * (n - len(decisions)) + decisions
+        rows = [StepRecord(step=k, t=t, decision=d, trial_delta=delta, err_before=None, err_after=None,
+                           cost_units=step_cost(latent_tokens, trial_tokens, delta is not None,
+                                                0.0 if d == DECISION_SKIP else 1.0))
+                for k, (t, d, delta) in enumerate(zip(archive.schedule.values, run, [None, *increments]))]
+        report = RunReport.from_rows(rows, shape, trial_tokens)
+        projected = cost_accounting(report)
         analyses.append({
             "alpha": alpha,
             "threshold": threshold,
-            "full_count": fulls,
-            "skip_count": skips,
-            "skip_fraction": skips / n,
-            "projected_cost_units": projected,
-            "projected_speedup_units": (n * full_cells) / projected,
+            "full_count": report.full_eval_count,
+            "skip_count": report.skip_count,
+            "skip_fraction": projected.skip_fraction,
+            "projected_cost_units": projected.cost_units,
+            "projected_speedup_units": projected.speedup_units,
             "decisions": decisions,
         })
     ordered = sorted(analyses, key=lambda a: a["alpha"])

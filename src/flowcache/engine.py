@@ -20,13 +20,13 @@ radius mask_scale * min(H, W) of that plane. The drift between two arrays
 on that grid is spectral.lowfreq_diff, the package's one band-difference
 rule, which trial_lowfreq_diff and recorded_increments both call: the norm
 of the low band of their difference. The band is linear, so a trial cuts
-one band, never the cached prediction's, on the trial grid the cost model
-charges for: one real matrix product with the mask's dense band table on a
-small trial plane, or its separable row and column DFTs on a larger one
-(spectral states the cap). The policy carries the trial latent on that
-grid: pooling and the Euler update are both linear, so it pools z_0 once
-and then advances the pooled latent with the sampler's own update rule,
-axpy, and the pooled prediction each step used.
+one band, never the cached prediction's, on the trial grid: one real matrix
+product with the mask's dense band table on a small trial plane, or its
+separable row and column DFTs on a larger one (spectral states the cap).
+The policy carries the trial latent on that grid: pooling and the Euler
+update are both linear, so it pools z_0 once and then advances the pooled
+latent with the sampler's own update rule, axpy, and the pooled prediction
+each step used.
 So every full-resolution tensor is pooled at most once: z_0, and each new
 prediction when the next trial first reads it. circular_mask memoises the
 mask and its DFT tables, so they are built once per process.
@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, StateError
-from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
+from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord, step_cost, token_count
 # euler_step is unused here; it stays bound so the benchmark tracer's engine hook resolves.
 from .sampler import BlockPredictor, Predictor, StepObserver, TimestepSchedule, euler_step, run_steps
 from .spectral import FrequencyMask, circular_mask, lowfreq_diff, spectrum_norm
@@ -283,7 +283,7 @@ class StepCachePolicy:
     threshold; otherwise a full evaluation refreshes the cache and resets the
     accumulator. A skip feeds what the cfg.reuse row of REUSE_RULES makes of
     kept. Full evaluations go through the block cache when block_cfg is
-    given. shape is the latent's; it fixes the trial mask.
+    given. shape is the latent's; it fixes the trial mask and token counts.
 
     The policy holds the run's cache state: cached_prediction, the one the
     previous step used, and pooled_prediction, that array pooled to the trial
@@ -305,9 +305,8 @@ class StepCachePolicy:
         self.cfg = cfg
         self.block_cfg = block_cfg
         self.mask = trial_mask(shape, cfg)
-        cells = shape[0] * shape[1] * shape[2]
-        self.full_cells = float(cells)
-        self.trial_cells = float(cells // cfg.downsample.volume)
+        self.latent_tokens = token_count(shape)
+        self.trial_tokens = token_count(pooled_shape(shape, cfg.downsample))
         self.keep, self.feed = REUSE_RULES[cfg.reuse]
         self.cached_prediction: Optional[np.ndarray] = None
         self.kept: Optional[np.ndarray] = None
@@ -325,7 +324,6 @@ class StepCachePolicy:
             raise StateError(f"step {k} called after step {last_k}; the carried trial latent needs steps in order")
         self.last_step = (k, t)
         delta: Optional[float] = None
-        cost = 0.0
         decision = DECISION_WARMUP
         if k == 0:
             self.trial_latent = avg_downsample(z, self.cfg.downsample)
@@ -334,7 +332,6 @@ class StepCachePolicy:
                 self.pooled_prediction = avg_downsample(self.cached_prediction, self.cfg.downsample)
             self.trial_latent = axpy(self.trial_latent, t - last_t, self.pooled_prediction)
             delta = trial_lowfreq_diff(self.pred, self.trial_latent, t, self.pooled_prediction, self.mask)
-            cost += self.trial_cells
             self.drifts.append(delta)
             if k < self.cfg.warmup_steps:
                 self.error += delta
@@ -343,28 +340,28 @@ class StepCachePolicy:
                     self.threshold, _ = calibrate(self.drifts, self.cfg.warmup_steps, self.cfg.alpha)
                 decision, self.error = accumulate_decide(self.error, delta, self.threshold)
         err_before = self.error
-        pivotal_size, partial = None, None
+        fraction, pivotal_size, partial = 0.0, None, None
         if decision == DECISION_SKIP:
             f = self.feed(self.kept, z)
         else:
-            f, eval_cost, pivotal_size, partial = self._evaluate(z, t)
-            cost += eval_cost
+            f, fraction, pivotal_size, partial = self._evaluate(z, t)
             self.error = 0.0
             self.kept = self.keep(f, z)
         if f is not self.cached_prediction:
             self.cached_prediction = f
             self.pooled_prediction = None
+        cost = step_cost(self.latent_tokens, self.trial_tokens, delta is not None, fraction)
         return f, StepRecord(step=k, t=t, decision=decision, trial_delta=delta, err_before=err_before,
                              err_after=self.error, cost_units=cost, pivotal_size=pivotal_size, block_partial=partial)
 
     def _evaluate(self, z: np.ndarray, t: float) -> tuple[np.ndarray, float, Optional[int], Optional[bool]]:
-        """Full evaluation, through the block cache when configured: (prediction, cost, pivotal size, partial)."""
+        """Full evaluation, through the block cache when configured: (f, fraction of the net, pivotal size, partial)."""
         if self.block_cfg is None:
-            return require_finite(self.pred.evaluate(z, t)), self.full_cells, None, None
+            return require_finite(self.pred.evaluate(z, t)), 1.0, None, None
         f = require_finite(block_cached_forward(self.pred, z, t, self.block_cfg, self.block_state))
         deltas, partial = self.block_state.deltas, self.block_state.age > 0
         pivotal = None if deltas is None else sum(delta is None for delta in deltas)
-        return f, self.full_cells * (pivotal / self.pred.num_blocks if partial else 1.0), pivotal, partial
+        return f, pivotal / self.pred.num_blocks if partial else 1.0, pivotal, partial
 
 
 def sample_cached(
@@ -390,10 +387,8 @@ def sample_cached(
         raise ConfigError("block-level caching requires a block-decomposed predictor")
     policy = StepCachePolicy(pred, cfg, block_cfg, z_init.shape)
     with np.errstate(invalid="ignore"):
-        z, report = run_steps(policy, z_init, schedule, observer)
-    report.trial_cost_units = policy.trial_cells * report.trial_eval_count
+        z, report = run_steps(policy, z_init, schedule, observer, policy.trial_tokens)
     report.threshold = policy.threshold
-    report.warmup_max_delta = max((r.trial_delta for r in report.steps[1:] if r.decision == DECISION_WARMUP), default=None)
     return z, report
 
 

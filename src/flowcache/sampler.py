@@ -14,7 +14,7 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ScheduleError
-from .report import DECISION_FULL, DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord
+from .report import DECISION_FULL, RunReport, StepRecord, step_cost, token_count
 from .tensor import Tensor4, axpy, require_finite
 
 SCHEDULE_KINDS = ("uniform", "shifted")
@@ -114,15 +114,15 @@ def run_steps(
     z_init: Tensor4,
     schedule: TimestepSchedule,
     observer: Optional[StepObserver] = None,
+    trial_tokens: float = 0.0,
 ) -> tuple[Tensor4, RunReport]:
     """The Euler step loop: the policy picks each step's prediction, the loop advances z.
 
     The loop, its policy and its observer work on bare arrays: only z_init and
     the terminal are Tensor4s. euler_step checks every latent; the policy
     checks its prediction too, so no observer ever holds a non-finite one.
-    Report counts and cost units come from the policy's rows. The loop knows
-    nothing of the predictor or the cache, so its callers set the fields that
-    do: sample_baseline open_loop, sample_cached trial_cost_units.
+    The report is RunReport.from_rows of the policy's priced rows, with
+    trial_tokens the token count the policy priced each trial at.
     """
     start = time.perf_counter()
     rows: list[StepRecord] = []
@@ -135,20 +135,7 @@ def run_steps(
             observer(k, t, z, f)
         z = euler_step(z, f, t, t_next)
         rows.append(row)
-    decisions = [r.decision for r in rows]
-    n = schedule.n_steps
-    report = RunReport(
-        steps=rows,
-        full_eval_count=decisions.count(DECISION_FULL),
-        skip_count=decisions.count(DECISION_SKIP),
-        warmup_full_count=decisions.count(DECISION_WARMUP),
-        trial_eval_count=sum(r.trial_delta is not None for r in rows),
-        cost_units=float(sum(r.cost_units for r in rows)),
-        baseline_cost_units=float(z_init.cells) * n,
-        wall_time=time.perf_counter() - start,
-        latent_shape=z_init.shape,
-        n_steps=n,
-    )
+    report = RunReport.from_rows(rows, z_init.shape, trial_tokens, time.perf_counter() - start)
     report.validate()
     return Tensor4(z), report
 
@@ -160,11 +147,11 @@ def sample_baseline(
     observer: Optional[StepObserver] = None,
 ) -> tuple[Tensor4, RunReport]:
     """Run the sampler with a full evaluation at every step (no caching)."""
-    full_cells = float(z_init.cells)
+    cost = step_cost(token_count(z_init.shape), 0.0, False, 1.0)
 
     def always_full(k: int, t: float, z: np.ndarray) -> tuple[np.ndarray, StepRecord]:
         return require_finite(pred.evaluate(z, t)), StepRecord(step=k, t=t, decision=DECISION_FULL, trial_delta=None,
-                                                               err_before=None, err_after=None, cost_units=full_cells)
+                                                               err_before=None, err_after=None, cost_units=cost)
 
     z, report = run_steps(always_full, z_init, schedule, observer)
     report.open_loop = bool(getattr(pred, "open_loop", False))

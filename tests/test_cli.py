@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from flowcache import cli, harness
 from flowcache.cli import BENCH_VARIANTS, SCHEMA_VERSION, run_command
 from flowcache.config import parse_config
 from flowcache.engine import calibrate, recorded_increments
+from flowcache.tensor import mse
 from flowcache.traceio import read_trace
 
 CONFIG_TEXT = "\n".join(
@@ -71,6 +73,28 @@ def test_generate_is_deterministic_modulo_timing(tmp_path, config_path):
     a.pop("timing")
     b.pop("timing")
     assert a == b
+
+
+@pytest.mark.parametrize("extra", ["", "mode = lfcache+block\npredictor.kind = toy-block\n"],
+                         ids=["mixture", "toy-block"])
+def test_generate_samples_the_run_and_its_reference_on_one_predictor(tmp_path, monkeypatch, extra):
+    """A cached generate builds one predictor; its report is the one a fresh predictor per run gives."""
+    path, out = tmp_path / "run.cfg", tmp_path / "report.json"
+    path.write_text(CONFIG_TEXT + extra, encoding="utf-8")
+    cfg = parse_config(CONFIG_TEXT + extra)
+    terminal, report, _ = cli._sample(cfg, 3)
+    reference = cli._sample(replace(cfg, mode="baseline"), 3)[0]
+    built = []
+    original = cli.build_predictor
+    monkeypatch.setattr(cli, "build_predictor", lambda c: built.append(original(c)) or built[-1])
+    assert run_command(["generate", "--config", str(path), "--out", str(out)]) == 0
+    assert len(built) == 1
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["terminal_checksum"] == hashlib.sha256(terminal.tobytes()).hexdigest()
+    assert payload["quality"] == {"mse": mse(terminal, reference), "psnr_db": harness.psnr(terminal, reference)}
+    expected = {name: value for name, value in asdict(report).items() if name != "wall_time"}
+    assert payload["report"] == json.loads(json.dumps(expected))
+    assert payload["cost"] == asdict(harness.cost_accounting(report))
 
 
 def test_generate_report_and_cost_keys(tmp_path, config_path):

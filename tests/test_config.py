@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache import config
+from flowcache import cli, config
 from flowcache.cli import run_command
 from flowcache.config import (
     MODES,
@@ -451,3 +451,13 @@ def test_serialize_and_parse_are_inverses(cfg):
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run_configs().filter(lambda cfg: cfg.mode != "open-loop"), st.integers(0, 10**6))
+def test_every_configuration_that_parses_runs(cfg, seed):
+    """A closed-loop config that serializes and parses back runs to a finite terminal, with a report that adds up."""
+    cfg = parse_config(serialize_config(replace(cfg, predictor=replace(cfg.predictor, seed=seed))))
+    terminal, report, schedule = cli._sample(cfg, seed)
+    assert terminal.shape == cfg.latent
+    assert len(report.steps) == schedule.n_steps == cfg.schedule.n

@@ -439,13 +439,16 @@ RUN_CHECKSUMS = json.loads((GOLDEN_DIR / "run_checksums.json").read_text())
 
 @pytest.mark.parametrize("case", RUN_CHECKSUMS, ids=[case["name"] for case in RUN_CHECKSUMS])
 def test_generate_matches_golden_run_checksums(tmp_path, case):
-    """generate's terminal checksum and decision sequence were recorded once per config and must never move."""
+    """generate's terminal checksum, decision sequence and cost units were recorded once per config and must never
+    move; the costs compare as exact floats."""
     config, out = tmp_path / "run.cfg", tmp_path / "report.json"
     config.write_text("\n".join(case["config"]) + "\n", encoding="utf-8")
     assert run_command(["generate", "--config", str(config), "--out", str(out)]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["terminal_checksum"] == case["terminal_checksum"]
     assert [row["decision"] for row in payload["report"]["steps"]] == case["decisions"]
+    for key in ("cost_units", "trial_cost_units", "baseline_cost_units"):
+        assert repr(payload["report"][key]) == repr(case[key]), key
 
 
 def test_toy_block_channel_mismatch():
