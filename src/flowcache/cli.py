@@ -38,25 +38,14 @@ import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .config import (RunConfig, build_predictor, build_schedule, format_downsample, parse_config, parse_downsample,
-                     parse_float, require_divisible, require_seeds, serialize_config)
+from .config import (MODES, RunConfig, build_predictor, build_schedule, format_downsample, parse_config,
+                     parse_downsample, parse_float, require_divisible, require_seeds, serialize_config)
 from .engine import calibrate, recorded_increments, replay_decisions, sample_cached
 from .errors import ConfigError, DimensionError, FlowCacheError
-from .harness import (
-    DEFAULT_RESOLUTION_FACTORS,
-    VARIANT_FULL,
-    VARIANT_HIGH,
-    VARIANT_LOW,
-    adjacent_diff_profile,
-    block_profile,
-    cost_accounting,
-    psnr,
-    resolution_sensitivity,
-    run_trajectory,
-    single_step_skip_influence,
-)
+from .harness import (DEFAULT_RESOLUTION_FACTORS, adjacent_diff_profile, block_profile, cost_accounting, psnr,
+                      resolution_sensitivity, run_trajectory, single_step_skip_influence)
 from .predictors import TraceArchive, TraceReplayPredictor, ToyBlockNet
 from .report import DECISION_SKIP, DECISION_WARMUP, RunReport, StepRecord, step_cost, token_count
 from .sampler import Predictor, StepObserver, sample_baseline
@@ -92,7 +81,7 @@ def _write_json(path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
@@ -179,7 +168,7 @@ def _cmd_generate(args) -> int:
         "mode": cfg.mode,
         "seed": seed,
         "config": serialize_config(cfg),
-        "report": {name: value for name, value in asdict(report).items() if name != "wall_time"},
+        "report": asdict(report),
         "cost": asdict(cost_accounting(report)),
         "quality": quality,
         "terminal_checksum": hashlib.sha256(terminal.tobytes()).hexdigest(),
@@ -277,8 +266,11 @@ def _cmd_analyze_trace(args) -> int:
 
     analyses = []
     for alpha in alphas:
-        threshold, post_increments = calibrate(increments, warmup, alpha)
-        decisions = replay_decisions(post_increments, threshold)
+        # Like the live run, a run that ends within its warmup calibrates no threshold and decides nothing.
+        threshold, decisions = None, []
+        if n > warmup:
+            threshold, post_increments = calibrate(increments, warmup, alpha)
+            decisions = replay_decisions(post_increments, threshold)
         # The rows of a live run that made these decisions: warmup first, a trial at every step after step 0.
         run = [DECISION_WARMUP] * (n - len(decisions)) + decisions
         rows = [StepRecord(step=k, t=t, decision=d, trial_delta=delta, err_before=None, err_after=None,
@@ -372,13 +364,10 @@ def _cmd_figures(args) -> int:
 
     mask_scale = cfg.cache.mask_scale
     traj = run_trajectory(pred, z0, schedule)
-    profiles = {variant: single_step_skip_influence(traj, variant, mask_scale)
-                for variant in (VARIANT_FULL, VARIANT_LOW, VARIANT_HIGH)}
-    base = profiles[VARIANT_FULL]
+    influence = single_step_skip_influence(traj, mask_scale)
     _write_csv(out_dir / "influence.csv",
                ("step", "t", "full_prediction", "lf_only", "hf_only"),
-               [(k, t, profiles[VARIANT_FULL].mses[i], profiles[VARIANT_LOW].mses[i], profiles[VARIANT_HIGH].mses[i])
-                for i, (k, t) in enumerate(zip(base.step_indices, base.t_values))])
+               zip(influence.step_indices, influence.t_values, influence.full, influence.low, influence.high))
 
     adj = adjacent_diff_profile(traj, mask_scale)
     _write_csv(out_dir / "adjacent_diff.csv",
@@ -399,8 +388,7 @@ def _cmd_figures(args) -> int:
     block_run = traj if isinstance(pred, ToyBlockNet) else run_trajectory(
         ToyBlockNet(cfg.predictor.blocks, cfg.latent[3], cfg.predictor.seed), z0, schedule)
     n = schedule.n_steps
-    probes = sorted(set(p for p in (0, n // 4, n // 2, (3 * n) // 4) if p < n))
-    blocks = block_profile(block_run, probes)
+    blocks = block_profile(block_run, (0, n // 4, n // 2, (3 * n) // 4))
     _write_csv(out_dir / "blocks.csv",
                ("probe_step", "t", "block", "importance"),
                [(p, blocks.t_values[i], j, blocks.importances[i][j])
@@ -410,7 +398,8 @@ def _cmd_figures(args) -> int:
     written = ["influence.csv", "adjacent_diff.csv", "resolution.csv", "resolution_series.csv", "blocks.csv"]
     if args.svg:
         _svg_lines(out_dir / "influence.svg", "single-step substitution influence",
-                   base.t_values, [(v, profiles[v].mses) for v in (VARIANT_FULL, VARIANT_LOW, VARIANT_HIGH)])
+                   influence.t_values, [("full-prediction", influence.full), ("lf-only", influence.low),
+                                        ("hf-only", influence.high)])
         _svg_lines(out_dir / "adjacent_diff.svg", "adjacent prediction difference by band",
                    adj.t_values, [("raw", adj.raw), ("low", adj.low), ("high", adj.high)])
         written += ["influence.svg", "adjacent_diff.svg"]
@@ -429,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="run once and write a JSON report")
     common(gen)
-    gen.add_argument("--mode", choices=("baseline", "lfcache", "lfcache+block", "open-loop"))
+    gen.add_argument("--mode", choices=MODES)
     gen.add_argument("--out", help="report path (default report.json)")
     gen.add_argument("--trace", help="also dump the used predictions as a binary trace")
     gen.add_argument("--input-trace", dest="input_trace", help="recorded trace to replay (open-loop mode)")

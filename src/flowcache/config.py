@@ -73,7 +73,7 @@ class PredictorConfig:
         if self.blocks < 1:
             raise ConfigError(f"predictor.blocks must be >= 1, got {self.blocks}")
         if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"predictor.seed must be >= 0, got {self.seed}", ("predictor.seed",))
+            raise ConfigError(f"predictor.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,11 @@ import numpy as np
 
 from .engine import (DEFAULT_RADIUS_SCALE, BlockCacheConfig, BlockCacheState, StepCacheConfig, block_cached_forward,
                      recorded_increments, trial_lowfreq_diff, trial_mask)
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .report import RunReport
 from .sampler import BlockPredictor, Predictor, TimestepSchedule, sample_baseline
 from .spectral import highfreq_diff, splice_bands
 from .tensor import DownsampleFactors, Tensor4, avg_downsample, axpy, l2_norm, mse
-
-VARIANT_FULL = "full-prediction"
-VARIANT_LOW = "lf-only"
-VARIANT_HIGH = "hf-only"
-INFLUENCE_VARIANTS = (VARIANT_FULL, VARIANT_LOW, VARIANT_HIGH)
 
 #: PSNR reported when the error is exactly zero.
 PSNR_CAP_DB = 200.0
@@ -31,12 +26,13 @@ PSNR_CAP_DB = 200.0
 
 @dataclass(frozen=True)
 class InfluenceProfile:
-    """Terminal-state MSE caused by substituting one step's prediction."""
+    """Terminal-state MSE per step from substituting the previous prediction: in full, its low band, its high band."""
 
-    variant: str
     step_indices: tuple[int, ...]
     t_values: tuple[float, ...]
-    mses: tuple[float, ...]
+    full: tuple[float, ...]
+    low: tuple[float, ...]
+    high: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -75,46 +71,33 @@ class _Substituted:
         return self.pred.evaluate(x, t) if f is None else f
 
 
-def single_step_skip_influence(
-    traj: Trajectory,
-    variant: str = VARIANT_FULL,
-    mask_scale: float = DEFAULT_RADIUS_SCALE,
-) -> InfluenceProfile:
+def single_step_skip_influence(traj: Trajectory, mask_scale: float = DEFAULT_RADIUS_SCALE) -> InfluenceProfile:
     """Terminal MSE from substituting the previous step's prediction at one step of the recorded run.
 
     For each step k >= 1 the sampler is rerun with the step-k prediction
     replaced, then continued normally; steps before k replay the recorded
     predictions, so the latent entering step k is bitwise the recorded one.
-    full-prediction substitutes the entire previous prediction; lf-only
-    splices only its low band onto the fresh high band; hf-only is the
-    converse. The band is the full-resolution trial mask's at mask_scale.
-    Step 0 has no predecessor and is excluded.
+    full substitutes the entire previous prediction; low splices only its low
+    band onto the fresh high band; high is the converse. The band is the
+    full-resolution trial mask's at mask_scale. Step 0 has no predecessor and
+    is excluded.
     """
-    if variant not in INFLUENCE_VARIANTS:
-        raise ConfigError(f"unknown influence variant {variant!r}, expected one of {INFLUENCE_VARIANTS}")
     schedule = traj.schedule
     z_init = Tensor4(traj.latents[0])
     mask = trial_mask(z_init.shape, _full_resolution(mask_scale))
     values = schedule.values
-    indices = []
-    t_values = []
-    mses = []
-    for k in range(1, schedule.n_steps):
+    indices = tuple(range(1, schedule.n_steps))
+    full, low, high = [], [], []
+    for k in indices:
         fresh = traj.predictions[k]
         stale = traj.predictions[k - 1]
-        if variant == VARIANT_FULL:
-            substituted = stale
-        elif variant == VARIANT_LOW:
-            substituted = splice_bands(stale, fresh, mask)
-        else:
-            substituted = splice_bands(fresh, stale, mask)
         fixed = dict(zip(values[:k], traj.predictions[:k]))
-        fixed[values[k]] = substituted
-        z, _ = sample_baseline(_Substituted(traj.predictor, fixed), z_init, schedule)
-        indices.append(k)
-        t_values.append(values[k])
-        mses.append(mse(z, traj.terminal))
-    return InfluenceProfile(variant, tuple(indices), tuple(t_values), tuple(mses))
+        for column, substituted in ((full, stale), (low, splice_bands(stale, fresh, mask)),
+                                    (high, splice_bands(fresh, stale, mask))):
+            fixed[values[k]] = substituted
+            z, _ = sample_baseline(_Substituted(traj.predictor, fixed), z_init, schedule)
+            column.append(mse(z, traj.terminal))
+    return InfluenceProfile(indices, tuple(values[k] for k in indices), tuple(full), tuple(low), tuple(high))
 
 
 @dataclass(frozen=True)
@@ -257,14 +240,12 @@ def cost_accounting(report: RunReport) -> CostSummary:
     )
 
 
-def psnr(a: Tensor4, b: Tensor4, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / mse); identical inputs return the documented cap."""
-    if peak <= 0:
-        raise DomainError(f"peak must be > 0, got {peak}")
+def psnr(a: Tensor4, b: Tensor4) -> float:
+    """10 log10(1 / mse), the PSNR at peak 1; identical inputs return the documented cap."""
     err = mse(a, b)
     if err == 0.0:
         return PSNR_CAP_DB
-    return float(10.0 * np.log10(peak * peak / err))
+    return float(10.0 * np.log10(1.0 / err))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

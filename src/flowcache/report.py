@@ -5,8 +5,7 @@ latent, and its trial grid at the pooled extents, holds T*H*W tokens
 (token_count). A row costs the trial grid's tokens if it ran a trial, plus
 the latent's times the fraction of the net it evaluated: 1, the pivotal
 share of the blocks on a partial block step, or 0 on a skip (step_cost).
-RunReport.from_rows sums the rows into a run's counts and costs. Wall time
-is recorded for reporting only and is never asserted on.
+RunReport.from_rows sums the rows into a run's counts and costs.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class RunReport:
     cost_units: float = 0.0
     baseline_cost_units: float = 0.0
     trial_cost_units: float = 0.0
-    wall_time: float = 0.0
     open_loop: bool = False
     latent_shape: tuple[int, int, int, int] = (0, 0, 0, 0)
     n_steps: int = 0
@@ -72,7 +70,7 @@ class RunReport:
 
     @classmethod
     def from_rows(cls, rows: list[StepRecord], latent_shape: tuple[int, int, int, int],
-                  trial_tokens: float = 0.0, wall_time: float = 0.0) -> RunReport:
+                  trial_tokens: float = 0.0) -> RunReport:
         """A run's report from its rows on a latent_shape latent, each trial at trial_tokens, the baseline all full."""
         decisions = [r.decision for r in rows]
         trial_count = sum(r.trial_delta is not None for r in rows)
@@ -85,7 +83,6 @@ class RunReport:
             cost_units=float(sum(r.cost_units for r in rows)),
             baseline_cost_units=token_count(latent_shape) * len(rows),
             trial_cost_units=trial_tokens * trial_count,
-            wall_time=wall_time,
             latent_shape=latent_shape,
             n_steps=len(rows),
             warmup_max_delta=max((r.trial_delta for r in rows[1:] if r.decision == DECISION_WARMUP), default=None),

@@ -7,7 +7,6 @@ so the terminal value (0 by default) is never an evaluation point.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
 
@@ -26,7 +25,6 @@ StepObserver = Callable[[int, float, np.ndarray, np.ndarray], None]
 StepPolicy = Callable[[int, float, np.ndarray], tuple[np.ndarray, StepRecord]]
 
 
-@runtime_checkable
 class Predictor(Protocol):
     """Deterministic, shape-preserving velocity model on bare (T, H, W, C) float64 arrays.
 
@@ -124,7 +122,6 @@ def run_steps(
     The report is RunReport.from_rows of the policy's priced rows, with
     trial_tokens the token count the policy priced each trial at.
     """
-    start = time.perf_counter()
     rows: list[StepRecord] = []
     z = z_init.data
     for k, t, t_next in schedule.pairs():
@@ -135,7 +132,7 @@ def run_steps(
             observer(k, t, z, f)
         z = euler_step(z, f, t, t_next)
         rows.append(row)
-    report = RunReport.from_rows(rows, z_init.shape, trial_tokens, time.perf_counter() - start)
+    report = RunReport.from_rows(rows, z_init.shape, trial_tokens)
     report.validate()
     return Tensor4(z), report
 

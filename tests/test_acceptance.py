@@ -19,8 +19,6 @@ from flowcache.engine import (
     sample_cached,
 )
 from flowcache.harness import (
-    VARIANT_FULL,
-    VARIANT_HIGH,
     adjacent_diff_profile,
     cost_accounting,
     resolution_sensitivity,
@@ -79,13 +77,7 @@ def baseline_terminals(trajectories):
 
 @pytest.fixture(scope="session")
 def influence_profiles(trajectories):
-    out = {}
-    for seed, traj in trajectories.items():
-        out[seed] = {
-            "full": single_step_skip_influence(traj, VARIANT_FULL),
-            "high": single_step_skip_influence(traj, VARIANT_HIGH),
-        }
-    return out
+    return {seed: single_step_skip_influence(traj) for seed, traj in trajectories.items()}
 
 
 @pytest.fixture(scope="session")
@@ -255,12 +247,11 @@ def test_criterion_5_influence_trend(influence_profiles):
     trend = []
     below = []
     for seed in SEEDS:
-        full = influence_profiles[seed]["full"]
-        high = influence_profiles[seed]["high"]
-        progress = [float(k) for k in full.step_indices]
-        trend.append(spearman(list(full.mses), progress))
-        hits = sum(1 for h, f in zip(high.mses, full.mses) if h <= f)
-        below.append(hits / len(full.mses))
+        influence = influence_profiles[seed]
+        progress = [float(k) for k in influence.step_indices]
+        trend.append(spearman(list(influence.full), progress))
+        hits = sum(1 for h, f in zip(influence.high, influence.full) if h <= f)
+        below.append(hits / len(influence.full))
     mean_trend = float(np.mean(trend))
     mean_below = float(np.mean(below))
     ok = mean_trend <= -0.5 and mean_below >= 0.9
@@ -276,9 +267,8 @@ def test_criterion_6_lowband_drift_alignment(influence_profiles, adjacent_profil
     late_high = []
     cut = (3 * N_STEPS) // 4
     for seed in SEEDS:
-        influence = influence_profiles[seed]["full"]
         adj = adjacent_profiles[seed]
-        align.append(spearman(list(adj.low), list(influence.mses)))
+        align.append(spearman(list(adj.low), list(influence_profiles[seed].full)))
         fracs = [h * h / (r * r) for k, r, h in zip(adj.step_indices, adj.raw, adj.high) if k >= cut]
         late_high.append(float(np.mean(fracs)))
     mean_align = float(np.mean(align))

@@ -15,8 +15,10 @@ from flowcache import cli, harness
 from flowcache.cli import BENCH_VARIANTS, SCHEMA_VERSION, run_command
 from flowcache.config import parse_config
 from flowcache.engine import calibrate, recorded_increments
-from flowcache.tensor import mse
-from flowcache.traceio import read_trace
+from flowcache.predictors import TraceArchive
+from flowcache.sampler import TimestepSchedule
+from flowcache.tensor import mse, seeded_normal
+from flowcache.traceio import read_trace, write_trace
 
 CONFIG_TEXT = "\n".join(
     [
@@ -92,8 +94,7 @@ def test_generate_samples_the_run_and_its_reference_on_one_predictor(tmp_path, m
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["terminal_checksum"] == hashlib.sha256(terminal.tobytes()).hexdigest()
     assert payload["quality"] == {"mse": mse(terminal, reference), "psnr_db": harness.psnr(terminal, reference)}
-    expected = {name: value for name, value in asdict(report).items() if name != "wall_time"}
-    assert payload["report"] == json.loads(json.dumps(expected))
+    assert payload["report"] == json.loads(json.dumps(asdict(report)))
     assert payload["cost"] == asdict(harness.cost_accounting(report))
 
 
@@ -136,6 +137,27 @@ TRACE_SHA256 = {
     "mixture-lfcache": "b67b3ed401132246b5903f34e0156a705576f1c14d753c15d65642aa3528e0fc",
     "toyblock-lfcache-block": "8cec2226739ec6d628daae7ba4c78a61e4059cf3b9e455b770c74794450ebd1c",
 }
+#: sha256 of every file figures --svg writes for two of the configs in data/run_checksums.json
+FIGURES_SHA256 = {
+    "mixture-lfcache": {
+        "influence.csv": "3124c5cd8d107397207f0993f603f9ac1a460bad9744f2e26c82d27e4447c580",
+        "adjacent_diff.csv": "26099bff87ad58d7f22447afec6613cb5e13ed0cc92bb47d0c242265c8175f36",
+        "resolution.csv": "794a2a1d0571613a58a7435c60e03695dca31888241e45c62c586ff3cda6de7c",
+        "resolution_series.csv": "5dc715fab6f4dfb94b162dad2fbe4ef266e035b1efddaba4fcad3d54e6d5a9b6",
+        "blocks.csv": "488e5169e4417500d59a7e996f34b8ff2f48bea641db461f129c6ed0940ecc5b",
+        "influence.svg": "e269452ddc63642a248d63bf7e70ee1d47b0dfa7f0d4b8c864c66cd928b85cae",
+        "adjacent_diff.svg": "3063e8f959183f461a725a1f096bcade21e18176bfa21e370a3d6d33671814d4",
+    },
+    "toyblock-lfcache-block": {
+        "influence.csv": "8de9bb2d4e3ccf1ee9306919ed1c4c9a45b70898b3a6481c02d754e6cd3ad733",
+        "adjacent_diff.csv": "85bfe5fc4d7d0a215aee6e1db485c7b06912c2cfd98d5f3a7d94a1a37ef1fefc",
+        "resolution.csv": "8cedac0b36392a740258228c484af01d03a0ddbdb451d94e3f9c4ad899578603",
+        "resolution_series.csv": "824f768664d053d88620d217166557701cf77d0af3083437b563de140b3d1566",
+        "blocks.csv": "e82e9c9680508fa5c47b10843b6cde7d6302d193edc5847905a3dd24778ccf4e",
+        "influence.svg": "22d7d6d383f5cdd6d6582586b4a0ddd18c0a1843b618d15746723142209d64fa",
+        "adjacent_diff.svg": "e73a864a850b32b354c9b73aeb9c49f4276f5cad0d92d863cbd00fff316fda9f",
+    },
+}
 
 
 def generated_trace(tmp_path, name):
@@ -151,6 +173,17 @@ def generated_trace(tmp_path, name):
 def test_generate_writes_the_pinned_trace_bytes(tmp_path, name):
     _, trace = generated_trace(tmp_path, name)
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES_SHA256))
+def test_figures_writes_the_pinned_bytes(tmp_path, name):
+    config, out_dir = tmp_path / "run.cfg", tmp_path / "figs"
+    config.write_text("\n".join(RUN_CASES[name]["config"]) + "\n", encoding="utf-8")
+    assert run_command(["figures", "--config", str(config), "--out", str(out_dir), "--svg"]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out_dir.iterdir()} == \
+        FIGURES_SHA256[name]
+    legend = (out_dir / "influence.svg").read_text(encoding="utf-8")
+    assert all(f">{label}</text>" in legend for label in ("full-prediction", "lf-only", "hf-only"))
 
 
 def test_open_loop_replay_of_the_pinned_baseline_trace_reproduces_its_terminal(tmp_path):
@@ -357,6 +390,36 @@ def test_analyze_trace_projects_thresholds(tmp_path, config_path):
     assert payload["increments"] == increments
     for row in rows:
         assert row["threshold"] == calibrate(increments, cache.warmup_steps, row["alpha"])[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_analyze_trace_of_a_run_within_its_warmup_calibrates_no_threshold(tmp_path, n):
+    """With schedule.n <= cache.warmup the live run never calibrates, and the analysis projects that run."""
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG_TEXT.replace("schedule.n = 16", f"schedule.n = {n}"), encoding="utf-8")
+    trace, live, out = tmp_path / "run.trace", tmp_path / "live.json", tmp_path / "analysis.json"
+    assert run_command(["generate", "--config", str(config), "--mode", "baseline", "--trace", str(trace),
+                        "--out", str(tmp_path / "r.json")]) == 0
+    assert run_command(["generate", "--config", str(config), "--out", str(live)]) == 0
+    assert run_command(["analyze-trace", "--config", str(config), str(trace), "--out", str(out)]) == 0
+    report = json.loads(live.read_text(encoding="utf-8"))["report"]
+    assert report["threshold"] is None
+    for row in json.loads(out.read_text(encoding="utf-8"))["alphas"]:
+        assert row["threshold"] is None and row["decisions"] == []
+        assert (row["full_count"], row["skip_count"]) == (report["full_eval_count"], report["skip_count"]) == (0, 0)
+        assert row["projected_cost_units"] == report["cost_units"]
+
+
+def test_analyze_trace_of_a_one_step_trace(tmp_path, config_path):
+    """A one-step trace holds no drift at all; it reads and replays, so its analysis reports no threshold."""
+    trace, out = tmp_path / "one.trace", tmp_path / "analysis.json"
+    write_trace(trace, TraceArchive.from_run(TimestepSchedule((1.0, 0.0)), [seeded_normal((4, 8, 8, 1), 5).data]))
+    assert run_command(["generate", "--config", str(config_path), "--mode", "open-loop", "--input-trace", str(trace),
+                        "--out", str(tmp_path / "replay.json")]) == 0
+    assert run_command(["analyze-trace", "--config", str(config_path), str(trace), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["n_steps"] == 1 and payload["increments"] == []
+    assert [(row["threshold"], row["decisions"], row["full_count"]) for row in payload["alphas"]] == [(None, [], 0)] * 4
 
 
 @pytest.mark.parametrize("bad", ["inf", "nan"])
@@ -591,3 +654,29 @@ def test_the_package_imports_no_unused_name():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found |= {(path.name, name) for name in bound - used}
     assert found == ALLOWED_UNUSED_IMPORTS
+
+
+#: engine.select_pivotal is the oracle of the block-cache property test, which no module of the package calls.
+ALLOWED_UNREFERENCED_NAMES = {("engine.py", "select_pivotal")}
+
+
+def test_every_public_name_of_the_package_has_a_caller_in_it():
+    """Each public module-level function, class and constant is referenced in the package outside its definition."""
+    package = Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(package.rglob("*.py"))}
+    assert trees
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, target.id, node) for target in targets if isinstance(target, ast.Name)]
+    names = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    found = set()
+    for module, name, definition in defined:
+        inside = {id(node) for node in ast.walk(definition)}
+        if not name.startswith("_") and not any(node.id == name and id(node) not in inside for node in names):
+            found.add((module, name))
+    assert found == ALLOWED_UNREFERENCED_NAMES

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from flowcache import harness
 from flowcache.engine import StepCacheConfig, sample_cached
-from flowcache.errors import ConfigError, DimensionError, DomainError
+from flowcache.errors import DimensionError, DomainError
 from flowcache.harness import (
     DEFAULT_RESOLUTION_FACTORS,
     PSNR_CAP_DB,
-    VARIANT_FULL,
-    VARIANT_HIGH,
-    VARIANT_LOW,
     _fractional_ranks,
     adjacent_diff_profile,
     block_profile,
@@ -139,22 +136,19 @@ def test_psnr_identical_returns_cap():
 
 def test_psnr_zero_db_when_mse_equals_peak_squared():
     a = Tensor4(np.zeros(SHAPE))
-    b = Tensor4(np.full(SHAPE, 3.0))
-    assert psnr(a, b, peak=3.0) == pytest.approx(0.0, abs=1e-12)
+    b = Tensor4(np.full(SHAPE, 1.0))
+    assert psnr(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_psnr_twenty_db_case():
     a = Tensor4(np.zeros(SHAPE))
     b = Tensor4(np.full(SHAPE, 0.1))
-    assert psnr(a, b, peak=1.0) == pytest.approx(20.0, rel=1e-12)
+    assert psnr(a, b) == pytest.approx(20.0, rel=1e-12)
 
 
 def test_psnr_guards():
-    a = seeded_normal(SHAPE, 0)
-    with pytest.raises(DomainError):
-        psnr(a, a, peak=0.0)
     with pytest.raises(DimensionError):
-        psnr(a, seeded_normal((4, 8, 8, 1), 0))
+        psnr(seeded_normal(SHAPE, 0), seeded_normal((4, 8, 8, 1), 0))
 
 
 # ------------------------------------------------------------------ trajectory
@@ -181,42 +175,33 @@ def test_influence_excludes_first_step():
     pred = make_predictor()
     prof = single_step_skip_influence(run_trajectory(pred, seeded_normal(SHAPE, 1), make_schedule(8)))
     assert prof.step_indices == tuple(range(1, 8))
-    assert len(prof.mses) == 7
-    assert prof.variant == VARIANT_FULL
+    assert prof.t_values == make_schedule(8).values[1:8]
+    assert len(prof.full) == len(prof.low) == len(prof.high) == 7
 
 
 def test_influence_zero_when_predictions_never_change():
     pred = FixedPredictor(seeded_normal(SHAPE, 9))
     z0 = seeded_normal(SHAPE, 2)
     traj = run_trajectory(pred, z0, make_schedule(6))
-    prof = single_step_skip_influence(traj, variant=VARIANT_FULL)
-    assert all(v == 0.0 for v in prof.mses)
+    prof = single_step_skip_influence(traj)
+    assert all(v == 0.0 for v in prof.full)
     # band splicing round-trips the transform, so identical sources leave only
     # rounding noise (squared, hence ~1e-32) rather than exact zeros
-    for variant in (VARIANT_LOW, VARIANT_HIGH):
-        prof = single_step_skip_influence(traj, variant=variant)
-        assert all(v < 1e-24 for v in prof.mses)
+    assert all(v < 1e-24 for v in prof.low + prof.high)
 
 
 def test_influence_positive_for_moving_predictor():
     pred = make_predictor()
     prof = single_step_skip_influence(run_trajectory(pred, seeded_normal(SHAPE, 3), make_schedule(10)))
-    assert all(v > 0.0 for v in prof.mses)
+    assert all(v > 0.0 for v in prof.full)
 
 
 def test_influence_hf_only_below_full_variant():
     pred = make_predictor(seed=4)
     traj = run_trajectory(pred, seeded_normal(SHAPE, 4), make_schedule(12))
-    full = single_step_skip_influence(traj, variant=VARIANT_FULL)
-    high = single_step_skip_influence(traj, variant=VARIANT_HIGH)
-    hits = sum(1 for h, f in zip(high.mses, full.mses) if h <= f + 1e-15)
-    assert hits >= int(0.8 * len(full.mses))
-
-
-def test_influence_unknown_variant_rejected():
-    traj = run_trajectory(make_predictor(), seeded_normal(SHAPE, 0), make_schedule(5))
-    with pytest.raises(ConfigError):
-        single_step_skip_influence(traj, variant="mid-band")
+    prof = single_step_skip_influence(traj)
+    hits = sum(1 for h, f in zip(prof.high, prof.full) if h <= f + 1e-15)
+    assert hits >= int(0.8 * len(prof.full))
 
 
 # --------------------------------------------------------------- adjacent diff
